@@ -11,10 +11,9 @@ O(eps^-2) / O(eps^-4) iteration bounds.
 from .geometry import (Ball, Box, ConstraintSet, Product, Simplex, UNBOUNDED,
                        WholeSpace, contains, diameter, is_unbounded, max_norm,
                        parse_set, project, sample_point)
-from .objective import (MinimaxProblem, Regime, RegularizedObjective,
-                        SmoothnessData, make_bilinear, make_nc_sc_sine,
-                        make_quadratic, make_robust_svm_toy, make_sc_nc_sine,
-                        random_quadratic, regularized_grads)
+from .objective import (MinimaxProblem, Regime, SmoothnessData, make_bilinear,
+                        make_nc_sc_sine, make_quadratic, make_robust_svm_toy,
+                        make_sc_nc_sine, random_quadratic)
 from .schedules import (CNcConfig, InfeasibleConfigError, NcCConfig, NcScConfig,
                         RegimeConfig, ScNcConfig, StepParams,
                         UnsupportedRegimeError, auto_configure, params_at,

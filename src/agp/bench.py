@@ -17,7 +17,8 @@ call like ``nc_c(rho_bar=1, eta_bar=0.5, tau=3)``.  GDA runs take
 
 CLI subcommands: solve, rate, check, compare.  Exit codes: 0 all runs
 converged and monitors passed, 2 some run hit max_iter, 3 a monitor
-failed, 4 config error.
+failed, 4 config error, 5 some run raised an error (``solve``; it takes
+precedence over 3, which takes precedence over 2).
 """
 
 from __future__ import annotations
@@ -558,8 +559,10 @@ def _cmd_solve(args) -> int:
         status = r.error or r.reason
         print(f"[{r.run_id:03d}] {r.label}: {status}, T_eps={r.T_eps}, "
               f"final_gap={r.final_gap}, monitors={r.monitor_pass}")
-        if r.error or r.monitor_pass is False:
-            code = max(code, 3 if r.monitor_pass is False else 2)
+        if r.error:
+            code = 5
+        elif r.monitor_pass is False:
+            code = max(code, 3)
         elif r.reason == "max_iter":
             code = max(code, 2)
     return code

@@ -29,8 +29,6 @@ __all__ = [
     "Regime",
     "SmoothnessData",
     "MinimaxProblem",
-    "RegularizedObjective",
-    "regularized_grads",
     "make_quadratic",
     "make_bilinear",
     "make_nc_sc_sine",
@@ -99,38 +97,6 @@ class MinimaxProblem:
         if x.shape != (self.dim_x,) or y.shape != (self.dim_y,):
             raise ValueError("dimension mismatch in (x, y)")
         return x, y
-
-
-@dataclass(frozen=True)
-class RegularizedObjective:
-    """f~(x,y) = f(x,y) + (b/2)||x||^2 - (c/2)||y||^2."""
-
-    base: MinimaxProblem
-    b: float = 0.0
-    c: float = 0.0
-
-    def __post_init__(self):
-        if self.b < 0 or self.c < 0:
-            raise ValueError("regularization coefficients must be >= 0")
-
-    def value(self, x, y) -> float:
-        x, y = self.base.check_point(x, y)
-        return (self.base.value(x, y)
-                + 0.5 * self.b * float(x @ x)
-                - 0.5 * self.c * float(y @ y))
-
-    def grad_x(self, x, y) -> np.ndarray:
-        x, y = self.base.check_point(x, y)
-        return self.base.grad_x(x, y) + self.b * x
-
-    def grad_y(self, x, y) -> np.ndarray:
-        x, y = self.base.check_point(x, y)
-        return self.base.grad_y(x, y) - self.c * y
-
-
-def regularized_grads(r: RegularizedObjective, x, y):
-    """Both block gradients of the regularized objective."""
-    return r.grad_x(x, y), r.grad_y(x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ Stopping uses the stationarity-gap norm of the raw objective
     gap_y = gamma_k (y_k - P_Y(y_k + grad_y f(x_k,y_k)/gamma_k))
 
 evaluated with the current iteration's (beta_k, gamma_k); the regularized
-variant swaps in the gradients of f~.  Traces additionally record the
-fixed-scale gap (beta = gamma = 1) for inspection.
+variant swaps in the gradients of f~.
 """
 
 from __future__ import annotations
@@ -62,9 +61,6 @@ class SolverState:
     y: np.ndarray
     x_prev: np.ndarray | None = None
     y_prev: np.ndarray | None = None
-    y_prev2: np.ndarray | None = None
-    x_next: np.ndarray | None = None
-    params: StepParams | None = None
 
 
 @dataclass(frozen=True)
@@ -75,8 +71,7 @@ class GapVector:
     norm: float = field(init=False)
 
     def __post_init__(self):
-        n = math.sqrt(float(self.gx @ self.gx) + float(self.gy @ self.gy))
-        object.__setattr__(self, "norm", n)
+        object.__setattr__(self, "norm", _norm(self.gx, self.gy))
 
 
 def _require_finite(g, k, block):
@@ -85,15 +80,26 @@ def _require_finite(g, k, block):
     return g
 
 
-def _step_core(problem, x, y, p: StepParams, gxf=None):
-    """Shared update; returns (x_new, y_new)."""
-    if gxf is None:
-        gxf = problem.grad_x(x, y)
-    _require_finite(gxf, p.k, "x")
+# ---------------------------------------------------------------------------
+# update rules: rule(problem, x, y, gxf, gyf, p) -> (x_{k+1}, y_{k+1}), where
+# gxf, gyf are the checked block gradients at (x, y) and p the step params
+
+
+def _alternating(problem, x, y, gxf, gyf, p: StepParams):
+    """x first, then y at the fresh x; gyf (taken at the old x) is unused."""
     x_new = problem.X.project(x - (gxf + p.b * x) / p.beta)
     gy_new = _require_finite(problem.grad_y(x_new, y), p.k, "y")
     y_new = problem.Y.project(y + (gy_new - p.c * y) / p.gamma)
     return x_new, y_new
+
+
+def _simultaneous(step_x: float, step_y: float):
+    """Both blocks from the old iterate, with GDA's own step arithmetic."""
+
+    def rule(problem, x, y, gxf, gyf, p):
+        return problem.X.project(x - step_x * gxf), problem.Y.project(y + step_y * gyf)
+
+    return rule
 
 
 def agp_step(problem: MinimaxProblem, state: SolverState, params: StepParams) -> SolverState:
@@ -101,9 +107,9 @@ def agp_step(problem: MinimaxProblem, state: SolverState, params: StepParams) ->
     if params.k != state.k:
         raise ValueError(f"params are for iteration {params.k}, state is at {state.k}")
     x, y = problem.check_point(state.x, state.y)
-    x_new, y_new = _step_core(problem, x, y, params)
-    return SolverState(k=state.k + 1, x=x_new, y=y_new,
-                       x_prev=x, y_prev=y, y_prev2=state.y_prev)
+    gxf = _require_finite(problem.grad_x(x, y), params.k, "x")
+    x_new, y_new = _alternating(problem, x, y, gxf, None, params)
+    return SolverState(k=state.k + 1, x=x_new, y=y_new, x_prev=x, y_prev=y)
 
 
 def gda_step(problem: MinimaxProblem, state: SolverState, step_x: float, step_y: float) -> SolverState:
@@ -113,16 +119,17 @@ def gda_step(problem: MinimaxProblem, state: SolverState, step_x: float, step_y:
     x, y = problem.check_point(state.x, state.y)
     gxf = _require_finite(problem.grad_x(x, y), state.k, "x")
     gyf = _require_finite(problem.grad_y(x, y), state.k, "y")
-    x_new = problem.X.project(x - step_x * gxf)
-    y_new = problem.Y.project(y + step_y * gyf)
-    return SolverState(k=state.k + 1, x=x_new, y=y_new,
-                       x_prev=x, y_prev=y, y_prev2=state.y_prev)
+    x_new, y_new = _simultaneous(step_x, step_y)(problem, x, y, gxf, gyf, None)
+    return SolverState(k=state.k + 1, x=x_new, y=y_new, x_prev=x, y_prev=y)
 
 
-def _gap_from_grads(problem, x, y, gxf, gyf, beta, gamma, regularized):
-    gx = beta * (x - problem.X.project(x - gxf / beta))
-    gy = gamma * (y - problem.Y.project(y + gyf / gamma))
-    return GapVector(gx=gx, gy=gy, regularized=regularized)
+def _gap_blocks(problem, x, y, gxf, gyf, beta, gamma):
+    return (beta * (x - problem.X.project(x - gxf / beta)),
+            gamma * (y - problem.Y.project(y + gyf / gamma)))
+
+
+def _norm(gx, gy) -> float:
+    return math.sqrt(float(gx @ gx) + float(gy @ gy))
 
 
 def stationarity_gap(problem: MinimaxProblem, x, y, beta: float, gamma: float) -> GapVector:
@@ -130,8 +137,9 @@ def stationarity_gap(problem: MinimaxProblem, x, y, beta: float, gamma: float) -
     if not (beta > 0 and gamma > 0):
         raise ValueError("beta and gamma must be > 0")
     x, y = problem.check_point(x, y)
-    return _gap_from_grads(problem, x, y, problem.grad_x(x, y), problem.grad_y(x, y),
-                           beta, gamma, regularized=False)
+    gx, gy = _gap_blocks(problem, x, y, problem.grad_x(x, y), problem.grad_y(x, y),
+                         beta, gamma)
+    return GapVector(gx=gx, gy=gy, regularized=False)
 
 
 def regularized_gap(problem: MinimaxProblem, x, y, params: StepParams) -> GapVector:
@@ -139,8 +147,8 @@ def regularized_gap(problem: MinimaxProblem, x, y, params: StepParams) -> GapVec
     x, y = problem.check_point(x, y)
     gxf = problem.grad_x(x, y) + params.b * x
     gyf = problem.grad_y(x, y) - params.c * y
-    return _gap_from_grads(problem, x, y, gxf, gyf, params.beta, params.gamma,
-                           regularized=True)
+    gx, gy = _gap_blocks(problem, x, y, gxf, gyf, params.beta, params.gamma)
+    return GapVector(gx=gx, gy=gy, regularized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +223,6 @@ class SolverTrace:
     monitor_slack: np.ndarray
     xs: np.ndarray
     ys: np.ndarray
-    gap_norm_unit: np.ndarray
     reason: str
     T_eps: int | None
     eps: float
@@ -231,10 +238,9 @@ class SolverTrace:
     def iterations(self) -> int:
         return int(self.k[-1]) if len(self.k) else 0
 
-    def first_hit(self, eps: float, regularized: bool = False, min_k: int = 1) -> int | None:
-        """First iteration index with gap norm <= eps (and index >= min_k)."""
-        g = self.reg_gap_norm if regularized else self.gap_norm
-        idx = np.nonzero((g <= eps) & (self.k >= min_k))[0]
+    def first_hit(self, eps: float) -> int | None:
+        """First iteration index with gap norm <= eps."""
+        idx = np.nonzero(self.gap_norm <= eps)[0]
         return int(self.k[idx[0]]) if idx.size else None
 
     @property
@@ -268,66 +274,9 @@ def run(problem: MinimaxProblem, cfg: RegimeConfig, eps: float, max_iter: int,
     trace carries the full iterate history, so the monitors can be run on
     it afterwards.
     """
-    eps = _check_eps(eps)
-    max_iter = int(max_iter)
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     data = problem.constants
-    x, y = _resolve_init(problem, init)
-
-    cap = min(max_iter, 1024)
-    cols = {name: np.empty(cap) for name in
-            ("f", "gap_norm", "reg_gap_norm", "beta", "gamma", "b", "c", "gap_norm_unit")}
-    xs = np.empty((cap, problem.dim_x))
-    ys = np.empty((cap, problem.dim_y))
-
-    def grow(n):
-        nonlocal cap, xs, ys
-        cap = min(max_iter, max(2 * cap, n))
-        for name in cols:
-            cols[name] = np.resize(cols[name], cap)
-        xs = np.resize(xs, (cap, problem.dim_x))
-        ys = np.resize(ys, (cap, problem.dim_y))
-
-    T_eps = None
-    reason = "max_iter"
-    floored_any = False
-    n = 0
-    for k in range(1, max_iter + 1):
-        if n >= cap:
-            grow(n + 1)
-        p = params_at(cfg, data, k)
-        floored_any = floored_any or p.floored
-        gxf = _require_finite(problem.grad_x(x, y), k, "x")
-        gyf = _require_finite(problem.grad_y(x, y), k, "y")
-        gap = _gap_from_grads(problem, x, y, gxf, gyf, p.beta, p.gamma, False)
-        if p.b == 0.0 and p.c == 0.0:
-            rgap = gap  # the regularized mapping coincides exactly
-        else:
-            rgap = _gap_from_grads(problem, x, y, gxf + p.b * x, gyf - p.c * y,
-                                   p.beta, p.gamma, True)
-        ugap = _gap_from_grads(problem, x, y, gxf, gyf, 1.0, 1.0, False)
-        cols["f"][n] = problem.value(x, y)
-        cols["gap_norm"][n] = gap.norm
-        cols["reg_gap_norm"][n] = rgap.norm
-        cols["beta"][n] = p.beta
-        cols["gamma"][n] = p.gamma
-        cols["b"][n] = p.b
-        cols["c"][n] = p.c
-        cols["gap_norm_unit"][n] = ugap.norm
-        xs[n] = x
-        ys[n] = y
-        n += 1
-        if gap.norm <= eps:
-            T_eps = k
-            reason = "gap_le_eps"
-            break
-        if k < max_iter:
-            x, y = _step_core(problem, x, y, p, gxf=gxf)
-
-    trace = _assemble_trace(problem, cfg, cols, xs, ys, n, reason, T_eps, eps,
-                            "agp", cfg.regime, floored_any)
-    return trace
+    return _iterate(problem, lambda k: params_at(cfg, data, k), _alternating,
+                    eps, max_iter, init, "agp", cfg)
 
 
 def run_gda(problem: MinimaxProblem, step_x: float, step_y: float, eps: float,
@@ -339,54 +288,66 @@ def run_gda(problem: MinimaxProblem, step_x: float, step_y: float, eps: float,
     """
     if not (step_x > 0 and step_y > 0):
         raise ValueError("step sizes must be > 0")
+    beta, gamma = 1.0 / step_x, 1.0 / step_y
+    return _iterate(problem, lambda k: StepParams(beta, gamma, 0.0, 0.0, k),
+                    _simultaneous(step_x, step_y), eps, max_iter, init, "gda", None)
+
+
+# trace columns recorded per iteration, in the order of a row of the buffer
+_COLUMNS = ("f", "gap_norm", "reg_gap_norm", "beta", "gamma", "b", "c")
+
+
+def _iterate(problem, params, rule, eps, max_iter, init, algo, cfg) -> SolverTrace:
+    """The one solver loop: record row k at (x_k, y_k), stop or step by rule."""
     eps = _check_eps(eps)
     max_iter = int(max_iter)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    beta, gamma = 1.0 / step_x, 1.0 / step_y
     x, y = _resolve_init(problem, init)
 
-    names = ("f", "gap_norm", "reg_gap_norm", "beta", "gamma", "b", "c", "gap_norm_unit")
-    rows = {name: [] for name in names}
-    xs_l, ys_l = [], []
+    cap = min(max_iter, 1024)
+    rows = np.empty((cap, len(_COLUMNS)))
+    xs = np.empty((cap, problem.dim_x))
+    ys = np.empty((cap, problem.dim_y))
     T_eps = None
     reason = "max_iter"
+    floored_any = False
+    n = 0
     for k in range(1, max_iter + 1):
+        if n == cap:
+            cap = min(max_iter, 2 * cap)
+            rows = np.resize(rows, (cap, len(_COLUMNS)))
+            xs = np.resize(xs, (cap, problem.dim_x))
+            ys = np.resize(ys, (cap, problem.dim_y))
+        p = params(k)
+        floored_any = floored_any or p.floored
         gxf = _require_finite(problem.grad_x(x, y), k, "x")
         gyf = _require_finite(problem.grad_y(x, y), k, "y")
-        gap = _gap_from_grads(problem, x, y, gxf, gyf, beta, gamma, False)
-        ugap = _gap_from_grads(problem, x, y, gxf, gyf, 1.0, 1.0, False)
-        rows["f"].append(problem.value(x, y))
-        rows["gap_norm"].append(gap.norm)
-        rows["reg_gap_norm"].append(gap.norm)  # b = c = 0: identical by definition
-        rows["beta"].append(beta)
-        rows["gamma"].append(gamma)
-        rows["b"].append(0.0)
-        rows["c"].append(0.0)
-        rows["gap_norm_unit"].append(ugap.norm)
-        xs_l.append(x)
-        ys_l.append(y)
-        if gap.norm <= eps:
+        gap = _norm(*_gap_blocks(problem, x, y, gxf, gyf, p.beta, p.gamma))
+        if p.b == 0.0 and p.c == 0.0:
+            reg_gap = gap  # the regularized mapping coincides exactly
+        else:
+            reg_gap = _norm(*_gap_blocks(problem, x, y, gxf + p.b * x, gyf - p.c * y,
+                                         p.beta, p.gamma))
+        rows[n] = (problem.value(x, y), gap, reg_gap, p.beta, p.gamma, p.b, p.c)
+        xs[n] = x
+        ys[n] = y
+        n += 1
+        if gap <= eps:
             T_eps = k
             reason = "gap_le_eps"
             break
         if k < max_iter:
-            x_new = problem.X.project(x - step_x * gxf)
-            y_new = problem.Y.project(y + step_y * gyf)
-            x, y = x_new, y_new
+            x, y = rule(problem, x, y, gxf, gyf, p)
 
-    cols = {name: np.asarray(vals) for name, vals in rows.items()}
-    xs = np.asarray(xs_l)
-    ys = np.asarray(ys_l)
-    return _assemble_trace(problem, None, cols, xs, ys, len(xs), reason, T_eps,
-                           eps, "gda", None, False)
+    return _assemble_trace(problem, cfg, rows[:n], xs[:n].copy(), ys[:n].copy(),
+                           reason, T_eps, eps, algo, floored_any)
 
 
-def _assemble_trace(problem, cfg, cols, xs, ys, n, reason, T_eps, eps, algo,
-                    regime, floored_any) -> SolverTrace:
-    xs = np.array(xs[:n])
-    ys = np.array(ys[:n])
-    k = np.arange(1, n + 1)
+def _assemble_trace(problem, cfg, rows, xs, ys, reason, T_eps, eps, algo,
+                    floored_any) -> SolverTrace:
+    n = len(rows)
+    cols = {name: rows[:, i].copy() for i, name in enumerate(_COLUMNS)}
     dx = np.full(n, np.nan)
     dy = np.full(n, np.nan)
     if n > 1:
@@ -394,25 +355,21 @@ def _assemble_trace(problem, cfg, cols, xs, ys, n, reason, T_eps, eps, algo,
         dy[1:] = np.linalg.norm(np.diff(ys, axis=0), axis=1)
     potential = np.full(n, np.nan)
     slack = np.full(n, np.nan)
-    if algo == "agp" and cfg is not None:
+    if cfg is not None:
         for j in range(1, n + 1):
             v = potential_value(cfg, problem, xs, ys, j)
             if v is not None:
                 potential[j - 1] = v
-        slack = _headline_slack(cfg, problem, xs, ys, cols, potential, n)
-    trace = SolverTrace(
-        k=k, f=cols["f"][:n].copy(), gap_norm=cols["gap_norm"][:n].copy(),
-        reg_gap_norm=cols["reg_gap_norm"][:n].copy(), beta=cols["beta"][:n].copy(),
-        gamma=cols["gamma"][:n].copy(), b=cols["b"][:n].copy(), c=cols["c"][:n].copy(),
-        dx_norm=dx, dy_norm=dy, potential=potential, monitor_slack=slack,
-        xs=xs, ys=ys, gap_norm_unit=cols["gap_norm_unit"][:n].copy(),
-        reason=reason, T_eps=T_eps, eps=eps, algo=algo, regime=regime,
-        problem_name=problem.name, floored_any=floored_any,
+        slack = _headline_slack(cfg, problem, xs, ys, cols, potential)
+    return SolverTrace(
+        k=np.arange(1, n + 1), dx_norm=dx, dy_norm=dy, potential=potential,
+        monitor_slack=slack, xs=xs, ys=ys, reason=reason, T_eps=T_eps, eps=eps,
+        algo=algo, regime=cfg.regime if cfg is not None else None,
+        problem_name=problem.name, floored_any=floored_any, **cols,
     )
-    return trace
 
 
-def _headline_slack(cfg, problem, xs, ys, cols, potential, n):
+def _headline_slack(cfg, problem, xs, ys, cols, potential):
     """Signed margin of the regime's headline per-iteration inequality.
 
     Positive means satisfied with room; NaN where not yet defined.  The
@@ -422,5 +379,5 @@ def _headline_slack(cfg, problem, xs, ys, cols, potential, n):
     from .verify import headline_slack_column
 
     return headline_slack_column(cfg, problem, xs, ys,
-                                 gap_norm=cols["gap_norm"][:n], potential=potential,
-                                 beta=cols["beta"][:n], gamma=cols["gamma"][:n])
+                                 gap_norm=cols["gap_norm"], potential=potential,
+                                 beta=cols["beta"], gamma=cols["gamma"])

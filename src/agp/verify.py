@@ -483,6 +483,15 @@ def _grid_points(s: geometry.ConstraintSet, resolution: int) -> np.ndarray:
     raise TypeError(f"unknown set {s!r}")
 
 
+def _grid_count(s: geometry.ConstraintSet, resolution: int) -> int:
+    """Points ``_grid_points`` lays down for ``s`` before keeping those in the set."""
+    if isinstance(s, geometry.Product):
+        return math.prod(_grid_count(p, resolution) for p in s.parts)
+    if isinstance(s, geometry.Simplex):
+        return 1 if s.dim == 1 else resolution ** (s.dim - 1)
+    return resolution ** s.dim
+
+
 def _cell_width(s: geometry.ConstraintSet, resolution: int) -> float:
     d = s.diameter()
     if geometry.is_unbounded(d):
@@ -493,13 +502,14 @@ def _cell_width(s: geometry.ConstraintSet, resolution: int) -> float:
 def grid_extremum(problem: MinimaxProblem, resolution: int) -> GridExtremum:
     """Grid min/max of f over X x Y with a one-cell Lipschitz error pad.
 
-    Desk-scale only: the total number of evaluated pairs is capped at 1e7.
+    Desk-scale only: the number of grid pairs, counted before the grids are
+    built, is capped at 1e7.
     """
-    gx = _grid_points(problem.X, resolution)
-    gy = _grid_points(problem.Y, resolution)
-    total = len(gx) * len(gy)
+    total = _grid_count(problem.X, resolution) * _grid_count(problem.Y, resolution)
     if total > 10**7:
         raise ValueError(f"grid of {total} pairs exceeds the 1e7 desk-scale cap")
+    gx = _grid_points(problem.X, resolution)
+    gy = _grid_points(problem.Y, resolution)
     lo, hi = math.inf, -math.inf
     for xp in gx:
         for yp in gy:

@@ -1,0 +1,29 @@
+import types
+
+import agp
+
+# The public API of the package, sorted.  A change to the API shows up here
+# as a one-line diff.
+PUBLIC_API = [
+    "Ball", "Box", "CNcConfig", "ConfigError", "ConstraintSet", "GapVector",
+    "InfeasibleConfigError", "InvalidTraceError", "MinimaxProblem",
+    "MonitorReport", "NcCConfig", "NcScConfig", "NumericFailureError",
+    "Product", "Regime", "RegimeConfig", "RunSpec", "ScNcConfig", "Simplex",
+    "SmoothnessData", "SolverState", "SolverTrace", "StepParams",
+    "SummaryRecord", "TheoryConstants", "UNBOUNDED", "UnsupportedRegimeError",
+    "WholeSpace", "agp_step", "auto_configure", "compute_bound", "contains",
+    "diameter", "finite_diff_check", "gda_step", "grid_extremum",
+    "is_unbounded", "lemma_monitor", "make_bilinear", "make_nc_sc_sine",
+    "make_quadratic", "make_robust_svm_toy", "make_sc_nc_sine", "max_norm",
+    "params_at", "parse_config", "parse_set", "potential_value", "project",
+    "random_quadratic", "rate_experiment", "rate_slope", "read_trace_csv",
+    "regularized_gap", "run", "run_gda", "run_suite",
+    "saddle_oracle_quadratic", "sample_point", "stationarity_gap",
+    "theory_constants", "validate", "write_trace_csv",
+]
+
+
+def test_public_api_is_pinned():
+    names = sorted(n for n in dir(agp) if not n.startswith("_")
+                   and not isinstance(getattr(agp, n), types.ModuleType))
+    assert names == PUBLIC_API

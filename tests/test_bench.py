@@ -250,6 +250,15 @@ class TestCli:
                        "eps = 1e-12\nmax_iter = 5\n")
         assert main(["solve", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
 
+    def test_solve_raised_run_exit_5(self, tmp_path):
+        # the raised run comes first: a later max_iter run must not lower 5 to 2
+        cfg = tmp_path / "raise.cfg"
+        cfg.write_text("eps = 1e-12\nmax_iter = 5\n"
+                       "problem = quadratic(seed=7, nx=1, ny=1, regime=nc_sc)\n"
+                       "regime = nc_sc(eta=-1, rho=0.25)\n"
+                       "problem = quadratic(seed=7, nx=1, ny=1, regime=nc_sc)\n")
+        assert main(["solve", str(cfg), "--out-dir", str(tmp_path / "out")]) == 5
+
     def test_config_error_exit_4(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("problem = bilinear(dim=1)\nnope = 1\n")

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from agp.geometry import Ball, Box, Product, WholeSpace
-from agp.objective import (Regime, RegularizedObjective, SmoothnessData,
-                           make_bilinear, make_nc_sc_sine, make_quadratic,
-                           make_robust_svm_toy, make_sc_nc_sine,
-                           random_quadratic, regularized_grads)
+from agp.objective import (Regime, SmoothnessData, make_bilinear,
+                           make_nc_sc_sine, make_quadratic, make_robust_svm_toy,
+                           make_sc_nc_sine, random_quadratic)
 
 
 def finite_diff_grad(f, point, other, which):
@@ -199,39 +198,6 @@ class TestRobustSvm:
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
             make_robust_svm_toy([], self.X, self.Y)
-
-
-class TestRegularized:
-    def test_zero_coefficients_identity(self):
-        p = make_bilinear([[1.0]])
-        r = RegularizedObjective(p, 0.0, 0.0)
-        x, y = np.array([2.0]), np.array([3.0])
-        gx, gy = regularized_grads(r, x, y)
-        np.testing.assert_array_equal(gx, p.grad_x(x, y))
-        np.testing.assert_array_equal(gy, p.grad_y(x, y))
-
-    def test_b_shift(self):
-        p = make_bilinear([[1.0]])
-        r = RegularizedObjective(p, b=0.5, c=0.0)
-        gx, gy = regularized_grads(r, np.array([2.0]), np.array([3.0]))
-        np.testing.assert_allclose(gx, [4.0])
-        np.testing.assert_allclose(gy, [2.0])
-
-    def test_c_shift(self):
-        p = make_quadratic(np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)),
-                           a=np.array([1.0, 1.0]))
-        # base grad_y at x=(1,1)... choose x so base grad_y = (1, 1)
-        r = RegularizedObjective(p, b=0.0, c=0.25)
-        x = np.array([1.0, 1.0])
-        y = np.array([4.0, 0.0])
-        gy = r.grad_y(x, y)
-        np.testing.assert_allclose(gy, [0.0, 1.0])
-
-    def test_value_formula(self):
-        p = make_bilinear([[1.0]])
-        r = RegularizedObjective(p, b=0.5, c=0.2)
-        x, y = np.array([2.0]), np.array([3.0])
-        assert r.value(x, y) == pytest.approx(6.0 + 0.25 * 4 - 0.1 * 9)
 
 
 class TestZooProperties:

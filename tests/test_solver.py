@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -324,3 +325,61 @@ class TestRunGda:
         assert tr.beta[0] == pytest.approx(5.0)
         assert tr.gamma[0] == pytest.approx(2.0)
         assert tr.algo == "gda"
+
+
+def nan_on_call(grad, n):
+    """grad, except that its n-th call returns NaN."""
+    calls = [0]
+
+    def wrapped(x, y):
+        calls[0] += 1
+        g = grad(x, y)
+        return np.full_like(g, math.nan) if calls[0] == n else g
+
+    return wrapped
+
+
+class TestLoopNonFinite:
+    # run takes grad_x once per iteration and grad_y twice: at (x_k, y_k) for
+    # the gap, then at (x_{k+1}, y_k) for the step.  run_gda takes each once.
+    @pytest.mark.parametrize("algo, block, call, k", [
+        ("agp", "x", 3, 3),
+        ("agp", "y", 4, 2),  # the second grad_y of iteration 2: at the fresh x_3
+        ("gda", "x", 3, 3),
+        ("gda", "y", 3, 3),
+    ])
+    def test_nan_gradient_reports_block_and_iteration(self, algo, block, call, k):
+        p = quad_1d()
+        name = "grad_" + block
+        bad = dataclasses.replace(p, **{name: nan_on_call(getattr(p, name), call)})
+        init = (np.array([1.0]), np.array([1.0]))
+        with pytest.raises(NumericFailureError) as ei:
+            if algo == "agp":
+                cfg = auto_configure(p.constants, Regime.NC_SC)
+                run(bad, cfg, eps=1e-12, max_iter=10, init=init)
+            else:
+                run_gda(bad, 0.1, 0.1, eps=1e-12, max_iter=10, init=init)
+        assert ei.value.block == block and ei.value.k == k
+
+
+class TestWrappersShareRule:
+    @pytest.mark.parametrize("seed, regime", [(3, Regime.NC_C), (4, Regime.C_NC)])
+    def test_agp_step_reproduces_run(self, seed, regime):
+        p = random_quadratic(seed, 2, 2, regime)
+        cfg = auto_configure(p.constants, regime)
+        tr = run(p, cfg, eps=1e-12, max_iter=60)
+        assert np.any(tr.b != 0) or np.any(tr.c != 0)
+        s = SolverState(k=1, x=tr.xs[0], y=tr.ys[0])
+        for i in range(1, len(tr)):
+            s = agp_step(p, s, params_at(cfg, p.constants, s.k))
+            np.testing.assert_array_equal(s.x, tr.xs[i])
+            np.testing.assert_array_equal(s.y, tr.ys[i])
+
+    def test_gda_step_reproduces_run_gda(self):
+        p = random_quadratic(5, 2, 2, Regime.NC_SC)
+        tr = run_gda(p, 0.05, 0.2, eps=1e-12, max_iter=60)
+        s = SolverState(k=1, x=tr.xs[0], y=tr.ys[0])
+        for i in range(1, len(tr)):
+            s = gda_step(p, s, 0.05, 0.2)
+            np.testing.assert_array_equal(s.x, tr.xs[i])
+            np.testing.assert_array_equal(s.y, tr.ys[i])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,18 @@ class TestGridExtremum:
         p = random_quadratic(0, 3, 3, Regime.NC_SC)
         with pytest.raises(ValueError):
             grid_extremum(p, 120)
+
+    def test_grid_size_cap_checked_before_building(self):
+        # 41^4 points per block: the cap must fire before any grid exists
+        p = random_quadratic(0, 4, 4, Regime.NC_SC)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                grid_extremum(p, 41)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     def test_refinement_respects_pad(self):
         p = random_quadratic(1, 1, 1, Regime.NC_SC)
