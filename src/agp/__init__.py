@@ -19,8 +19,8 @@ from .schedules import (CNcConfig, InfeasibleConfigError, NcCConfig, NcScConfig,
                         UnsupportedRegimeError, auto_configure, params_at,
                         validate)
 from .solver import (GapVector, NumericFailureError, SolverState, SolverTrace,
-                     agp_step, gda_step, potential_value, regularized_gap, run,
-                     run_gda, stationarity_gap)
+                     agp_step, gda_step, regularized_gap, run, run_gda,
+                     stationarity_gap)
 from .verify import (InvalidTraceError, MonitorReport, TheoryConstants,
                      compute_bound, finite_diff_check, grid_extremum,
                      lemma_monitor, rate_slope, saddle_oracle_quadratic,

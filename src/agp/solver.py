@@ -17,6 +17,11 @@ Stopping uses the stationarity-gap norm of the raw objective
 
 evaluated with the current iteration's (beta_k, gamma_k); the regularized
 variant swaps in the gradients of f~.
+
+The loop records f(x_k, y_k) per row; an alternating trace also records
+f(x_{k+1}, y_k) once, in one pass after the loop (``SolverTrace.f_mixed``).
+Its potential and monitor-slack columns are array functions of those
+records, computed by the verification module.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .objective import MinimaxProblem, Regime
-from .schedules import (CNcConfig, NcCConfig, NcScConfig, RegimeConfig,
-                        ScNcConfig, StepParams, params_at)
+from .schedules import RegimeConfig, StepParams, params_at
+from .verify import trace_columns
 
 __all__ = [
     "SolverState",
@@ -39,7 +44,6 @@ __all__ = [
     "gda_step",
     "stationarity_gap",
     "regularized_gap",
-    "potential_value",
     "run",
     "run_gda",
 ]
@@ -152,56 +156,6 @@ def regularized_gap(problem: MinimaxProblem, x, y, params: StepParams) -> GapVec
 
 
 # ---------------------------------------------------------------------------
-# Lyapunov potentials.  xs/ys hold the iterates with xs[k-1] = x_k; j is the
-# 1-based potential index.  Returns None while the referenced iterates or
-# schedule values are not available yet (first 1-2 iterations, or a missing
-# lookahead x_{j+1} at the tail).
-
-
-def potential_value(cfg: RegimeConfig, problem: MinimaxProblem, xs, ys, j: int) -> float | None:
-    K = len(xs)
-    d = problem.constants
-    if isinstance(cfg, NcScConfig):
-        if j < 2 or j > K:
-            return None
-        rho, mu, Ly = cfg.rho, d.mu, d.L_y
-        dy = ys[j - 1] - ys[j - 2]
-        coeff = mu + 7.0 / (2 * rho) - rho * Ly**2 / 2 - 2 * Ly**2 / mu
-        s = 2.0 / (rho**2 * mu)
-        return float(problem.value(xs[j - 1], ys[j - 1]) + (s - coeff) * (dy @ dy))
-    if isinstance(cfg, NcCConfig):
-        if j < 3 or j > K:
-            return None
-        rb = cfg.rho_bar
-        cj, cjm1, cjm2 = cfg.c(j), cfg.c(j - 1), cfg.c(j - 2)
-        dy = ys[j - 1] - ys[j - 2]
-        yj = ys[j - 1]
-        s = (4.0 / (rb**2 * cj)) * (dy @ dy) - (4.0 / rb) * (cjm2 / cjm1 - 1.0) * (yj @ yj)
-        return float(problem.value(xs[j - 1], yj) + s
-                     - 7.0 / (2 * rb) * (dy @ dy) - 0.5 * cjm1 * (yj @ yj))
-    if isinstance(cfg, ScNcConfig):
-        if j < 1 or j + 1 > K:
-            return None
-        z, th = cfg.zeta, d.theta
-        dx = xs[j] - xs[j - 1]
-        return float(problem.value(xs[j], ys[j - 1])
-                     - (2.0 / (z**2 * th)) * (dx @ dx)
-                     - (th / 2 - 3.0 / z) * (dx @ dx))
-    if isinstance(cfg, CNcConfig):
-        if j < 2 or j + 1 > K:
-            return None
-        zb = cfg.zeta_bar
-        qj, qjm1 = cfg.q(j), cfg.q(j - 1)
-        dx = xs[j] - xs[j - 1]
-        xj1 = xs[j]
-        s = (-(4.0 / (zb**2 * qj)) * (dx @ dx)
-             - (4.0 / zb) * (1.0 - qjm1 / qj) * (xj1 @ xj1))
-        return float(problem.value(xj1, ys[j - 1]) + s
-                     + 17.0 / (5 * zb) * (dx @ dx) + 0.5 * qjm1 * (xj1 @ xj1))
-    raise TypeError(f"unknown regime config {cfg!r}")
-
-
-# ---------------------------------------------------------------------------
 # traces
 
 
@@ -230,6 +184,8 @@ class SolverTrace:
     regime: Regime | None
     problem_name: str
     floored_any: bool = False
+    # f(x_{k+1}, y_k) for k = 1..n-1; None on GDA traces
+    f_mixed: np.ndarray | None = None
 
     def __len__(self):
         return len(self.k)
@@ -353,31 +309,18 @@ def _assemble_trace(problem, cfg, rows, xs, ys, reason, T_eps, eps, algo,
     if n > 1:
         dx[1:] = np.linalg.norm(np.diff(xs, axis=0), axis=1)
         dy[1:] = np.linalg.norm(np.diff(ys, axis=0), axis=1)
+    f_mixed = None
     potential = np.full(n, np.nan)
     slack = np.full(n, np.nan)
     if cfg is not None:
-        for j in range(1, n + 1):
-            v = potential_value(cfg, problem, xs, ys, j)
-            if v is not None:
-                potential[j - 1] = v
-        slack = _headline_slack(cfg, problem, xs, ys, cols, potential)
+        f_mixed = np.fromiter((problem.value(xs[i + 1], ys[i]) for i in range(n - 1)),
+                              float, n - 1)
+        potential, slack = trace_columns(
+            cfg, problem.constants, xs, ys, cols["f"], f_mixed, cols["gap_norm"],
+            cols["reg_gap_norm"], cols["beta"], cols["gamma"])
     return SolverTrace(
         k=np.arange(1, n + 1), dx_norm=dx, dy_norm=dy, potential=potential,
         monitor_slack=slack, xs=xs, ys=ys, reason=reason, T_eps=T_eps, eps=eps,
         algo=algo, regime=cfg.regime if cfg is not None else None,
-        problem_name=problem.name, floored_any=floored_any, **cols,
+        problem_name=problem.name, floored_any=floored_any, f_mixed=f_mixed, **cols,
     )
-
-
-def _headline_slack(cfg, problem, xs, ys, cols, potential):
-    """Signed margin of the regime's headline per-iteration inequality.
-
-    Positive means satisfied with room; NaN where not yet defined.  The
-    full inequality set lives in the verification module; this column is
-    the quick per-row health signal.
-    """
-    from .verify import headline_slack_column
-
-    return headline_slack_column(cfg, problem, xs, ys,
-                                 gap_norm=cols["gap_norm"], potential=potential,
-                                 beta=cols["beta"], gamma=cols["gamma"])

@@ -11,6 +11,11 @@ disagrees with the analysis.  Monitors whose derivations consume the decay
 condition 1/c_{k+1} - 1/c_k <= rho~/10 (resp. q, zeta~) only assert from
 the first index k0 where that condition holds; the k^(1/4) schedules reach
 it at k0 = 9.
+
+The monitors and the Lyapunov potentials are array functions of the
+trace's recorded columns: the iterates, f(x_k, y_k) and f(x_{k+1}, y_k).
+They make no oracle calls; the bound constants call the oracles only for
+their grid scan.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,7 +31,9 @@ from . import geometry
 from .objective import MinimaxProblem, Regime
 from .schedules import (CNcConfig, NcCConfig, NcScConfig, RegimeConfig,
                         ScNcConfig, InfeasibleConfigError, _decay_k0)
-from .solver import SolverTrace, potential_value
+
+if TYPE_CHECKING:
+    from .solver import SolverTrace
 
 __all__ = [
     "MonitorEntry",
@@ -160,27 +168,64 @@ def Dhat1_c_nc(cfg: CNcConfig, data) -> float:
 # per-trace inequality evaluation
 
 
-def _mixed_f(problem, xs, ys):
-    """f(x_{k+1}, y_k) for k = 1..n-1."""
-    n = len(xs)
-    out = np.empty(max(n - 1, 0))
-    for i in range(n - 1):
-        out[i] = problem.value(xs[i + 1], ys[i])
-    return out
-
-
 def _sq_diffs(arr):
     d = np.diff(arr, axis=0)
     return np.einsum("ij,ij->i", d, d)
 
 
-def _inequalities(cfg, problem, xs, ys, f, fmix, gap, rgap, beta, gamma, pot):
+def _row_sq(a):
+    # vecdot matches a per-row ``a @ a`` bit for bit; einsum does not
+    return np.vecdot(a, a)
+
+
+def potentials(cfg: RegimeConfig, d, xs, ys, f, fmix) -> np.ndarray:
+    """Lyapunov potential of every trace row under ``cfg``.
+
+    ``xs[k-1] = x_k``, ``f[k-1] = f(x_k, y_k)``, ``fmix[k-1] = f(x_{k+1}, y_k)``
+    and ``d`` the smoothness data.  Entry j-1 is the j-th potential: NC-SC and
+    NC-C add iterate terms to ``f[j-1]``, SC-NC and C-NC to ``fmix[j-1]``.
+    NaN while the referenced iterates or schedule values do not exist yet
+    (the first 1-2 rows, or the missing lookahead x_{j+1} on the last row).
+    """
+    n = len(xs)
+    pot = np.full(n, np.nan)
+    if isinstance(cfg, NcScConfig):  # j = 2..n
+        rho, mu, Ly = cfg.rho, d.mu, d.L_y
+        coeff = mu + 7.0 / (2 * rho) - rho * Ly**2 / 2 - 2 * Ly**2 / mu
+        s = 2.0 / (rho**2 * mu)
+        pot[1:] = f[1:] + (s - coeff) * _row_sq(np.diff(ys, axis=0))
+    elif isinstance(cfg, NcCConfig):  # j = 3..n
+        rb = cfg.rho_bar
+        c = np.array([cfg.c(k) for k in range(1, n + 1)])
+        cj, cjm1, cjm2 = c[2:], c[1:-1], c[:-2]
+        dy2 = _row_sq(np.diff(ys, axis=0))[1:]
+        yn2 = _row_sq(ys)[2:]
+        s = (4.0 / (rb**2 * cj)) * dy2 - (4.0 / rb) * (cjm2 / cjm1 - 1.0) * yn2
+        pot[2:] = f[2:] + s - 7.0 / (2 * rb) * dy2 - 0.5 * cjm1 * yn2
+    elif isinstance(cfg, ScNcConfig):  # j = 1..n-1
+        z, th = cfg.zeta, d.theta
+        dx2 = _row_sq(np.diff(xs, axis=0))
+        pot[:-1] = fmix - (2.0 / (z**2 * th)) * dx2 - (th / 2 - 3.0 / z) * dx2
+    elif isinstance(cfg, CNcConfig):  # j = 2..n-1
+        zb = cfg.zeta_bar
+        q = np.array([cfg.q(k) for k in range(1, n)])
+        qj, qjm1 = q[1:], q[:-1]
+        dx2 = _row_sq(np.diff(xs, axis=0))[1:]
+        xn2 = _row_sq(xs)[2:]
+        s = -(4.0 / (zb**2 * qj)) * dx2 - (4.0 / zb) * (1.0 - qjm1 / qj) * xn2
+        pot[1:-1] = fmix[1:] + s + 17.0 / (5 * zb) * dx2 + 0.5 * qjm1 * xn2
+    else:
+        raise TypeError(f"unknown regime config {cfg!r}")
+    return pot
+
+
+def _inequalities(cfg, d, xs, ys, f, fmix, gap, rgap, beta, gamma, pot):
     """All per-iteration inequalities for the config's regime.
 
     Yields (id, ks, lhs, rhs, sense) with 1-based iteration indices ks.
-    ``fmix[k-1] = f(x_{k+1}, y_k)``, ``pot[j-1]`` the j-th potential value.
+    ``d`` is the smoothness data, ``fmix[k-1] = f(x_{k+1}, y_k)``,
+    ``pot[j-1]`` the j-th potential value.
     """
-    d = problem.constants
     n = len(xs)
     dx2 = _sq_diffs(xs)  # dx2[k-1] = ||x_{k+1}-x_k||^2, k = 1..n-1
     dy2 = _sq_diffs(ys)
@@ -192,24 +237,20 @@ def _inequalities(cfg, problem, xs, ys, f, fmix, gap, rgap, beta, gamma, pot):
         eta, rho, mu, Ly, L12 = cfg.eta, cfg.rho, d.mu, d.L_y, d.L_12
         ks = np.arange(1, n)
         out.append(("x_descent", ks, fmix - f[:-1], -(eta / 2) * dx2, "le"))
-        if n >= 3:
-            ks = np.arange(2, n)  # k = 2..n-1
-            lhs = f[2:] - f[1:-1]
-            rhs = (-(eta / 2 - L12**2 * rho / 2) * dx2[1:]
-                   - (mu / 2 - 1 / rho) * dy2[1:]
-                   - (mu - 1 / (2 * rho) - rho * Ly**2 / 2) * dy2[:-1])
-            out.append(("joint_recursion", ks, lhs, rhs, "le"))
-            lhs = pot[2:] - pot[1:-1]  # F_{k+1} - F_k
-            rhs = (-(eta / 2 - rho * L12**2 / 2 - 2 * L12**2 / (rho * mu**2)) * dx2[1:]
-                   - ((3 * mu - rho * Ly**2) / 2
-                      + (mu - 4 * rho * Ly**2) / (2 * rho * mu)) * dy2[1:])
-            out.append(("potential_decrease", ks, lhs, rhs, "le"))
-            d1 = d1_nc_sc(cfg, d)
-            out.append(("gap_potential_periter", ks,
-                        d1 * gap[1:-1] ** 2, pot[1:-1] - pot[2:], "le"))
-        else:
-            for eid in ("joint_recursion", "potential_decrease", "gap_potential_periter"):
-                out.append((eid, np.array([], dtype=int), [], [], "le"))
+        ks = np.arange(2, n)  # k = 2..n-1
+        lhs = f[2:] - f[1:-1]
+        rhs = (-(eta / 2 - L12**2 * rho / 2) * dx2[1:]
+               - (mu / 2 - 1 / rho) * dy2[1:]
+               - (mu - 1 / (2 * rho) - rho * Ly**2 / 2) * dy2[:-1])
+        out.append(("joint_recursion", ks, lhs, rhs, "le"))
+        lhs = pot[2:] - pot[1:-1]  # F_{k+1} - F_k
+        rhs = (-(eta / 2 - rho * L12**2 / 2 - 2 * L12**2 / (rho * mu**2)) * dx2[1:]
+               - ((3 * mu - rho * Ly**2) / 2
+                  + (mu - 4 * rho * Ly**2) / (2 * rho * mu)) * dy2[1:])
+        out.append(("potential_decrease", ks, lhs, rhs, "le"))
+        d1 = d1_nc_sc(cfg, d)
+        out.append(("gap_potential_periter", ks,
+                    d1 * gap[1:-1] ** 2, pot[1:-1] - pot[2:], "le"))
         return out
 
     if isinstance(cfg, NcCConfig):
@@ -218,31 +259,24 @@ def _inequalities(cfg, problem, xs, ys, f, fmix, gap, rgap, beta, gamma, pot):
         bbar = beta - eb  # actual beta~_k, respects any flooring
         ks = np.arange(1, n)
         out.append(("x_descent", ks, fmix - f[:-1], -(eb + bbar[:-1] / 2) * dx2, "le"))
-        if n >= 3:
-            ks = np.arange(2, n)
-            i = ks - 1  # 0-based row of iteration k
-            lhs = f[2:] - f[1:-1]
-            rhs = (-(eb + bbar[i] / 2 - L12**2 * rb / 2) * dx2[i]
-                   + (1 / rb - (call[i - 1] - call[i]) / 2) * dy2[i]
-                   + (1 / (2 * rb)) * dy2[i - 1]
-                   + (call[i - 1] / 2) * (yn2[i + 1] - yn2[i]))
-            out.append(("joint_recursion", ks, lhs, rhs, "le"))
-        else:
-            out.append(("joint_recursion", np.array([], dtype=int), [], [], "le"))
+        ks = np.arange(2, n)
+        i = ks - 1  # 0-based row of iteration k
+        lhs = f[2:] - f[1:-1]
+        rhs = (-(eb + bbar[i] / 2 - L12**2 * rb / 2) * dx2[i]
+               + (1 / rb - (call[i - 1] - call[i]) / 2) * dy2[i]
+               + (1 / (2 * rb)) * dy2[i - 1]
+               + (call[i - 1] / 2) * (yn2[i + 1] - yn2[i]))
+        out.append(("joint_recursion", ks, lhs, rhs, "le"))
         k0 = _decay_k0(cfg.c, rb / 10.0) or n + 1
-        kfirst = max(k0, 3)
-        if n - 1 >= kfirst:
-            ks = np.arange(kfirst, n)
-            i = ks - 1
-            lhs = pot[i + 1] - pot[i]
-            rhs = (-(eb + bbar[i] / 2 - rb * L12**2 / 2
-                     - 8 * L12**2 / (rb * call[i] ** 2)) * dx2[i]
-                   - (1 / (10 * rb)) * dy2[i]
-                   + (4 / rb) * (call[i - 2] / call[i - 1] - call[i - 1] / call[i]) * yn2[i]
-                   + ((call[i - 1] - call[i]) / 2) * yn2[i + 1])
-            out.append(("potential_decrease", ks, lhs, rhs, "le"))
-        else:
-            out.append(("potential_decrease", np.array([], dtype=int), [], [], "le"))
+        ks = np.arange(max(k0, 3), n)
+        i = ks - 1
+        lhs = pot[i + 1] - pot[i]
+        rhs = (-(eb + bbar[i] / 2 - rb * L12**2 / 2
+                 - 8 * L12**2 / (rb * call[i] ** 2)) * dx2[i]
+               - (1 / (10 * rb)) * dy2[i]
+               + (4 / rb) * (call[i - 2] / call[i - 1] - call[i - 1] / call[i]) * yn2[i]
+               + ((call[i - 1] - call[i]) / 2) * yn2[i + 1])
+        out.append(("potential_decrease", ks, lhs, rhs, "le"))
         ks = np.arange(1, n + 1)
         c_prev = np.concatenate([[call[0]], call[: n - 1]])  # c_0 := c_1
         out.append(("gap_bridge", ks, gap, rgap + c_prev * np.sqrt(yn2), "le"))
@@ -252,25 +286,20 @@ def _inequalities(cfg, problem, xs, ys, f, fmix, gap, rgap, beta, gamma, pot):
         zeta, nu, th, Lx, L21 = cfg.zeta, cfg.nu, d.theta, d.L_x, d.L_21
         ks = np.arange(1, n)
         out.append(("y_ascent", ks, f[1:] - fmix, (nu / 2) * dy2, "ge"))
-        if n >= 3:
-            ks = np.arange(1, n - 1)  # k = 1..n-2, needs x_{k+2}
-            lhs = fmix[1:] - fmix[:-1]  # f(x_{k+2},y_{k+1}) - f(x_{k+1},y_k)
-            rhs = ((nu / 2 - L21**2 * zeta / 2) * dy2[:-1]
-                   + (th / 2 - 1 / zeta) * dx2[1:]
-                   + (th - 1 / (2 * zeta) - zeta * Lx**2 / 2) * dx2[:-1])
-            out.append(("joint_recursion", ks, lhs, rhs, "ge"))
-            lhs = pot[1 : n - 1] - pot[: n - 2]  # Fhat_{k+1} - Fhat_k
-            rhs = ((nu / 2 - zeta * L21**2 / 2 - 2 * L21**2 / (zeta * th**2)) * dy2[:-1]
-                   + ((3 * th - zeta * Lx**2) / 2
-                      + (th - 4 * zeta * Lx**2) / (2 * zeta * th)) * dx2[:-1])
-            out.append(("potential_increase", ks, lhs, rhs, "ge"))
-            dh1 = dhat1_sc_nc(cfg, d)
-            out.append(("gap_potential_periter", ks,
-                        dh1 * gap[: n - 2] ** 2, pot[1 : n - 1] - pot[: n - 2], "le"))
-        else:
-            for eid, sense in (("joint_recursion", "ge"), ("potential_increase", "ge"),
-                               ("gap_potential_periter", "le")):
-                out.append((eid, np.array([], dtype=int), [], [], sense))
+        ks = np.arange(1, n - 1)  # k = 1..n-2, needs x_{k+2}
+        lhs = fmix[1:] - fmix[:-1]  # f(x_{k+2},y_{k+1}) - f(x_{k+1},y_k)
+        rhs = ((nu / 2 - L21**2 * zeta / 2) * dy2[:-1]
+               + (th / 2 - 1 / zeta) * dx2[1:]
+               + (th - 1 / (2 * zeta) - zeta * Lx**2 / 2) * dx2[:-1])
+        out.append(("joint_recursion", ks, lhs, rhs, "ge"))
+        lhs = pot[1 : n - 1] - pot[: n - 2]  # Fhat_{k+1} - Fhat_k
+        rhs = ((nu / 2 - zeta * L21**2 / 2 - 2 * L21**2 / (zeta * th**2)) * dy2[:-1]
+               + ((3 * th - zeta * Lx**2) / 2
+                  + (th - 4 * zeta * Lx**2) / (2 * zeta * th)) * dx2[:-1])
+        out.append(("potential_increase", ks, lhs, rhs, "ge"))
+        dh1 = dhat1_sc_nc(cfg, d)
+        out.append(("gap_potential_periter", ks,
+                    dh1 * gap[: n - 2] ** 2, pot[1 : n - 1] - pot[: n - 2], "le"))
         return out
 
     if isinstance(cfg, CNcConfig):
@@ -279,37 +308,35 @@ def _inequalities(cfg, problem, xs, ys, f, fmix, gap, rgap, beta, gamma, pot):
         gbar = gamma - nb
         ks = np.arange(1, n)
         out.append(("y_ascent", ks, f[1:] - fmix, (nb + gbar[:-1] / 2) * dy2, "ge"))
-        if n >= 4:
-            ks = np.arange(2, n - 1)  # k = 2..n-2
-            i = ks - 1
-            lhs = fmix[i + 1] - fmix[i]
-            rhs = ((nb + gbar[i] / 2 - L21**2 * zb / 2) * dy2[i]
-                   + ((qall[i - 1] - qall[i]) / 2 - 1 / zb) * dx2[i + 1]
-                   - (1 / (2 * zb)) * dx2[i]
-                   - (qall[i - 1] / 2) * (xn2[i + 2] - xn2[i + 1]))
-            out.append(("joint_recursion", ks, lhs, rhs, "ge"))
-        else:
-            out.append(("joint_recursion", np.array([], dtype=int), [], [], "ge"))
+        ks = np.arange(2, n - 1)  # k = 2..n-2
+        i = ks - 1
+        lhs = fmix[i + 1] - fmix[i]
+        rhs = ((nb + gbar[i] / 2 - L21**2 * zb / 2) * dy2[i]
+               + ((qall[i - 1] - qall[i]) / 2 - 1 / zb) * dx2[i + 1]
+               - (1 / (2 * zb)) * dx2[i]
+               - (qall[i - 1] / 2) * (xn2[i + 2] - xn2[i + 1]))
+        out.append(("joint_recursion", ks, lhs, rhs, "ge"))
         k0 = _decay_k0(cfg.q, zb / 10.0) or n + 1
-        kfirst = max(k0, 2)
-        if n - 2 >= kfirst:
-            ks = np.arange(kfirst, n - 1)
-            i = ks - 1
-            lhs = pot[i + 1] - pot[i]
-            rhs = ((nb + gbar[i] / 2 - zb * L21**2 / 2
-                    - 8 * L21**2 / (zb * qall[i] ** 2)) * dy2[i]
-                   + ((qall[i] - qall[i - 1]) / 2) * xn2[i + 2]
-                   + (1 / (10 * zb)) * dx2[i]
-                   + (4 / zb) * (qall[i] / qall[i + 1] - qall[i - 1] / qall[i]) * xn2[i + 2])
-            out.append(("potential_increase", ks, lhs, rhs, "ge"))
-        else:
-            out.append(("potential_increase", np.array([], dtype=int), [], [], "ge"))
+        ks = np.arange(max(k0, 2), n - 1)
+        i = ks - 1
+        lhs = pot[i + 1] - pot[i]
+        rhs = ((nb + gbar[i] / 2 - zb * L21**2 / 2
+                - 8 * L21**2 / (zb * qall[i] ** 2)) * dy2[i]
+               + ((qall[i] - qall[i - 1]) / 2) * xn2[i + 2]
+               + (1 / (10 * zb)) * dx2[i]
+               + (4 / zb) * (qall[i] / qall[i + 1] - qall[i - 1] / qall[i]) * xn2[i + 2])
+        out.append(("potential_increase", ks, lhs, rhs, "ge"))
         ks = np.arange(1, n + 1)
         q_prev = np.concatenate([[qall[0]], qall[: n - 1]])  # q_0 := q_1
         out.append(("gap_bridge", ks, gap, rgap + q_prev * np.sqrt(xn2), "le"))
         return out
 
     raise TypeError(f"unknown regime config {cfg!r}")
+
+
+def _require_f_mixed(trace):
+    if trace.f_mixed is None:
+        raise InvalidTraceError("trace carries no f(x_{k+1}, y_k) column")
 
 
 def lemma_monitor(trace: SolverTrace, problem: MinimaxProblem, cfg: RegimeConfig) -> MonitorReport:
@@ -323,16 +350,12 @@ def lemma_monitor(trace: SolverTrace, problem: MinimaxProblem, cfg: RegimeConfig
             f"trace was produced under {trace.regime}, config is {cfg.regime}")
     if trace.xs is None or len(trace.xs) != len(trace.k):
         raise InvalidTraceError("trace is missing its iterate history")
-    fmix = _mixed_f(problem, trace.xs, trace.ys)
+    _require_f_mixed(trace)
     # recompute potentials under the supplied config rather than trusting the
     # trace, so monitoring with different constants stays honest
-    n = len(trace.k)
-    pot = np.full(n, np.nan)
-    for j in range(1, n + 1):
-        v = potential_value(cfg, problem, trace.xs, trace.ys, j)
-        if v is not None:
-            pot[j - 1] = v
-    items = _inequalities(cfg, problem, trace.xs, trace.ys, trace.f, fmix,
+    d = problem.constants
+    pot = potentials(cfg, d, trace.xs, trace.ys, trace.f, trace.f_mixed)
+    items = _inequalities(cfg, d, trace.xs, trace.ys, trace.f, trace.f_mixed,
                           trace.gap_norm, trace.reg_gap_norm,
                           trace.beta, trace.gamma, pot)
     return MonitorReport(tuple(_entry(eid, ks, lhs, rhs, sense)
@@ -347,36 +370,25 @@ _HEADLINE = {
 }
 
 
-def headline_slack_column(cfg, problem, xs, ys, gap_norm, potential, beta=None, gamma=None):
-    """Signed per-iteration margin of the regime's headline inequality.
+def trace_columns(cfg, d, xs, ys, f, fmix, gap, rgap, beta, gamma):
+    """The potential and monitor-slack columns of an alternating trace.
 
-    Used to fill the trace's monitor-slack column; NaN outside the
-    admissible index range.
+    The slack is the signed per-iteration margin of the regime's headline
+    inequality: positive means satisfied with room, NaN outside the
+    admissible index range (everywhere when the NC-SC/SC-NC ratio d1 is not
+    positive).
     """
-    n = len(xs)
-    slack = np.full(n, np.nan)
-    if n < 3:
-        return slack
-    f = np.zeros(n)  # headline inequalities never need raw f values
-    fmix = np.zeros(max(n - 1, 0))
-    rgap = np.zeros(n)
-    beta = beta if beta is not None else np.zeros(n)
-    gamma = gamma if gamma is not None else np.zeros(n)
-    want = _HEADLINE[cfg.regime]
-    for eid, ks, lhs, rhs, sense in _inequalities(
-            cfg, problem, xs, ys, f, fmix, gap_norm, rgap, beta, gamma, potential):
-        if eid != want or len(ks) == 0:
-            continue
-        lhs = np.asarray(lhs, dtype=float)
-        rhs = np.asarray(rhs, dtype=float)
-        margin = rhs - lhs if sense == "le" else lhs - rhs
-        slack[np.asarray(ks) - 1] = margin
-    if cfg.regime in (Regime.NC_SC, Regime.SC_NC):
-        d1 = d1_nc_sc(cfg, problem.constants) if cfg.regime is Regime.NC_SC \
-            else dhat1_sc_nc(cfg, problem.constants)
-        if not (d1 > 0):
-            slack[:] = np.nan
-    return slack
+    pot = potentials(cfg, d, xs, ys, f, fmix)
+    slack = np.full(len(xs), np.nan)
+    if cfg.regime is Regime.NC_SC and not d1_nc_sc(cfg, d) > 0:
+        return pot, slack
+    if cfg.regime is Regime.SC_NC and not dhat1_sc_nc(cfg, d) > 0:
+        return pot, slack
+    for eid, ks, lhs, rhs, sense in _inequalities(cfg, d, xs, ys, f, fmix, gap, rgap,
+                                                  beta, gamma, pot):
+        if eid == _HEADLINE[cfg.regime]:
+            slack[ks - 1] = rhs - lhs if sense == "le" else lhs - rhs
+    return pot, slack
 
 
 # ---------------------------------------------------------------------------
@@ -492,11 +504,22 @@ def _grid_count(s: geometry.ConstraintSet, resolution: int) -> int:
     return resolution ** s.dim
 
 
-def _cell_width(s: geometry.ConstraintSet, resolution: int) -> float:
+def _covering_radius(s: geometry.ConstraintSet, resolution: int) -> float:
+    """Upper bound on the distance from a point of ``s`` to its nearest grid point."""
+    if isinstance(s, geometry.Product):
+        return math.hypot(*(_covering_radius(p, resolution) for p in s.parts))
     d = s.diameter()
     if geometry.is_unbounded(d):
         raise ValueError("grid extremum needs a compact set, got an unbounded one")
-    return d / max(resolution - 1, 1)
+    h = 0.5 * (d / max(resolution - 1, 1)) * math.sqrt(s.dim)
+    if not isinstance(s, geometry.Ball):
+        return h
+    # for p in B(c, r), q = c + (1 - h/r)(p - c) lies in B(c, r - h), so the
+    # box-grid point nearest q is kept and lies within h + h of p; needs h <= r
+    if math.sqrt(s.dim) > resolution - 1:
+        raise ValueError(f"resolution {resolution} is too coarse for a "
+                         f"{s.dim}-dimensional ball grid")
+    return 2.0 * h
 
 
 def grid_extremum(problem: MinimaxProblem, resolution: int) -> GridExtremum:
@@ -508,6 +531,8 @@ def grid_extremum(problem: MinimaxProblem, resolution: int) -> GridExtremum:
     total = _grid_count(problem.X, resolution) * _grid_count(problem.Y, resolution)
     if total > 10**7:
         raise ValueError(f"grid of {total} pairs exceeds the 1e7 desk-scale cap")
+    h = math.hypot(_covering_radius(problem.X, resolution),
+                   _covering_radius(problem.Y, resolution))
     gx = _grid_points(problem.X, resolution)
     gy = _grid_points(problem.Y, resolution)
     lo, hi = math.inf, -math.inf
@@ -525,8 +550,6 @@ def grid_extremum(problem: MinimaxProblem, resolution: int) -> GridExtremum:
                     float(np.linalg.norm(problem.grad_y(x0, y0))))
     gbound = (g0 + (d.L_x + d.L_12) * problem.X.diameter()
               + (d.L_y + d.L_21) * problem.Y.diameter())
-    h = 0.5 * math.hypot(_cell_width(problem.X, resolution) * math.sqrt(problem.dim_x),
-                         _cell_width(problem.Y, resolution) * math.sqrt(problem.dim_y))
     return GridExtremum(f_lower=lo, f_upper=hi, pad=gbound * h)
 
 
@@ -578,14 +601,23 @@ def _finite_sizes(problem):
     return vals
 
 
+def _initial_potential(cfg, d, trace, j):
+    """The j-th potential of ``trace`` under ``cfg``, from its first j+1 rows."""
+    m = j + 1
+    pot = potentials(cfg, d, trace.xs[:m], trace.ys[:m], trace.f[:m], trace.f_mixed[:j])
+    return float(pot[j - 1])
+
+
 def theory_constants(problem: MinimaxProblem, cfg: RegimeConfig, trace: SolverTrace,
                      resolution: int = 41) -> TheoryConstants:
     """Assemble the bound constants for one configured run.
 
-    The initial potential values come from the trace (the first potential
-    uses the convention y_0 = y_1, collapsing its delta term), the extremal
-    f values from a padded grid scan.
+    The initial potential values are recomputed from the trace's recorded
+    columns under ``cfg`` (the first potential uses the convention
+    y_0 = y_1, collapsing its delta term), the extremal f values from a
+    padded grid scan, whose value calls are the only oracle calls made.
     """
+    _require_f_mixed(trace)
     d = problem.constants
     sigma_x, sigma_y, sighat_x, sighat_y = _finite_sizes(problem)
     ext = grid_extremum(problem, resolution)
@@ -603,14 +635,14 @@ def theory_constants(problem: MinimaxProblem, cfg: RegimeConfig, trace: SolverTr
     if isinstance(cfg, ScNcConfig):
         if len(trace) < 2:
             raise ValueError("need at least 2 iterations to evaluate the initial potential")
-        Fhat1 = potential_value(cfg, problem, trace.xs, trace.ys, 1)
+        Fhat1 = _initial_potential(cfg, d, trace, 1)
         upper = f_upper - (d.theta / 2 - 3 / cfg.zeta) * sigma_x**2
         return TheoryConstants(**base, dhat1=dhat1_sc_nc(cfg, d), Fhat1=Fhat1,
                                Fhat_upper=upper)
     if isinstance(cfg, NcCConfig):
         if len(trace) < 3:
             raise ValueError("need at least 3 iterations to evaluate the initial potential")
-        Ftilde3 = potential_value(cfg, problem, trace.xs, trace.ys, 3)
+        Ftilde3 = _initial_potential(cfg, d, trace, 3)
         db1 = dbar1_nc_c(cfg, d)
         t, rb, L12 = cfg.tau, cfg.rho_bar, d.L_12
         d3 = (Ftilde3 - f_lower + 7 * sigma_y**2 / (2 * rb)
@@ -622,7 +654,7 @@ def theory_constants(problem: MinimaxProblem, cfg: RegimeConfig, trace: SolverTr
     if isinstance(cfg, CNcConfig):
         if len(trace) < 3:
             raise ValueError("need at least 3 iterations to evaluate the initial potential")
-        Fcal2 = potential_value(cfg, problem, trace.xs, trace.ys, 2)
+        Fcal2 = _initial_potential(cfg, d, trace, 2)
         Dh1 = Dhat1_c_nc(cfg, d)
         t, zb, L21 = cfg.tau, cfg.zeta_bar, d.L_21
         dh3 = f_upper - Fcal2 + (17 / (5 * zb)) * sigma_x**2 + (31 / (5 * zb)) * sighat_x**2

@@ -15,7 +15,7 @@ PUBLIC_API = [
     "diameter", "finite_diff_check", "gda_step", "grid_extremum",
     "is_unbounded", "lemma_monitor", "make_bilinear", "make_nc_sc_sine",
     "make_quadratic", "make_robust_svm_toy", "make_sc_nc_sine", "max_norm",
-    "params_at", "parse_config", "parse_set", "potential_value", "project",
+    "params_at", "parse_config", "parse_set", "project",
     "random_quadratic", "rate_experiment", "rate_slope", "read_trace_csv",
     "regularized_gap", "run", "run_gda", "run_suite",
     "saddle_oracle_quadratic", "sample_point", "stationarity_gap",

@@ -6,11 +6,12 @@ import pytest
 
 from agp.geometry import Box, WholeSpace
 from agp.objective import Regime, make_bilinear, make_quadratic, random_quadratic
-from agp.schedules import NcScConfig, StepParams, auto_configure, params_at
+from agp.schedules import (CNcConfig, NcCConfig, NcScConfig, ScNcConfig,
+                           StepParams, auto_configure, params_at)
 from agp.solver import (GapVector, NumericFailureError, SolverState, agp_step,
-                        gda_step, potential_value, regularized_gap, run,
-                        run_gda, stationarity_gap)
-from agp.verify import saddle_oracle_quadratic
+                        gda_step, regularized_gap, run, run_gda,
+                        stationarity_gap)
+from agp.verify import potentials, saddle_oracle_quadratic
 
 
 def quad_1d():
@@ -171,43 +172,114 @@ class TestRegularizedGap:
             assert raw.norm <= reg.norm + c * np.linalg.norm(y) + 1e-9
 
 
+def potential_column(cfg, p, xs, ys):
+    """The potentials of iterates xs/ys, from the values a trace records."""
+    f = np.array([p.value(x, y) for x, y in zip(xs, ys)])
+    fmix = np.array([p.value(xs[i + 1], ys[i]) for i in range(len(xs) - 1)])
+    return potentials(cfg, p.constants, xs, ys, f, fmix)
+
+
+def constant_problem(value):
+    p = make_quadratic([[1.0]], [[1.0]], [[1.0]])
+    return dataclasses.replace(p, value=lambda x, y: value)
+
+
 class TestPotentialValue:
     def test_nc_sc_zero_delta_collapses_to_f(self):
         p = quad_1d()
         cfg = NcScConfig(eta=16.4125, rho=0.25)
         xs = np.array([[0.3], [0.2]])
         ys = np.array([[0.1], [0.1]])
-        v = potential_value(cfg, p, xs, ys, 2)
+        v = potential_column(cfg, p, xs, ys)[1]
         assert v == pytest.approx(p.value(xs[1], ys[1]))
 
     def test_nc_sc_hand_substitution(self):
         # rho = 0.25, mu = 1, L_y = 1, ||dy|| = 0.1, f = 2 -> 2.19125
         cfg = NcScConfig(eta=2.0, rho=0.25)
-        const_p = make_quadratic([[1.0]], [[1.0]], [[1.0]])
-        const_p = type(const_p)(
-            dim_x=1, dim_y=1, X=const_p.X, Y=const_p.Y,
-            value=lambda x, y: 2.0, grad_x=const_p.grad_x, grad_y=const_p.grad_y,
-            constants=const_p.constants)
         xs = np.array([[0.0], [0.0]])
         ys = np.array([[0.0], [0.1]])
-        v = potential_value(cfg, const_p, xs, ys, 2)
+        v = potential_column(cfg, constant_problem(2.0), xs, ys)[1]
         assert v == pytest.approx(2.19125)
 
     def test_sc_nc_zero_delta_collapses_to_f(self):
-        from agp.schedules import ScNcConfig
         p = quad_1d()
         cfg = ScNcConfig(zeta=0.25, nu=3.0)
         xs = np.array([[0.4], [0.4]])
         ys = np.array([[0.2], [0.5]])
-        assert potential_value(cfg, p, xs, ys, 1) == pytest.approx(p.value(xs[1], ys[0]))
+        assert potential_column(cfg, p, xs, ys)[0] == pytest.approx(p.value(xs[1], ys[0]))
 
     def test_not_ready_markers(self):
         p = quad_1d()
-        cfg = NcScConfig(eta=2.0, rho=0.25)
-        xs = np.array([[0.0]])
-        ys = np.array([[0.0]])
-        assert potential_value(cfg, p, xs, ys, 1) is None
-        assert potential_value(cfg, p, xs, ys, 5) is None
+        one = np.array([[0.0]])
+        pot = potential_column(NcScConfig(eta=2.0, rho=0.25), p, one, one)
+        assert pot.shape == (1,) and np.isnan(pot[0])
+        # SC-NC needs the lookahead x_{j+1}: the last row is never ready
+        two = np.array([[0.0], [0.5]])
+        pot = potential_column(ScNcConfig(zeta=0.25, nu=3.0), p, two, two)
+        assert np.isfinite(pot[0]) and np.isnan(pot[1])
+
+    def test_nc_c_hand_substitution(self):
+        # rho_bar = 1, c_k = 1/(2 k^(1/4)); j = 3, ||dy||^2 = 0.01, ||y_3||^2 = 0.36:
+        # F~_3 = f + 4/c_3 0.01 - 4 (c_1/c_2 - 1) 0.36 - 7/2 0.01 - c_2/2 0.36
+        cfg = NcCConfig(eta_bar=0.5, rho_bar=1.0, tau=3.0)
+        xs = np.zeros((3, 1))
+        ys = np.array([[0.0], [0.5], [0.6]])
+        pot = potential_column(cfg, constant_problem(2.0), xs, ys)
+        want = (2.0 + 8 * 3**0.25 * 0.01 - 4 * (2**0.25 - 1) * 0.36 - 3.5 * 0.01
+                - 0.36 / (4 * 2**0.25))
+        assert want == pytest.approx(1.722147, abs=1e-6)
+        assert pot[2] == pytest.approx(want)
+        assert np.isnan(pot[:2]).all()
+
+    def test_c_nc_hand_substitution(self):
+        # zeta_bar = 1, q_k = 1/(2 k^(1/4)); j = 2, ||dx||^2 = 0.01, ||x_3||^2 = 0.36:
+        # F_2 = f - 4/q_2 0.01 - 4 (1 - q_1/q_2) 0.36 + 17/5 0.01 + q_1/2 0.36
+        cfg = CNcConfig(zeta_bar=1.0, nu_bar=0.5, tau=3.0)
+        xs = np.array([[0.0], [0.5], [0.6]])
+        ys = np.zeros((3, 1))
+        pot = potential_column(cfg, constant_problem(2.0), xs, ys)
+        want = 2.0 - 8 * 2**0.25 * 0.01 - 4 * (1 - 2**0.25) * 0.36 + 3.4 * 0.01 + 0.25 * 0.36
+        assert want == pytest.approx(2.301322, abs=1e-6)
+        assert pot[1] == pytest.approx(want)
+        assert np.isnan(pot[0]) and np.isnan(pot[2])
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_trace_column_matches_per_row_reference(self, regime):
+        p = random_quadratic(6, 3, 2, regime)
+        cfg = auto_configure(p.constants, regime)
+        tr = run(p, cfg, eps=1e-14, max_iter=40)
+        want = [reference_potential(cfg, p, tr.xs, tr.ys, j) for j in range(1, len(tr) + 1)]
+        np.testing.assert_array_equal(tr.potential, want)
+
+
+def reference_potential(cfg, p, xs, ys, j):
+    """The j-th potential, one row at a time with oracle calls; NaN if not ready."""
+    n, d = len(xs), p.constants
+    if isinstance(cfg, NcScConfig) and 2 <= j <= n:
+        rho, mu, Ly = cfg.rho, d.mu, d.L_y
+        dy = ys[j - 1] - ys[j - 2]
+        coeff = mu + 7.0 / (2 * rho) - rho * Ly**2 / 2 - 2 * Ly**2 / mu
+        return p.value(xs[j - 1], ys[j - 1]) + (2.0 / (rho**2 * mu) - coeff) * (dy @ dy)
+    if isinstance(cfg, NcCConfig) and 3 <= j <= n:
+        rb, c = cfg.rho_bar, cfg.c
+        dy, yj = ys[j - 1] - ys[j - 2], ys[j - 1]
+        s = ((4.0 / (rb**2 * c(j))) * (dy @ dy)
+             - (4.0 / rb) * (c(j - 2) / c(j - 1) - 1.0) * (yj @ yj))
+        return (p.value(xs[j - 1], yj) + s
+                - 7.0 / (2 * rb) * (dy @ dy) - 0.5 * c(j - 1) * (yj @ yj))
+    if isinstance(cfg, ScNcConfig) and 1 <= j < n:
+        z, th = cfg.zeta, d.theta
+        dx = xs[j] - xs[j - 1]
+        return (p.value(xs[j], ys[j - 1]) - (2.0 / (z**2 * th)) * (dx @ dx)
+                - (th / 2 - 3.0 / z) * (dx @ dx))
+    if isinstance(cfg, CNcConfig) and 2 <= j < n:
+        zb, q = cfg.zeta_bar, cfg.q
+        dx, xj1 = xs[j] - xs[j - 1], xs[j]
+        s = (-(4.0 / (zb**2 * q(j))) * (dx @ dx)
+             - (4.0 / zb) * (1.0 - q(j - 1) / q(j)) * (xj1 @ xj1))
+        return (p.value(xj1, ys[j - 1]) + s
+                + 17.0 / (5 * zb) * (dx @ dx) + 0.5 * q(j - 1) * (xj1 @ xj1))
+    return math.nan
 
 
 class TestRun:
@@ -261,7 +333,6 @@ class TestRun:
             assert p.Y.contains(tr.ys[i], tol=1e-10)
 
     def test_gap_uses_current_iteration_scaling(self):
-        from agp.schedules import NcCConfig
         p = make_bilinear([[1.0]], X=Box([-1], [1]), Y=Box([-1], [1]))
         cfg = NcCConfig(eta_bar=0.5, rho_bar=1.0, tau=3.0)
         tr = run(p, cfg, eps=1e-12, max_iter=50,

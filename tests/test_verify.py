@@ -1,18 +1,44 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from agp.geometry import Box, WholeSpace
+from agp.geometry import Ball, Box, Product, Simplex, WholeSpace
 from agp.objective import Regime, make_bilinear, make_quadratic, random_quadratic
 from agp.schedules import (CNcConfig, InfeasibleConfigError, NcCConfig,
                            NcScConfig, auto_configure)
 from agp.solver import run, run_gda, stationarity_gap
 from agp.verify import (GridExtremum, InvalidTraceError, TheoryConstants,
-                        compute_bound, d1_nc_sc, finite_diff_check,
-                        grid_extremum, lemma_monitor, rate_slope,
-                        saddle_oracle_quadratic, theory_constants)
+                        _covering_radius, _grid_points, compute_bound, d1_nc_sc,
+                        finite_diff_check, grid_extremum, lemma_monitor,
+                        rate_slope, saddle_oracle_quadratic, theory_constants)
+
+
+def counting(p):
+    """A copy of ``p`` whose oracle calls are counted in the returned dict."""
+    calls = {"value": 0, "grad": 0}
+
+    def counted(fn, kind):
+        def call(*args):
+            calls[kind] += 1
+            return fn(*args)
+        return call
+
+    return dataclasses.replace(p, value=counted(p.value, "value"),
+                               grad_x=counted(p.grad_x, "grad"),
+                               grad_y=counted(p.grad_y, "grad")), calls
+
+
+def boundary_sample(s, rng):
+    """A point of ``s``, on the sphere for every ball part."""
+    if isinstance(s, Ball):
+        u = rng.standard_normal(s.dim)
+        return s.center + s.radius * u / np.linalg.norm(u)
+    if isinstance(s, Product):
+        return np.concatenate([boundary_sample(p, rng) for p in s.parts])
+    return s.sample(rng)
 
 
 class TestFiniteDiffCheck:
@@ -142,6 +168,35 @@ class TestGridExtremum:
         assert fine.f_lower <= coarse.f_lower + coarse.pad
         assert fine.f_upper >= coarse.f_upper - coarse.pad
 
+    @pytest.mark.parametrize("s, resolution", [
+        (Box([-1.0, 0.0], [1.0, 3.0]), 5),
+        (Ball([0.0, 0.0], 1.0), 3),
+        (Ball([0.0, 0.0], 1.0), 9),
+        (Ball([0.2, -0.1, 0.3], 1.0), 5),
+        (Ball([0.0, 0.0, 0.0], 1.0), 9),
+        (Simplex(3), 7),
+        (Simplex(2, 2.0), 4),
+        (Product((Ball([0.0, 0.0], 1.0), Box([0.0], [2.0]))), 5),
+    ], ids=["box", "disk-3", "disk-9", "ball3-5", "ball3-9", "simplex3-7",
+            "simplex2-4", "disk-x-box-5"])
+    def test_covering_radius_bounds_nearest_grid_point(self, s, resolution):
+        rng = np.random.default_rng(5)
+        pts = np.array([s.sample(rng) for _ in range(1500)]
+                       + [boundary_sample(s, rng) for _ in range(1500)])
+        grid = _grid_points(s, resolution)
+        nearest = np.min(np.linalg.norm(pts[:, None, :] - grid[None, :, :], axis=2), axis=1)
+        assert nearest.max() <= _covering_radius(s, resolution) * (1 + 1e-12)
+
+    def test_coarse_ball_grid_rejected(self):
+        # at resolution 2 no point of the 2-D ball's box grid lies in the disk
+        disk = Ball([0.0, 0.0], 1.0)
+        assert len(_grid_points(disk, 2)) == 0
+        with pytest.raises(ValueError):
+            _covering_radius(disk, 2)
+        p = make_quadratic(np.eye(2), np.eye(2), np.eye(2), X=disk, Y=Box([-1, -1], [1, 1]))
+        with pytest.raises(ValueError):
+            grid_extremum(p, 2)
+
 
 class TestComputeBound:
     def test_nc_sc_direct_substitution(self):
@@ -201,6 +256,16 @@ class TestComputeBound:
         second = 1.0 / (1.0 * eps**4) + 1
         assert compute_bound(tc, eps) == pytest.approx(max(first, second))
         assert compute_bound(tc, eps) >= tr.T_eps
+
+    def test_ball_constrained_bound_dominates(self):
+        p = make_quadratic(np.eye(2), 0.5 * np.eye(2), np.eye(2), a=[0.3, -0.4],
+                           c_lin=[0.2, 0.1], X=Ball([0.0, 0.0], 1.0),
+                           Y=Ball([0.5, 0.0], 1.0))
+        cfg = auto_configure(p.constants, Regime.NC_SC)
+        tr = run(p, cfg, eps=1e-6, max_iter=100000)
+        assert tr.reason == "gap_le_eps"
+        tc = theory_constants(p, cfg, tr, resolution=11)
+        assert compute_bound(tc, 1e-6) >= tr.T_eps
 
 
 class TestRateSlope:
@@ -295,10 +360,44 @@ class TestLemmaMonitor:
         p = random_quadratic(2, 2, 2, Regime.NC_SC)
         cfg = auto_configure(p.constants, Regime.NC_SC)
         tr = run(p, cfg, eps=1e-13, max_iter=400)
-        # the recorded slack of the headline inequality is nonnegative
-        finite = tr.monitor_slack[~np.isnan(tr.monitor_slack)]
-        assert finite.size > 0
-        assert np.all(finite >= -1e-12)
+        e = lemma_monitor(tr, p, cfg).entry("gap_potential_periter")
+        # the slack is defined exactly on the rows the headline entry checks
+        rows = np.flatnonzero(~np.isnan(tr.monitor_slack)) + 1
+        assert rows.size == e.n_checked > 0
+        np.testing.assert_array_equal(rows, np.arange(e.k_start, e.k_end + 1))
+        assert e.passed
+        assert np.all(tr.monitor_slack[rows - 1] >= -1e-12)
+
+    def test_trace_without_mixed_values_rejected(self):
+        p = random_quadratic(0, 2, 2, Regime.C_NC)
+        cfg = auto_configure(p.constants, Regime.C_NC)
+        tr = dataclasses.replace(run(p, cfg, eps=1e-14, max_iter=50), f_mixed=None)
+        with pytest.raises(InvalidTraceError):
+            lemma_monitor(tr, p, cfg)
+        with pytest.raises(InvalidTraceError):
+            theory_constants(p, cfg, tr, resolution=5)
+
+
+class TestOracleCallBudget:
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_monitor_and_bound_constants(self, regime):
+        p, calls = counting(random_quadratic(4, 2, 2, regime))
+        cfg = auto_configure(p.constants, regime)
+        tr = run(p, cfg, eps=1e-14, max_iter=60)
+        n = len(tr)
+        assert calls["value"] == n + (n - 1)
+        calls.update(value=0, grad=0)
+        lemma_monitor(tr, p, cfg)
+        assert calls == {"value": 0, "grad": 0}
+        theory_constants(p, cfg, tr, resolution=5)
+        pairs = len(_grid_points(p.X, 5)) * len(_grid_points(p.Y, 5))
+        assert calls == {"value": pairs, "grad": 2}
+
+    def test_gda_run(self):
+        p, calls = counting(random_quadratic(4, 2, 2, Regime.NC_SC))
+        tr = run_gda(p, 0.1, 0.1, eps=1e-14, max_iter=60)
+        assert tr.f_mixed is None
+        assert calls["value"] == len(tr)
 
 
 class TestTheoryConstants:
