@@ -17,8 +17,9 @@ call like ``nc_c(rho_bar=1, eta_bar=0.5, tau=3)``.  GDA runs take
 
 CLI subcommands: solve, rate, check, compare.  Exit codes: 0 all runs
 converged and monitors passed, 2 some run hit max_iter, 3 a monitor
-failed, 4 config error, 5 some run raised an error (``solve``; it takes
-precedence over 3, which takes precedence over 2).
+failed, 4 config error, 5 some run raised an error in its solve, monitors
+or bound (``solve``; it takes precedence over 3, which takes precedence
+over 2).
 """
 
 from __future__ import annotations
@@ -449,10 +450,14 @@ def _execute(spec: RunSpec) -> tuple[SummaryRecord, SolverTrace | None]:
     rec.final_gap = trace.final_gap
     rec.iterations = trace.iterations
     if spec.solver == "agp":
+        # a monitor or bound that raises fails this run only; its trace is kept
+        errors = []
         try:
             rec.monitor_pass = lemma_monitor(trace, spec.problem, spec.regime_cfg).passed
         except InvalidTraceError:
             rec.monitor_pass = None
+        except Exception as e:
+            errors.append(f"lemma_monitor: {type(e).__name__}: {e}")
         try:
             tc = theory_constants(spec.problem, spec.regime_cfg, trace,
                                   resolution=_grid_resolution(spec.problem))
@@ -461,6 +466,9 @@ def _execute(spec: RunSpec) -> tuple[SummaryRecord, SolverTrace | None]:
                 rec.bound_ratio = rec.bound / trace.T_eps
         except (ValueError, ArithmeticError):
             rec.bound = None
+        except Exception as e:
+            errors.append(f"bound: {type(e).__name__}: {e}")
+        rec.error = "; ".join(errors) or None
     rec.wall_time_s = time.perf_counter() - t0
     return rec, trace
 

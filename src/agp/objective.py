@@ -12,6 +12,11 @@ plus convexity moduli mu (strong concavity in y) and theta (strong convexity
 in x).  Constants are data, computed once at construction; the solver never
 re-estimates them.  Value/gradient callables are deterministic; randomness
 only enters instance generation.
+
+Every zoo constructor writes f once, as a row function over ``(n, dim)``
+arrays built from ``np.matvec``, ``np.vecdot`` and row sums; its scalar
+``value`` is the one-row case.  These forms give each row the same bits
+whatever the number of rows, so batched and scalar evaluation agree.
 """
 
 from __future__ import annotations
@@ -41,6 +46,10 @@ __all__ = [
 # eigenvalues within this relative band of zero count as zero when deriving
 # moduli and regime tags from a quadratic's spectrum
 _EIG_TOL = 1e-10
+
+# rows per ``value_rows`` call in ``MinimaxProblem.values``; bounds the
+# temporaries of one batched evaluation
+VALUE_CHUNK = 4096
 
 
 class Regime(enum.Enum):
@@ -75,6 +84,16 @@ class SmoothnessData:
 
 @dataclass(frozen=True)
 class MinimaxProblem:
+    """min over X of max over Y of f, given by its oracles and constants.
+
+    ``value_rows(X, Y)``, when set, maps ``(n, dim_x)`` and ``(n, dim_y)``
+    arrays to the ``(n,)`` values of f row by row, and must agree with
+    ``value`` on every row, bit for bit.  ``values`` uses it and falls back
+    to a loop over ``value`` when it is None.  Replacing ``value`` alone (for
+    instance with ``dataclasses.replace``) leaves the old ``value_rows`` in
+    use; replace both, or set ``value_rows=None``.
+    """
+
     dim_x: int
     dim_y: int
     X: ConstraintSet
@@ -86,10 +105,26 @@ class MinimaxProblem:
     tags: frozenset = frozenset()
     name: str = ""
     quadratic: "QuadraticData | None" = None
+    value_rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.X.dim != self.dim_x or self.Y.dim != self.dim_y:
             raise ValueError("feasible-set dimensions do not match the problem")
+
+    def values(self, X, Y) -> np.ndarray:
+        """f at the row pairs ``(X[i], Y[i])``, in chunks of ``VALUE_CHUNK`` rows."""
+        X = np.asarray(X, dtype=float)
+        Y = np.asarray(Y, dtype=float)
+        n = len(X)
+        if X.shape != (n, self.dim_x) or Y.shape != (n, self.dim_y):
+            raise ValueError("values needs (n, dim_x) and (n, dim_y) arrays")
+        if self.value_rows is None:
+            return np.fromiter((self.value(x, y) for x, y in zip(X, Y)), float, n)
+        out = np.empty(n)
+        for s in range(0, n, VALUE_CHUNK):
+            out[s:s + VALUE_CHUNK] = self.value_rows(X[s:s + VALUE_CHUNK],
+                                                     Y[s:s + VALUE_CHUNK])
+        return out
 
     def check_point(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -110,6 +145,16 @@ class QuadraticData:
     C: np.ndarray
     a: np.ndarray
     c_lin: np.ndarray
+
+
+def _one_row(rows):
+    """The scalar ``value`` of a row function."""
+
+    def value(x, y):
+        return float(rows(np.asarray(x, dtype=float)[None],
+                          np.asarray(y, dtype=float)[None])[0])
+
+    return value
 
 
 def _spectral_norm(M: np.ndarray) -> float:
@@ -164,8 +209,10 @@ def make_quadratic(A, B, C, a=None, c_lin=None, X=None, Y=None, name="quadratic"
     elif lam_min_A >= -tol_A:
         tags.add(Regime.C_NC)
 
-    def value(x, y):
-        return float(0.5 * x @ (A @ x) + a @ x + x @ (B @ y) - 0.5 * y @ (C @ y) - c_lin @ y)
+    def rows(X, Y):
+        return (np.vecdot(0.5 * X, np.matvec(A, X)) + np.vecdot(a, X)
+                + np.vecdot(X, np.matvec(B, Y)) - np.vecdot(0.5 * Y, np.matvec(C, Y))
+                - np.vecdot(c_lin, Y))
 
     def grad_x(x, y):
         return A @ x + a + B @ y
@@ -175,10 +222,10 @@ def make_quadratic(A, B, C, a=None, c_lin=None, X=None, Y=None, name="quadratic"
 
     return MinimaxProblem(
         dim_x=nx, dim_y=ny, X=X, Y=Y,
-        value=value, grad_x=grad_x, grad_y=grad_y,
+        value=_one_row(rows), grad_x=grad_x, grad_y=grad_y,
         constants=SmoothnessData(L_x=L_x, L_y=L_y, L_12=L_c, L_21=L_c, mu=mu, theta=theta),
         tags=frozenset(tags), name=name,
-        quadratic=QuadraticData(A, B, C, a, c_lin),
+        quadratic=QuadraticData(A, B, C, a, c_lin), value_rows=rows,
     )
 
 
@@ -204,8 +251,9 @@ def make_nc_sc_sine(dim_x, dim_y, coupling, mu, X, Y, name="sine_nc_sc") -> Mini
     if B.shape != (dim_x, dim_y):
         raise ValueError("coupling must be dim_x x dim_y")
 
-    def value(x, y):
-        return float(np.sum(np.sin(x)) + x @ (B @ y) - 0.5 * mu * (y @ y))
+    def rows(X, Y):
+        return (np.sum(np.sin(X), axis=1) + np.vecdot(X, np.matvec(B, Y))
+                - 0.5 * mu * np.vecdot(Y, Y))
 
     def grad_x(x, y):
         return np.cos(x) + B @ y
@@ -215,7 +263,7 @@ def make_nc_sc_sine(dim_x, dim_y, coupling, mu, X, Y, name="sine_nc_sc") -> Mini
 
     return MinimaxProblem(
         dim_x=dim_x, dim_y=dim_y, X=X, Y=Y,
-        value=value, grad_x=grad_x, grad_y=grad_y,
+        value=_one_row(rows), grad_x=grad_x, grad_y=grad_y, value_rows=rows,
         constants=SmoothnessData(L_x=1.0, L_y=float(mu), L_12=_spectral_norm(B),
                                  L_21=_spectral_norm(B), mu=float(mu), theta=0.0),
         tags=frozenset({Regime.NC_SC}), name=name,
@@ -230,8 +278,9 @@ def make_sc_nc_sine(dim_x, dim_y, coupling, theta, X, Y, name="sine_sc_nc") -> M
     if B.shape != (dim_x, dim_y):
         raise ValueError("coupling must be dim_x x dim_y")
 
-    def value(x, y):
-        return float(0.5 * theta * (x @ x) + x @ (B @ y) - np.sum(np.sin(y)))
+    def rows(X, Y):
+        return (0.5 * theta * np.vecdot(X, X) + np.vecdot(X, np.matvec(B, Y))
+                - np.sum(np.sin(Y), axis=1))
 
     def grad_x(x, y):
         return theta * x + B @ y
@@ -241,7 +290,7 @@ def make_sc_nc_sine(dim_x, dim_y, coupling, theta, X, Y, name="sine_sc_nc") -> M
 
     return MinimaxProblem(
         dim_x=dim_x, dim_y=dim_y, X=X, Y=Y,
-        value=value, grad_x=grad_x, grad_y=grad_y,
+        value=_one_row(rows), grad_x=grad_x, grad_y=grad_y, value_rows=rows,
         constants=SmoothnessData(L_x=float(theta), L_y=1.0, L_12=_spectral_norm(B),
                                  L_21=_spectral_norm(B), mu=0.0, theta=float(theta)),
         tags=frozenset({Regime.SC_NC}), name=name,
@@ -291,11 +340,11 @@ def make_robust_svm_toy(data, X: Ball, Y: Product, name="robust_svm") -> Minimax
 
     aug = np.hstack([feats, np.ones((n, 1))])  # (a_i, 1) rows
 
-    def value(x, y):
-        xw, xb = x[:m], x[m]
-        yu, yv = y[:m], y[m]
-        margins = 1.0 - labels * (feats @ xw + xb)
-        return float(yv * (xw @ yu + xb) + np.mean(_hinge(margins)))
+    def rows(X, Y):
+        XW, XB = X[:, :m], X[:, m]
+        YU, YV = Y[:, :m], Y[:, m]
+        margins = 1.0 - labels * (np.matvec(feats, XW) + XB[:, None])
+        return YV * (np.vecdot(XW, YU) + XB) + np.mean(_hinge(margins), axis=1)
 
     def grad_x(x, y):
         xw, xb = x[:m], x[m]
@@ -325,7 +374,7 @@ def make_robust_svm_toy(data, X: Ball, Y: Product, name="robust_svm") -> Minimax
 
     return MinimaxProblem(
         dim_x=dim, dim_y=dim, X=X, Y=Y,
-        value=value, grad_x=grad_x, grad_y=grad_y,
+        value=_one_row(rows), grad_x=grad_x, grad_y=grad_y, value_rows=rows,
         constants=SmoothnessData(L_x=L_x, L_y=L_y, L_12=L_cross, L_21=L_cross),
         tags=frozenset({Regime.C_NC}), name=name,
     )

@@ -18,10 +18,11 @@ Stopping uses the stationarity-gap norm of the raw objective
 evaluated with the current iteration's (beta_k, gamma_k); the regularized
 variant swaps in the gradients of f~.
 
-The loop records f(x_k, y_k) per row; an alternating trace also records
-f(x_{k+1}, y_k) once, in one pass after the loop (``SolverTrace.f_mixed``).
-Its potential and monitor-slack columns are array functions of those
-records, computed by the verification module.
+The loop records the iterates; after it, one batched pass of
+``problem.values`` gives the f(x_k, y_k) column, and an alternating trace
+also records f(x_{k+1}, y_k) (``SolverTrace.f_mixed``).  Its potential and
+monitor-slack columns are array functions of those records, computed by the
+verification module.
 """
 
 from __future__ import annotations
@@ -250,7 +251,7 @@ def run_gda(problem: MinimaxProblem, step_x: float, step_y: float, eps: float,
 
 
 # trace columns recorded per iteration, in the order of a row of the buffer
-_COLUMNS = ("f", "gap_norm", "reg_gap_norm", "beta", "gamma", "b", "c")
+_COLUMNS = ("gap_norm", "reg_gap_norm", "beta", "gamma", "b", "c")
 
 
 def _iterate(problem, params, rule, eps, max_iter, init, algo, cfg) -> SolverTrace:
@@ -285,7 +286,7 @@ def _iterate(problem, params, rule, eps, max_iter, init, algo, cfg) -> SolverTra
         else:
             reg_gap = _norm(*_gap_blocks(problem, x, y, gxf + p.b * x, gyf - p.c * y,
                                          p.beta, p.gamma))
-        rows[n] = (problem.value(x, y), gap, reg_gap, p.beta, p.gamma, p.b, p.c)
+        rows[n] = (gap, reg_gap, p.beta, p.gamma, p.b, p.c)
         xs[n] = x
         ys[n] = y
         n += 1
@@ -304,6 +305,7 @@ def _assemble_trace(problem, cfg, rows, xs, ys, reason, T_eps, eps, algo,
                     floored_any) -> SolverTrace:
     n = len(rows)
     cols = {name: rows[:, i].copy() for i, name in enumerate(_COLUMNS)}
+    cols["f"] = problem.values(xs, ys)
     dx = np.full(n, np.nan)
     dy = np.full(n, np.nan)
     if n > 1:
@@ -313,8 +315,7 @@ def _assemble_trace(problem, cfg, rows, xs, ys, reason, T_eps, eps, algo,
     potential = np.full(n, np.nan)
     slack = np.full(n, np.nan)
     if cfg is not None:
-        f_mixed = np.fromiter((problem.value(xs[i + 1], ys[i]) for i in range(n - 1)),
-                              float, n - 1)
+        f_mixed = problem.values(xs[1:], ys[:-1])
         potential, slack = trace_columns(
             cfg, problem.constants, xs, ys, cols["f"], f_mixed, cols["gap_norm"],
             cols["reg_gap_norm"], cols["beta"], cols["gamma"])

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import geometry
-from .objective import MinimaxProblem, Regime
+from .objective import VALUE_CHUNK, MinimaxProblem, Regime
 from .schedules import (CNcConfig, NcCConfig, NcScConfig, RegimeConfig,
                         ScNcConfig, InfeasibleConfigError, _decay_k0)
 
@@ -536,13 +536,13 @@ def grid_extremum(problem: MinimaxProblem, resolution: int) -> GridExtremum:
     gx = _grid_points(problem.X, resolution)
     gy = _grid_points(problem.Y, resolution)
     lo, hi = math.inf, -math.inf
-    for xp in gx:
-        for yp in gy:
-            v = problem.value(xp, yp)
-            if v < lo:
-                lo = v
-            if v > hi:
-                hi = v
+    # flat pair index i * len(gy) + j names (gx[i], gy[j]); NaN values are skipped
+    for start in range(0, len(gx) * len(gy), VALUE_CHUNK):
+        pair = np.arange(start, min(start + VALUE_CHUNK, len(gx) * len(gy)))
+        v = problem.values(gx[pair // len(gy)], gy[pair % len(gy)])
+        v = v[~np.isnan(v)]
+        lo = min(lo, float(np.min(v, initial=math.inf)))
+        hi = max(hi, float(np.max(v, initial=-math.inf)))
     # crude gradient bound over the product set, anchored at one point
     d = problem.constants
     x0, y0 = gx[0], gy[0]
@@ -615,7 +615,7 @@ def theory_constants(problem: MinimaxProblem, cfg: RegimeConfig, trace: SolverTr
     The initial potential values are recomputed from the trace's recorded
     columns under ``cfg`` (the first potential uses the convention
     y_0 = y_1, collapsing its delta term), the extremal f values from a
-    padded grid scan, whose value calls are the only oracle calls made.
+    padded grid scan, which takes ``problem.values`` over every grid pair.
     """
     _require_f_mixed(trace)
     d = problem.constants

@@ -193,6 +193,31 @@ class TestRunSuite:
         assert recs[0].error is not None
         assert recs[1].reason == "gap_le_eps"  # suite continued
 
+    def test_monitor_and_bound_errors_stay_in_their_run(self, tmp_path, monkeypatch):
+        import agp.bench as bench
+
+        def monitor(trace, problem, cfg):
+            raise RuntimeError("monitor broke")
+
+        def bound(tc, eps):
+            raise MemoryError("bound broke")
+
+        monkeypatch.setattr(bench, "lemma_monitor", monitor)
+        monkeypatch.setattr(bench, "compute_bound", bound)
+        specs = parse_config(SUITE)[:2]
+        recs = run_suite(specs, out_dir=tmp_path)
+        for r in recs:
+            assert r.reason == "gap_le_eps"
+            assert r.monitor_pass is None and r.bound is None
+            assert r.error == ("lemma_monitor: RuntimeError: monitor broke; "
+                               "bound: MemoryError: bound broke")
+            assert (tmp_path / f"run{r.run_id:03d}.csv").exists()
+        payload = json.loads((tmp_path / "summary.json").read_text())
+        assert [r["error"] for r in payload["runs"]] == [r.error for r in recs]
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(SUITE)
+        assert main(["solve", str(cfg), "--out-dir", str(tmp_path / "out")]) == 5
+
     def test_bound_ratio_at_least_one(self, tmp_path):
         recs = run_suite(parse_config(SUITE), out_dir=tmp_path)
         for r in recs:

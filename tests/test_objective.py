@@ -1,12 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from agp.geometry import Ball, Box, Product, WholeSpace
-from agp.objective import (Regime, SmoothnessData, make_bilinear,
-                           make_nc_sc_sine, make_quadratic, make_robust_svm_toy,
-                           make_sc_nc_sine, random_quadratic)
+from agp.objective import (VALUE_CHUNK, Regime, SmoothnessData, _hinge,
+                           make_bilinear, make_nc_sc_sine, make_quadratic,
+                           make_robust_svm_toy, make_sc_nc_sine, random_quadratic)
 
 
 def finite_diff_grad(f, point, other, which):
@@ -254,3 +255,101 @@ class TestZooProperties:
         for regime in Regime:
             p = random_quadratic(21, 3, 3, regime)
             assert regime in p.tags
+
+
+# ---------------------------------------------------------------------------
+# row oracle: each constructor's row function against the scalar formula it
+# replaced, kept here as the reference
+
+
+def ref_quadratic(A, B, C, a, c_lin):
+    def value(x, y):
+        return float(0.5 * x @ (A @ x) + a @ x + x @ (B @ y) - 0.5 * y @ (C @ y) - c_lin @ y)
+    return value
+
+
+def ref_sine(B, mu):
+    def value(x, y):
+        return float(np.sum(np.sin(x)) + x @ (B @ y) - 0.5 * mu * (y @ y))
+    return value
+
+
+def ref_sine_dual(B, theta):
+    def value(x, y):
+        return float(0.5 * theta * (x @ x) + x @ (B @ y) - np.sum(np.sin(y)))
+    return value
+
+
+def ref_svm(feats, labels):
+    m = feats.shape[1]
+
+    def value(x, y):
+        xw, xb = x[:m], x[m]
+        yu, yv = y[:m], y[m]
+        margins = 1.0 - labels * (feats @ xw + xb)
+        return float(yv * (xw @ yu + xb) + np.mean(_hinge(margins)))
+    return value
+
+
+def row_cases(d):
+    """(name, problem, reference scalar value) per constructor at block dim d."""
+    rng = np.random.default_rng(100 + d)
+    box = Box(-np.ones(d), np.ones(d))
+    S = rng.standard_normal((d, d))
+    T = rng.standard_normal((d, d))
+    B = rng.standard_normal((d, d))
+    a, c_lin = rng.standard_normal(d), rng.standard_normal(d)
+    quad = make_quadratic(S + S.T, B, T + T.T, a, c_lin, X=box, Y=box)
+    q = quad.quadratic
+    bil = make_bilinear(B, X=box, Y=box)
+    feats = rng.standard_normal((7, d))
+    labels = np.where(feats[:, 0] > 0, 1.0, -1.0)
+    svm = make_robust_svm_toy(list(zip(feats, labels)), Ball(np.zeros(d + 1), 1.0),
+                              Product((Ball(np.zeros(d), 1.0), Box([-1.0], [1.0]))))
+    zeros = np.zeros((d, d))
+    return [
+        ("quadratic", quad, ref_quadratic(q.A, q.B, q.C, q.a, q.c_lin)),
+        ("bilinear", bil, ref_quadratic(zeros, B, zeros, np.zeros(d), np.zeros(d))),
+        ("sine", make_nc_sc_sine(d, d, B, 0.7, box, box), ref_sine(B, 0.7)),
+        ("sine_dual", make_sc_nc_sine(d, d, B, 0.9, box, box), ref_sine_dual(B, 0.9)),
+        ("svm", svm, ref_svm(feats, labels)),
+    ]
+
+
+class TestRowOracle:
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 64, 65])
+    def test_rows_match_scalar_formula_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        for name, p, ref in row_cases(d):
+            X = rng.uniform(-1.5, 1.5, (300, p.dim_x))
+            Y = rng.uniform(-1.5, 1.5, (300, p.dim_y))
+            want = np.array([ref(x, y) for x, y in zip(X, Y)])
+            assert np.array_equal(p.value_rows(X, Y), want), name
+            assert np.array_equal([p.value(x, y) for x, y in zip(X, Y)], want), name
+
+    @pytest.mark.parametrize("n", [0, 1, VALUE_CHUNK - 1, VALUE_CHUNK, VALUE_CHUNK + 1])
+    @pytest.mark.parametrize("batched", [True, False], ids=["rows", "scalar"])
+    def test_values_at_chunk_edges(self, n, batched):
+        _, p, ref = row_cases(3)[0]
+        chunks = []
+
+        def rows(X, Y):
+            chunks.append(len(X))
+            return p.value_rows(X, Y)
+
+        q = dataclasses.replace(p, value_rows=rows if batched else None)
+        rng = np.random.default_rng(n)
+        X, Y = rng.standard_normal((n, 3)), rng.standard_normal((n, 3))
+        got = q.values(X, Y)
+        assert got.shape == (n,)
+        assert np.array_equal(got, [ref(x, y) for x, y in zip(X, Y)])
+        full, rest = divmod(n, VALUE_CHUNK)
+        want = [VALUE_CHUNK] * full + ([rest] if rest else [])
+        assert chunks == (want if batched else [])
+
+    def test_values_shape_checked(self):
+        p = random_quadratic(0, 2, 3, Regime.NC_SC)
+        with pytest.raises(ValueError):
+            p.values(np.zeros((4, 2)), np.zeros((5, 3)))
+        with pytest.raises(ValueError):
+            p.values(np.zeros(2), np.zeros(3))

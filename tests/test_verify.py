@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from agp.geometry import Ball, Box, Product, Simplex, WholeSpace
-from agp.objective import Regime, make_bilinear, make_quadratic, random_quadratic
+from agp.objective import (VALUE_CHUNK, MinimaxProblem, Regime, make_bilinear,
+                           make_quadratic, random_quadratic)
 from agp.schedules import (CNcConfig, InfeasibleConfigError, NcCConfig,
                            NcScConfig, auto_configure)
 from agp.solver import run, run_gda, stationarity_gap
@@ -16,9 +17,15 @@ from agp.verify import (GridExtremum, InvalidTraceError, TheoryConstants,
                         rate_slope, saddle_oracle_quadratic, theory_constants)
 
 
-def counting(p):
-    """A copy of ``p`` whose oracle calls are counted in the returned dict."""
-    calls = {"value": 0, "grad": 0}
+def counting(p, batched=True):
+    """A copy of ``p`` whose oracle calls are counted in the returned dict.
+
+    ``value`` counts scalar calls, ``rows`` the rows passed to ``value_rows``
+    and ``chunk`` the largest row count of one ``value_rows`` call.  With
+    ``batched=False`` the copy has no ``value_rows``, so every value is a
+    scalar call.
+    """
+    calls = {"value": 0, "rows": 0, "chunk": 0, "grad": 0}
 
     def counted(fn, kind):
         def call(*args):
@@ -26,7 +33,13 @@ def counting(p):
             return fn(*args)
         return call
 
+    def counted_rows(X, Y):
+        calls["rows"] += len(X)
+        calls["chunk"] = max(calls["chunk"], len(X))
+        return p.value_rows(X, Y)
+
     return dataclasses.replace(p, value=counted(p.value, "value"),
+                               value_rows=counted_rows if batched else None,
                                grad_x=counted(p.grad_x, "grad"),
                                grad_y=counted(p.grad_y, "grad")), calls
 
@@ -196,6 +209,36 @@ class TestGridExtremum:
         p = make_quadratic(np.eye(2), np.eye(2), np.eye(2), X=disk, Y=Box([-1, -1], [1, 1]))
         with pytest.raises(ValueError):
             grid_extremum(p, 2)
+
+
+    @pytest.mark.parametrize("X, Y, resolution", [
+        # the 17^3 box grid alone is larger than one chunk
+        (Box([-1.0, 0.0, -2.0], [1.0, 3.0, 0.5]), Simplex(1), 17),
+        (Ball([0.2, -0.1], 1.5), Ball([0.0, 0.0, 0.0], 1.0), 9),
+        (Simplex(3), Simplex(2, 2.0), 11),
+        (Product((Ball([0.0, 0.0], 1.0), Box([0.0], [2.0]))),
+         Box([-1.0, -1.0], [1.0, 1.0]), 9),
+    ], ids=["box", "ball", "simplex", "disk-x-box"])
+    @pytest.mark.parametrize("nans", [False, True], ids=["finite", "nan"])
+    def test_batched_scan_matches_scalar_loop(self, X, Y, resolution, nans):
+        rng = np.random.default_rng(3)
+        S = rng.standard_normal((X.dim, X.dim))
+        T = rng.standard_normal((Y.dim, Y.dim))
+        p = make_quadratic(S + S.T, rng.standard_normal((X.dim, Y.dim)), T + T.T,
+                           rng.standard_normal(X.dim), rng.standard_normal(Y.dim),
+                           X=X, Y=Y)
+        if nans:  # NaN wherever x_1 + y_1 > 0.5; both scans skip those pairs
+            rows = p.value_rows
+
+            def nan_rows(Xs, Ys):
+                return np.where(Xs[:, 0] + Ys[:, 0] > 0.5, np.nan, rows(Xs, Ys))
+
+            p = dataclasses.replace(
+                p, value_rows=nan_rows,
+                value=lambda x, y: float(nan_rows(x[None], y[None])[0]))
+        batched = grid_extremum(p, resolution)
+        assert math.isfinite(batched.f_lower) and math.isfinite(batched.f_upper)
+        assert batched == grid_extremum(dataclasses.replace(p, value_rows=None), resolution)
 
 
 class TestComputeBound:
@@ -385,18 +428,42 @@ class TestOracleCallBudget:
         cfg = auto_configure(p.constants, regime)
         tr = run(p, cfg, eps=1e-14, max_iter=60)
         n = len(tr)
+        assert (calls["value"], calls["rows"]) == (0, n + (n - 1))
+        calls.update(value=0, rows=0, chunk=0, grad=0)
+        lemma_monitor(tr, p, cfg)
+        assert calls == {"value": 0, "rows": 0, "chunk": 0, "grad": 0}
+        theory_constants(p, cfg, tr, resolution=5)
+        pairs = len(_grid_points(p.X, 5)) * len(_grid_points(p.Y, 5))
+        assert calls == {"value": 0, "rows": pairs, "chunk": pairs, "grad": 2}
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_scalar_fallback(self, regime):
+        p, calls = counting(random_quadratic(4, 2, 2, regime), batched=False)
+        cfg = auto_configure(p.constants, regime)
+        tr = run(p, cfg, eps=1e-14, max_iter=60)
+        n = len(tr)
         assert calls["value"] == n + (n - 1)
         calls.update(value=0, grad=0)
         lemma_monitor(tr, p, cfg)
-        assert calls == {"value": 0, "grad": 0}
+        assert calls == {"value": 0, "rows": 0, "chunk": 0, "grad": 0}
         theory_constants(p, cfg, tr, resolution=5)
         pairs = len(_grid_points(p.X, 5)) * len(_grid_points(p.Y, 5))
-        assert calls == {"value": pairs, "grad": 2}
+        assert calls == {"value": pairs, "rows": 0, "chunk": 0, "grad": 2}
+
+    def test_grid_scan_chunks(self):
+        # 9^3 * 9^2 = 59049 pairs: 15 chunks, none above VALUE_CHUNK rows
+        p, calls = counting(random_quadratic(4, 3, 2, Regime.NC_SC))
+        grid_extremum(p, 9)
+        assert (calls["value"], calls["rows"]) == (0, 9**5)
+        assert calls["chunk"] == VALUE_CHUNK
 
     def test_gda_run(self):
         p, calls = counting(random_quadratic(4, 2, 2, Regime.NC_SC))
         tr = run_gda(p, 0.1, 0.1, eps=1e-14, max_iter=60)
         assert tr.f_mixed is None
+        assert (calls["value"], calls["rows"]) == (0, len(tr))
+        p, calls = counting(random_quadratic(4, 2, 2, Regime.NC_SC), batched=False)
+        tr = run_gda(p, 0.1, 0.1, eps=1e-14, max_iter=60)
         assert calls["value"] == len(tr)
 
 
