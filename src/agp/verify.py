@@ -511,8 +511,13 @@ def _covering_radius(s: geometry.ConstraintSet, resolution: int) -> float:
     d = s.diameter()
     if geometry.is_unbounded(d):
         raise ValueError("grid extremum needs a compact set, got an unbounded one")
-    h = 0.5 * (d / max(resolution - 1, 1)) * math.sqrt(s.dim)
-    if not isinstance(s, geometry.Ball):
+    if resolution < 2:
+        raise ValueError(f"grid resolution must be >= 2, got {resolution}")
+    if isinstance(s, geometry.Box):
+        # a box's diameter is its diagonal, so this is half a cell's diagonal
+        return 0.5 * d / (resolution - 1)
+    h = 0.5 * (d / (resolution - 1)) * math.sqrt(s.dim)
+    if isinstance(s, geometry.Simplex):
         return h
     # for p in B(c, r), q = c + (1 - h/r)(p - c) lies in B(c, r - h), so the
     # box-grid point nearest q is kept and lies within h + h of p; needs h <= r

@@ -200,6 +200,19 @@ class TestGridExtremum:
         nearest = np.min(np.linalg.norm(pts[:, None, :] - grid[None, :, :], axis=2), axis=1)
         assert nearest.max() <= _covering_radius(s, resolution) * (1 + 1e-12)
 
+    def test_box_pad_is_half_a_cell_diagonal(self):
+        # cell width 2/8 per axis: half its diagonal is sqrt(3)/8
+        cube = Box(-np.ones(3), np.ones(3))
+        assert _covering_radius(cube, 9) == pytest.approx(0.2165, abs=1e-4)
+        assert _covering_radius(cube, 9) == pytest.approx(math.sqrt(3) / 8, rel=1e-15)
+
+    def test_resolution_below_two_rejected(self):
+        with pytest.raises(ValueError):
+            _covering_radius(Box([-1.0], [1.0]), 1)
+        p = make_bilinear([[1.0]], X=Box([-1], [1]), Y=Box([-1], [1]))
+        with pytest.raises(ValueError):
+            grid_extremum(p, 1)
+
     def test_coarse_ball_grid_rejected(self):
         # at resolution 2 no point of the 2-D ball's box grid lies in the disk
         disk = Ball([0.0, 0.0], 1.0)
