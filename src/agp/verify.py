@@ -541,10 +541,11 @@ def grid_extremum(problem: MinimaxProblem, resolution: int) -> GridExtremum:
     gx = _grid_points(problem.X, resolution)
     gy = _grid_points(problem.Y, resolution)
     lo, hi = math.inf, -math.inf
-    # flat pair index i * len(gy) + j names (gx[i], gy[j]); NaN values are skipped
-    for start in range(0, len(gx) * len(gy), VALUE_CHUNK):
-        pair = np.arange(start, min(start + VALUE_CHUNK, len(gx) * len(gy)))
-        v = problem.values(gx[pair // len(gy)], gy[pair % len(gy)])
+    ny, pairs = len(gy), len(gx) * len(gy)
+    # flat pair index i * ny + j names (gx[i], gy[j]); NaN values are skipped
+    for start in range(0, pairs, VALUE_CHUNK):
+        idx = np.arange(start, min(start + VALUE_CHUNK, pairs))
+        v = problem.values(gx[idx // ny], gy[idx % ny])
         v = v[~np.isnan(v)]
         lo = min(lo, float(np.min(v, initial=math.inf)))
         hi = max(hi, float(np.max(v, initial=-math.inf)))
