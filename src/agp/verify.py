@@ -463,77 +463,60 @@ class GridExtremum:
     pad: float  # one-cell Lipschitz error bound on both extrema
 
 
-def _grid_points(s: geometry.ConstraintSet, resolution: int) -> np.ndarray:
+def _bounding_box(s: geometry.ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
+    """Corners ``(lo, hi)`` of an axis-aligned box holding ``s``."""
     if isinstance(s, geometry.WholeSpace):
         raise ValueError("grid extremum needs a compact set, got an unbounded one")
     if isinstance(s, geometry.Box):
-        axes = [np.linspace(lo, hi, resolution) for lo, hi in zip(s.lower, s.upper)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return s.lower, s.upper
     if isinstance(s, geometry.Ball):
-        axes = [np.linspace(c - s.radius, c + s.radius, resolution) for c in s.center]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        keep = np.linalg.norm(pts - s.center, axis=1) <= s.radius
-        return pts[keep]
+        return s.center - s.radius, s.center + s.radius
     if isinstance(s, geometry.Simplex):
-        if s.dim == 1:
-            return np.array([[s.scale]])
-        axes = [np.linspace(0.0, s.scale, resolution)] * (s.dim - 1)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        head = np.stack([m.ravel() for m in mesh], axis=1)
-        last = s.scale - head.sum(axis=1)
-        keep = last >= 0
-        return np.hstack([head[keep], last[keep, None]])
+        return np.zeros(s.dim), np.full(s.dim, s.scale)
     if isinstance(s, geometry.Product):
-        grids = [_grid_points(p, resolution) for p in s.parts]
-        pts = grids[0]
-        for g in grids[1:]:
-            pts = np.hstack([np.repeat(pts, len(g), axis=0),
-                             np.tile(g, (len(pts), 1))])
-        return pts
+        boxes = [_bounding_box(p) for p in s.parts]
+        return (np.concatenate([lo for lo, _ in boxes]),
+                np.concatenate([hi for _, hi in boxes]))
     raise TypeError(f"unknown set {s!r}")
 
 
-def _grid_count(s: geometry.ConstraintSet, resolution: int) -> int:
-    """Points ``_grid_points`` lays down for ``s`` before keeping those in the set."""
-    if isinstance(s, geometry.Product):
-        return math.prod(_grid_count(p, resolution) for p in s.parts)
-    if isinstance(s, geometry.Simplex):
-        return 1 if s.dim == 1 else resolution ** (s.dim - 1)
-    return resolution ** s.dim
+def _grid_points(s: geometry.ConstraintSet, resolution: int) -> np.ndarray:
+    """The bounding-box grid of ``s``, each point projected onto ``s``.
+
+    A box-grid point farther than the covering radius from its projection
+    is dropped: every point of ``s`` is at least as far from it, so it
+    covers nothing.
+    """
+    radius = _covering_radius(s, resolution)
+    lo, hi = _bounding_box(s)
+    axes = [np.linspace(a, b, resolution) for a, b in zip(lo, hi)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    box = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = np.array([s.project(g) for g in box])
+    return pts[np.linalg.norm(pts - box, axis=1) <= radius * (1 + 1e-12)]
 
 
 def _covering_radius(s: geometry.ConstraintSet, resolution: int) -> float:
-    """Upper bound on the distance from a point of ``s`` to its nearest grid point."""
-    if isinstance(s, geometry.Product):
-        return math.hypot(*(_covering_radius(p, resolution) for p in s.parts))
-    d = s.diameter()
-    if geometry.is_unbounded(d):
-        raise ValueError("grid extremum needs a compact set, got an unbounded one")
+    """Upper bound on the distance from a point of ``s`` to its nearest grid point.
+
+    Half a bounding-box cell's diagonal: a point p of ``s`` lies that close
+    to some box-grid point g, and projection is nonexpansive and fixes p, so
+    the projection of g lies that close to p too.
+    """
     if resolution < 2:
         raise ValueError(f"grid resolution must be >= 2, got {resolution}")
-    if isinstance(s, geometry.Box):
-        # a box's diameter is its diagonal, so this is half a cell's diagonal
-        return 0.5 * d / (resolution - 1)
-    h = 0.5 * (d / (resolution - 1)) * math.sqrt(s.dim)
-    if isinstance(s, geometry.Simplex):
-        return h
-    # for p in B(c, r), q = c + (1 - h/r)(p - c) lies in B(c, r - h), so the
-    # box-grid point nearest q is kept and lies within h + h of p; needs h <= r
-    if math.sqrt(s.dim) > resolution - 1:
-        raise ValueError(f"resolution {resolution} is too coarse for a "
-                         f"{s.dim}-dimensional ball grid")
-    return 2.0 * h
+    lo, hi = _bounding_box(s)
+    return 0.5 * float(np.linalg.norm(hi - lo)) / (resolution - 1)
 
 
 def grid_extremum(problem: MinimaxProblem, resolution: int) -> GridExtremum:
     """Grid min/max of f over X x Y with a one-cell Lipschitz error pad.
 
-    Desk-scale only: the number of grid pairs, counted before the grids are
-    built, is capped at 1e7.
+    Desk-scale only: the pairs of bounding-box grid points,
+    ``resolution ** (dim_x + dim_y)``, are counted before any grid is built
+    and capped at 1e7.
     """
-    total = _grid_count(problem.X, resolution) * _grid_count(problem.Y, resolution)
+    total = resolution ** (problem.dim_x + problem.dim_y)
     if total > 10**7:
         raise ValueError(f"grid of {total} pairs exceeds the 1e7 desk-scale cap")
     h = math.hypot(_covering_radius(problem.X, resolution),

@@ -45,10 +45,15 @@ def counting(p, batched=True):
 
 
 def boundary_sample(s, rng):
-    """A point of ``s``, on the sphere for every ball part."""
+    """A point of ``s``: on the sphere for every ball part, a vertex
+    ``scale * e_i`` for every simplex part and a corner for every box part."""
     if isinstance(s, Ball):
         u = rng.standard_normal(s.dim)
         return s.center + s.radius * u / np.linalg.norm(u)
+    if isinstance(s, Simplex):
+        return s.scale * np.eye(s.dim)[rng.integers(s.dim)]
+    if isinstance(s, Box):
+        return np.where(rng.integers(0, 2, s.dim) == 1, s.upper, s.lower)
     if isinstance(s, Product):
         return np.concatenate([boundary_sample(p, rng) for p in s.parts])
     return s.sample(rng)
@@ -190,8 +195,12 @@ class TestGridExtremum:
         (Simplex(3), 7),
         (Simplex(2, 2.0), 4),
         (Product((Ball([0.0, 0.0], 1.0), Box([0.0], [2.0]))), 5),
+        (Ball([0.0, 0.0], 1.0), 2),
+        (Simplex(1), 5),
+        (Product((Simplex(2), Ball([0.5, -0.5], 1.0))), 5),
     ], ids=["box", "disk-3", "disk-9", "ball3-5", "ball3-9", "simplex3-7",
-            "simplex2-4", "disk-x-box-5"])
+            "simplex2-4", "disk-x-box-5", "disk-2", "simplex1-5",
+            "simplex2-x-disk-5"])
     def test_covering_radius_bounds_nearest_grid_point(self, s, resolution):
         rng = np.random.default_rng(5)
         pts = np.array([s.sample(rng) for _ in range(1500)]
@@ -199,6 +208,17 @@ class TestGridExtremum:
         grid = _grid_points(s, resolution)
         nearest = np.min(np.linalg.norm(pts[:, None, :] - grid[None, :, :], axis=2), axis=1)
         assert nearest.max() <= _covering_radius(s, resolution) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("box, resolution", [
+        (Box(-np.ones(3), np.ones(3)), 9),
+        (Box([-1.0, 0.0, -2.0], [1.0, 3.0, 0.5]), 17),
+        (Box([0.3], [0.3]), 4),
+    ], ids=["cube-9", "box3-17", "point-4"])
+    def test_box_grid_is_the_plain_meshgrid(self, box, resolution):
+        axes = [np.linspace(lo, hi, resolution) for lo, hi in zip(box.lower, box.upper)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        want = np.stack([m.ravel() for m in mesh], axis=1)
+        assert np.array_equal(_grid_points(box, resolution), want)
 
     def test_box_pad_is_half_a_cell_diagonal(self):
         # cell width 2/8 per axis: half its diagonal is sqrt(3)/8
@@ -213,16 +233,16 @@ class TestGridExtremum:
         with pytest.raises(ValueError):
             grid_extremum(p, 1)
 
-    def test_coarse_ball_grid_rejected(self):
-        # at resolution 2 no point of the 2-D ball's box grid lies in the disk
+    def test_coarse_ball_grid_projects_the_corners(self):
+        # at resolution 2 the disk's box grid is the 4 corners of [-1, 1]^2,
+        # none in the disk; each is kept as its projection
         disk = Ball([0.0, 0.0], 1.0)
-        assert len(_grid_points(disk, 2)) == 0
-        with pytest.raises(ValueError):
-            _covering_radius(disk, 2)
+        grid = _grid_points(disk, 2)
+        assert len(grid) == 4
+        np.testing.assert_allclose(np.abs(grid), math.sqrt(0.5), rtol=1e-15)
         p = make_quadratic(np.eye(2), np.eye(2), np.eye(2), X=disk, Y=Box([-1, -1], [1, 1]))
-        with pytest.raises(ValueError):
-            grid_extremum(p, 2)
-
+        ext = grid_extremum(p, 2)
+        assert all(math.isfinite(v) for v in (ext.f_lower, ext.f_upper, ext.pad))
 
     @pytest.mark.parametrize("X, Y, resolution", [
         # the 17^3 box grid alone is larger than one chunk
@@ -313,10 +333,11 @@ class TestComputeBound:
         assert compute_bound(tc, eps) == pytest.approx(max(first, second))
         assert compute_bound(tc, eps) >= tr.T_eps
 
-    def test_ball_constrained_bound_dominates(self):
+    @pytest.mark.parametrize("Y", [Ball([0.5, 0.0], 1.0), Simplex(2)],
+                             ids=["ball", "simplex"])
+    def test_ball_constrained_bound_dominates(self, Y):
         p = make_quadratic(np.eye(2), 0.5 * np.eye(2), np.eye(2), a=[0.3, -0.4],
-                           c_lin=[0.2, 0.1], X=Ball([0.0, 0.0], 1.0),
-                           Y=Ball([0.5, 0.0], 1.0))
+                           c_lin=[0.2, 0.1], X=Ball([0.0, 0.0], 1.0), Y=Y)
         cfg = auto_configure(p.constants, Regime.NC_SC)
         tr = run(p, cfg, eps=1e-6, max_iter=100000)
         assert tr.reason == "gap_le_eps"
