@@ -386,22 +386,15 @@ def _override_sets(prob, X, Y):
 # CSV traces
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+_CSV_ROW = "%d" + ",%.17g" * (len(CSV_COLUMNS) - 1) + "\n"
 
 
 def write_trace_csv(trace: SolverTrace, path) -> None:
     """One row per iteration, reals at 17 significant digits."""
-    lines = [",".join(CSV_COLUMNS)]
-    for i in range(len(trace.k)):
-        lines.append(",".join((
-            str(int(trace.k[i])),
-            _fmt(trace.f[i]), _fmt(trace.gap_norm[i]), _fmt(trace.reg_gap_norm[i]),
-            _fmt(trace.beta[i]), _fmt(trace.gamma[i]), _fmt(trace.b[i]), _fmt(trace.c[i]),
-            _fmt(trace.dx_norm[i]), _fmt(trace.dy_norm[i]),
-            _fmt(trace.potential[i]), _fmt(trace.monitor_slack[i]),
-        )))
-    Path(path).write_text("\n".join(lines) + "\n")
+    cols = [getattr(trace, name).tolist() for name in CSV_COLUMNS]
+    with open(path, "w") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.writelines(_CSV_ROW % row for row in zip(*cols))
 
 
 def read_trace_csv(path) -> dict:

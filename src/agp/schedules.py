@@ -153,39 +153,47 @@ def params_at(cfg: RegimeConfig, data: SmoothnessData, k: int) -> StepParams:
     """Step parameters of iteration k >= 1; pure in (cfg, data, k)."""
     if k < 1:
         raise ValueError("iterations are 1-based")
+    beta, gamma, b, c, floored = _step_floats(cfg, data, k)
+    return StepParams(beta=beta, gamma=gamma, b=b, c=c, k=k, floored=floored)
+
+
+def _step_floats(cfg: RegimeConfig, data: SmoothnessData, k: int) -> tuple:
+    """``(beta, gamma, b, c, floored)`` of iteration k as plain floats.
+
+    The solver loop calls this once per iteration of a growing schedule
+    (NC-C, C-NC), so it builds no ``StepParams``; ``k`` is not checked.
+    """
     if isinstance(cfg, NcScConfig):
         if cfg.eta <= 0 or cfg.rho <= 0:
             raise InfeasibleConfigError("needs eta > 0 and rho > 0")
-        return StepParams(beta=cfg.eta, gamma=1.0 / cfg.rho, b=0.0, c=0.0, k=k)
+        return cfg.eta, 1.0 / cfg.rho, 0.0, 0.0, False
     if isinstance(cfg, ScNcConfig):
         if cfg.zeta <= 0 or cfg.nu <= 0:
             raise InfeasibleConfigError("needs zeta > 0 and nu > 0")
-        return StepParams(beta=1.0 / cfg.zeta, gamma=cfg.nu, b=0.0, c=0.0, k=k)
+        return 1.0 / cfg.zeta, cfg.nu, 0.0, 0.0, False
     if isinstance(cfg, NcCConfig):
         beta = cfg.eta_bar + nc_c_beta_bar(cfg, data, k)
         floored = False
         if data.L_12 == 0.0 and beta <= SAFETY * data.L_x:
             # decoupled instance: the schedule formula presumes coupling
             beta, floored = SAFETY * data.L_x, True
-        if beta <= 0:
+        if not beta > 0:
             raise InfeasibleConfigError(
                 "beta_k <= 0 in the nonconvex-concave schedule "
                 "(needs eta~ + beta~_k > 0; with L_12 = 0 the floor 1.01*L_x "
                 "also degenerates because L_x = 0)")
-        return StepParams(beta=beta, gamma=1.0 / cfg.rho_bar, b=0.0, c=cfg.c(k), k=k,
-                          floored=floored)
+        return beta, 1.0 / cfg.rho_bar, 0.0, cfg.c(k), floored
     if isinstance(cfg, CNcConfig):
         gamma = cfg.nu_bar + c_nc_gamma_bar(cfg, data, k)
         floored = False
         if data.L_21 == 0.0 and gamma <= SAFETY * data.L_y:
             gamma, floored = SAFETY * data.L_y, True
-        if gamma <= 0:
+        if not gamma > 0:
             raise InfeasibleConfigError(
                 "gamma_k <= 0 in the convex-nonconcave schedule "
                 "(needs nu~ + gamma~_k > 0; with L_21 = 0 the floor 1.01*L_y "
                 "also degenerates because L_y = 0)")
-        return StepParams(beta=1.0 / cfg.zeta_bar, gamma=gamma, b=cfg.q(k), c=0.0, k=k,
-                          floored=floored)
+        return 1.0 / cfg.zeta_bar, gamma, cfg.q(k), 0.0, floored
     raise TypeError(f"unknown regime config {cfg!r}")
 
 

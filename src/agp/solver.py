@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .objective import MinimaxProblem, Regime
-from .schedules import RegimeConfig, StepParams, params_at
+from .schedules import RegimeConfig, StepParams, _step_floats, params_at
 from .verify import trace_columns
 
 __all__ = [
@@ -85,35 +85,15 @@ def _require_finite(g, k, block):
     return g
 
 
-# ---------------------------------------------------------------------------
-# update rules: rule(problem, x, y, gxf, gyf, p) -> (x_{k+1}, y_{k+1}), where
-# gxf, gyf are the checked block gradients at (x, y) and p the step params
-
-
-def _alternating(problem, x, y, gxf, gyf, p: StepParams):
-    """x first, then y at the fresh x; gyf (taken at the old x) is unused."""
-    x_new = problem.X.project(x - (gxf + p.b * x) / p.beta)
-    gy_new = _require_finite(problem.grad_y(x_new, y), p.k, "y")
-    y_new = problem.Y.project(y + (gy_new - p.c * y) / p.gamma)
-    return x_new, y_new
-
-
-def _simultaneous(step_x: float, step_y: float):
-    """Both blocks from the old iterate, with GDA's own step arithmetic."""
-
-    def rule(problem, x, y, gxf, gyf, p):
-        return problem.X.project(x - step_x * gxf), problem.Y.project(y + step_y * gyf)
-
-    return rule
-
-
 def agp_step(problem: MinimaxProblem, state: SolverState, params: StepParams) -> SolverState:
     """One alternating update; x first, then y at the fresh x."""
     if params.k != state.k:
         raise ValueError(f"params are for iteration {params.k}, state is at {state.k}")
     x, y = problem.check_point(state.x, state.y)
     gxf = _require_finite(problem.grad_x(x, y), params.k, "x")
-    x_new, y_new = _alternating(problem, x, y, gxf, None, params)
+    x_new = problem.X.project(x - (gxf + params.b * x) / params.beta)
+    gy_new = _require_finite(problem.grad_y(x_new, y), params.k, "y")
+    y_new = problem.Y.project(y + (gy_new - params.c * y) / params.gamma)
     return SolverState(k=state.k + 1, x=x_new, y=y_new, x_prev=x, y_prev=y)
 
 
@@ -124,7 +104,8 @@ def gda_step(problem: MinimaxProblem, state: SolverState, step_x: float, step_y:
     x, y = problem.check_point(state.x, state.y)
     gxf = _require_finite(problem.grad_x(x, y), state.k, "x")
     gyf = _require_finite(problem.grad_y(x, y), state.k, "y")
-    x_new, y_new = _simultaneous(step_x, step_y)(problem, x, y, gxf, gyf, None)
+    x_new = problem.X.project(x - step_x * gxf)
+    y_new = problem.Y.project(y + step_y * gyf)
     return SolverState(k=state.k + 1, x=x_new, y=y_new, x_prev=x, y_prev=y)
 
 
@@ -231,9 +212,7 @@ def run(problem: MinimaxProblem, cfg: RegimeConfig, eps: float, max_iter: int,
     trace carries the full iterate history, so the monitors can be run on
     it afterwards.
     """
-    data = problem.constants
-    return _iterate(problem, lambda k: params_at(cfg, data, k), _alternating,
-                    eps, max_iter, init, "agp", cfg)
+    return _iterate(problem, cfg, None, eps, max_iter, init)
 
 
 def run_gda(problem: MinimaxProblem, step_x: float, step_y: float, eps: float,
@@ -245,22 +224,38 @@ def run_gda(problem: MinimaxProblem, step_x: float, step_y: float, eps: float,
     """
     if not (step_x > 0 and step_y > 0):
         raise ValueError("step sizes must be > 0")
-    beta, gamma = 1.0 / step_x, 1.0 / step_y
-    return _iterate(problem, lambda k: StepParams(beta, gamma, 0.0, 0.0, k),
-                    _simultaneous(step_x, step_y), eps, max_iter, init, "gda", None)
+    return _iterate(problem, None, (step_x, step_y), eps, max_iter, init)
 
 
 # trace columns recorded per iteration, in the order of a row of the buffer
 _COLUMNS = ("gap_norm", "reg_gap_norm", "beta", "gamma", "b", "c")
 
 
-def _iterate(problem, params, rule, eps, max_iter, init, algo, cfg) -> SolverTrace:
-    """The one solver loop: record row k at (x_k, y_k), stop or step by rule."""
+def _iterate(problem, cfg, steps, eps, max_iter, init) -> SolverTrace:
+    """The one solver loop: record row k at (x_k, y_k), stop or step.
+
+    With a regime config it steps by the alternating rule of ``agp_step``;
+    with ``cfg=None`` by the simultaneous rule of ``gda_step`` with
+    ``steps = (step_x, step_y)``.  Both wrappers reproduce it bit for bit.
+    """
     eps = _check_eps(eps)
     max_iter = int(max_iter)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     x, y = _resolve_init(problem, init)
+    data = problem.constants
+    if cfg is None:
+        step_x, step_y = steps
+        p = StepParams(1.0 / step_x, 1.0 / step_y, 0.0, 0.0, 1)
+    else:
+        p = params_at(cfg, data, 1)
+    beta, gamma, b, c = p.beta, p.gamma, p.b, p.c
+    growing = cfg is not None and cfg.regime in (Regime.NC_C, Regime.C_NC)
+    grad_x, grad_y = problem.grad_x, problem.grad_y
+    project_x, project_y = problem.X.project, problem.Y.project
+    # zeros . g is 0 for a finite g and NaN as soon as one entry is not;
+    # ndarray.dot is the dot of @, with less call overhead
+    zx, zy = np.zeros(problem.dim_x), np.zeros(problem.dim_y)
 
     cap = min(max_iter, 1024)
     rows = np.empty((cap, len(_COLUMNS)))
@@ -276,17 +271,29 @@ def _iterate(problem, params, rule, eps, max_iter, init, algo, cfg) -> SolverTra
             rows = np.resize(rows, (cap, len(_COLUMNS)))
             xs = np.resize(xs, (cap, problem.dim_x))
             ys = np.resize(ys, (cap, problem.dim_y))
-        p = params(k)
-        floored_any = floored_any or p.floored
-        gxf = _require_finite(problem.grad_x(x, y), k, "x")
-        gyf = _require_finite(problem.grad_y(x, y), k, "y")
-        gap = _norm(*_gap_blocks(problem, x, y, gxf, gyf, p.beta, p.gamma))
-        if p.b == 0.0 and p.c == 0.0:
-            reg_gap = gap  # the regularized mapping coincides exactly
-        else:
-            reg_gap = _norm(*_gap_blocks(problem, x, y, gxf + p.b * x, gyf - p.c * y,
-                                         p.beta, p.gamma))
-        rows[n] = (gap, reg_gap, p.beta, p.gamma, p.b, p.c)
+        if growing:
+            beta, gamma, b, c, floored = _step_floats(cfg, data, k)
+            floored_any = floored_any or floored
+        gxf = grad_x(x, y)
+        gyf = grad_y(x, y)
+        if zx.dot(gxf) + zy.dot(gyf) != 0.0:
+            raise NumericFailureError(k, "x" if not np.all(np.isfinite(gxf)) else "y")
+        # The raw gap.  A regularized block whose coefficient is 0 is the raw
+        # block: x - (g + 0*x)/beta has the bits of x - g/beta, and
+        # y + (g - 0*y)/gamma differs from y + g/gamma at most in the sign of
+        # a zero, which the norm ignores.  The regularized x projection is
+        # the alternating x-step.
+        px = project_x(x - gxf / beta)
+        gx = beta * (x - px)
+        gy = gamma * (y - project_y(y + gyf / gamma))
+        gap = math.sqrt(gx.dot(gx) + gy.dot(gy))
+        if b != 0.0:
+            px = project_x(x - (gxf + b * x) / beta)
+            gx = beta * (x - px)
+        if c != 0.0:
+            gy = gamma * (y - project_y(y + (gyf - c * y) / gamma))
+        reg_gap = math.sqrt(gx.dot(gx) + gy.dot(gy)) if b != 0.0 or c != 0.0 else gap
+        rows[n] = (gap, reg_gap, beta, gamma, b, c)
         xs[n] = x
         ys[n] = y
         n += 1
@@ -294,11 +301,19 @@ def _iterate(problem, params, rule, eps, max_iter, init, algo, cfg) -> SolverTra
             T_eps = k
             reason = "gap_le_eps"
             break
-        if k < max_iter:
-            x, y = rule(problem, x, y, gxf, gyf, p)
+        if k == max_iter:
+            break
+        if cfg is None:
+            x, y = project_x(x - step_x * gxf), project_y(y + step_y * gyf)
+        else:
+            gy_new = grad_y(px, y)
+            if zy.dot(gy_new) != 0.0:
+                raise NumericFailureError(k, "y")
+            x, y = px, project_y(y + (gy_new - c * y) / gamma)
 
     return _assemble_trace(problem, cfg, rows[:n], xs[:n].copy(), ys[:n].copy(),
-                           reason, T_eps, eps, algo, floored_any)
+                           reason, T_eps, eps, "agp" if cfg is not None else "gda",
+                           floored_any)
 
 
 def _assemble_trace(problem, cfg, rows, xs, ys, reason, T_eps, eps, algo,

@@ -1,17 +1,21 @@
+import copy
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from agp.geometry import Box, WholeSpace
+from agp.geometry import Ball, Box, Product, WholeSpace
 from agp.objective import Regime, make_bilinear, make_quadratic, random_quadratic
-from agp.schedules import (CNcConfig, NcCConfig, NcScConfig, ScNcConfig,
-                           StepParams, auto_configure, params_at)
+from agp.schedules import (CNcConfig, InfeasibleConfigError, NcCConfig,
+                           NcScConfig, ScNcConfig, StepParams, auto_configure,
+                           params_at)
 from agp.solver import (GapVector, NumericFailureError, SolverState, agp_step,
                         gda_step, regularized_gap, run, run_gda,
                         stationarity_gap)
 from agp.verify import potentials, saddle_oracle_quadratic
+
+from conftest import zoo_instances
 
 
 def quad_1d():
@@ -398,53 +402,156 @@ class TestRunGda:
         assert tr.algo == "gda"
 
 
-def nan_on_call(grad, n):
-    """grad, except that its n-th call returns NaN."""
+def bad_on_call(grad, n, value=math.nan):
+    """grad, except that its n-th call returns ``value`` in every entry."""
     calls = [0]
 
     def wrapped(x, y):
         calls[0] += 1
         g = grad(x, y)
-        return np.full_like(g, math.nan) if calls[0] == n else g
+        return np.full_like(g, value) if calls[0] == n else g
 
     return wrapped
 
 
+def counting_sets(p):
+    """A copy of ``p`` whose X and Y count their ``project`` calls."""
+    calls = {"X": 0, "Y": 0}
+
+    def counted(s, name):
+        wrapped = copy.copy(s)  # same class and fields, so the run is unchanged
+
+        def project(v):
+            calls[name] += 1
+            return s.project(v)
+
+        object.__setattr__(wrapped, "project", project)
+        return wrapped
+
+    return dataclasses.replace(p, X=counted(p.X, "X"), Y=counted(p.Y, "Y")), calls
+
+
+# run takes grad_x once per iteration and grad_y twice: at (x_k, y_k) for the
+# gap, then at (x_{k+1}, y_k) for the step.  run_gda takes each once.
+NONFINITE_CASES = [
+    ("agp", "x", 3, 3),
+    ("agp", "y", 4, 2),  # the second grad_y of iteration 2: at the fresh x_3
+    ("gda", "x", 3, 3),
+    ("gda", "y", 3, 3),
+]
+
+
+def run_with_bad_gradient(algo, block, call, value):
+    p = quad_1d()
+    name = "grad_" + block
+    bad = dataclasses.replace(p, **{name: bad_on_call(getattr(p, name), call, value)})
+    init = (np.array([1.0]), np.array([1.0]))
+    if algo == "agp":
+        cfg = auto_configure(p.constants, Regime.NC_SC)
+        return run(bad, cfg, eps=1e-12, max_iter=10, init=init)
+    return run_gda(bad, 0.1, 0.1, eps=1e-12, max_iter=10, init=init)
+
+
 class TestLoopNonFinite:
-    # run takes grad_x once per iteration and grad_y twice: at (x_k, y_k) for
-    # the gap, then at (x_{k+1}, y_k) for the step.  run_gda takes each once.
-    @pytest.mark.parametrize("algo, block, call, k", [
-        ("agp", "x", 3, 3),
-        ("agp", "y", 4, 2),  # the second grad_y of iteration 2: at the fresh x_3
-        ("gda", "x", 3, 3),
-        ("gda", "y", 3, 3),
-    ])
+    @pytest.mark.parametrize("algo, block, call, k", NONFINITE_CASES)
     def test_nan_gradient_reports_block_and_iteration(self, algo, block, call, k):
-        p = quad_1d()
-        name = "grad_" + block
-        bad = dataclasses.replace(p, **{name: nan_on_call(getattr(p, name), call)})
-        init = (np.array([1.0]), np.array([1.0]))
         with pytest.raises(NumericFailureError) as ei:
-            if algo == "agp":
-                cfg = auto_configure(p.constants, Regime.NC_SC)
-                run(bad, cfg, eps=1e-12, max_iter=10, init=init)
-            else:
-                run_gda(bad, 0.1, 0.1, eps=1e-12, max_iter=10, init=init)
+            run_with_bad_gradient(algo, block, call, math.nan)
         assert ei.value.block == block and ei.value.k == k
+
+    # inf * 0 in the check is an invalid operation, which numpy reports
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in dot:RuntimeWarning")
+    @pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["+inf", "-inf"])
+    @pytest.mark.parametrize("algo, block, call, k", NONFINITE_CASES)
+    def test_infinite_gradient_reports_block_and_iteration(self, algo, block, call, k,
+                                                           value):
+        with pytest.raises(NumericFailureError) as ei:
+            run_with_bad_gradient(algo, block, call, value)
+        assert ei.value.block == block and ei.value.k == k
+
+    @pytest.mark.parametrize("entry", [1e300, 1.7e308])
+    @pytest.mark.parametrize("algo", ["agp", "gda"])
+    def test_huge_finite_gradient_does_not_raise(self, algo, entry):
+        # g @ g overflows for both entries, the entry sum for the second;
+        # g @ 0 does not overflow
+        box = Box(-np.ones(2), np.ones(2))
+        p = make_quadratic(np.eye(2), np.eye(2), np.eye(2), X=box, Y=box)
+        huge = np.full(2, entry)
+        p = dataclasses.replace(p, grad_x=lambda x, y: huge, grad_y=lambda x, y: -huge)
+        if algo == "agp":
+            tr = run(p, auto_configure(p.constants, Regime.NC_SC), eps=1e-12, max_iter=5)
+        else:
+            tr = run_gda(p, 0.1, 0.1, eps=1e-12, max_iter=5)
+        # the first step lands in the corner the gradients point to, where
+        # the gap is 0, so the second gradient pair is checked as well
+        assert tr.T_eps == 2 and np.all(np.isfinite(tr.gap_norm))
+
+
+class TestRunInfeasible:
+    @pytest.mark.parametrize("A, B, C, cfg", [
+        ([[1.0]], [[1.0]], [[1.0]], NcScConfig(eta=-1.0, rho=1.0)),
+        ([[1.0]], [[1.0]], [[1.0]], ScNcConfig(zeta=-1.0, nu=1.0)),
+        # decoupled and flat in the floored block: the floor 1.01*L is 0 too
+        ([[0.0]], [[0.0]], [[1.0]], NcCConfig(eta_bar=0.1, rho_bar=1.0)),
+        ([[1.0]], [[0.0]], [[0.0]], CNcConfig(zeta_bar=1.0, nu_bar=0.1)),
+    ], ids=["nc_sc", "sc_nc", "nc_c", "c_nc"])
+    def test_raises_before_the_first_gradient(self, A, B, C, cfg):
+        def no_gradient(x, y):
+            raise AssertionError("gradient taken under an infeasible config")
+
+        p = dataclasses.replace(make_quadratic(A, B, C), grad_x=no_gradient,
+                                grad_y=no_gradient)
+        with pytest.raises(InfeasibleConfigError):
+            run(p, cfg, eps=1e-6, max_iter=10)
+
+
+class TestProjectionCount:
+    # Per iteration: 1 per block for the raw gap, 1 for the regularized
+    # block whose coefficient is nonzero, 1 for the y-step; the x-step reuses
+    # the gap's x projection.  GDA projects both blocks again for its step.
+    # Plus 1 per set for the initial point, minus the step projections of
+    # the last iteration, which takes no step.
+    @pytest.mark.parametrize("regime, per_x, per_y", [
+        (Regime.NC_SC, 1, 2), (Regime.SC_NC, 1, 2),
+        (Regime.NC_C, 1, 3), (Regime.C_NC, 2, 2),
+    ])
+    def test_agp(self, regime, per_x, per_y):
+        p, calls = counting_sets(random_quadratic(7, 2, 2, regime))
+        n = 20
+        tr = run(p, auto_configure(p.constants, regime), eps=1e-300, max_iter=n)
+        assert len(tr) == n
+        assert calls == {"X": 1 + per_x * n, "Y": 1 + per_y * n - 1}
+
+    def test_gda(self):
+        p, calls = counting_sets(random_quadratic(7, 2, 2, Regime.NC_SC))
+        n = 20
+        run_gda(p, 0.05, 0.2, eps=1e-300, max_iter=n)
+        assert calls == {"X": 1 + 2 * n - 1, "Y": 1 + 2 * n - 1}
 
 
 class TestWrappersShareRule:
-    @pytest.mark.parametrize("seed, regime", [(3, Regime.NC_C), (4, Regime.C_NC)])
-    def test_agp_step_reproduces_run(self, seed, regime):
-        p = random_quadratic(seed, 2, 2, regime)
-        cfg = auto_configure(p.constants, regime)
+    @staticmethod
+    def replay(p, cfg):
         tr = run(p, cfg, eps=1e-12, max_iter=60)
-        assert np.any(tr.b != 0) or np.any(tr.c != 0)
         s = SolverState(k=1, x=tr.xs[0], y=tr.ys[0])
         for i in range(1, len(tr)):
             s = agp_step(p, s, params_at(cfg, p.constants, s.k))
             np.testing.assert_array_equal(s.x, tr.xs[i])
             np.testing.assert_array_equal(s.y, tr.ys[i])
+        return tr
+
+    @pytest.mark.parametrize("seed, regime", [(3, Regime.NC_C), (4, Regime.C_NC),
+                                              (5, Regime.NC_SC), (6, Regime.SC_NC)])
+    def test_agp_step_reproduces_run(self, seed, regime):
+        p = random_quadratic(seed, 2, 2, regime)
+        tr = self.replay(p, auto_configure(p.constants, regime))
+        growing = regime in (Regime.NC_C, Regime.C_NC)
+        assert (np.any(tr.b != 0) or np.any(tr.c != 0)) == growing
+
+    def test_agp_step_reproduces_run_on_ball_and_product(self):
+        p = zoo_instances()[-1]  # robust svm: X a ball, Y a ball x box product
+        assert isinstance(p.X, Ball) and isinstance(p.Y, Product)
+        self.replay(p, auto_configure(p.constants, Regime.C_NC))
 
     def test_gda_step_reproduces_run_gda(self):
         p = random_quadratic(5, 2, 2, Regime.NC_SC)
