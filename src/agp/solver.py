@@ -265,51 +265,54 @@ def _iterate(problem, cfg, steps, eps, max_iter, init) -> SolverTrace:
     reason = "max_iter"
     floored_any = False
     n = 0
-    for k in range(1, max_iter + 1):
-        if n == cap:
-            cap = min(max_iter, 2 * cap)
-            rows = np.resize(rows, (cap, len(_COLUMNS)))
-            xs = np.resize(xs, (cap, problem.dim_x))
-            ys = np.resize(ys, (cap, problem.dim_y))
-        if growing:
-            beta, gamma, b, c, floored = _step_floats(cfg, data, k)
-            floored_any = floored_any or floored
-        gxf = grad_x(x, y)
-        gyf = grad_y(x, y)
-        if zx.dot(gxf) + zy.dot(gyf) != 0.0:
-            raise NumericFailureError(k, "x" if not np.all(np.isfinite(gxf)) else "y")
-        # The raw gap.  A regularized block whose coefficient is 0 is the raw
-        # block: x - (g + 0*x)/beta has the bits of x - g/beta, and
-        # y + (g - 0*y)/gamma differs from y + g/gamma at most in the sign of
-        # a zero, which the norm ignores.  The regularized x projection is
-        # the alternating x-step.
-        px = project_x(x - gxf / beta)
-        gx = beta * (x - px)
-        gy = gamma * (y - project_y(y + gyf / gamma))
-        gap = math.sqrt(gx.dot(gx) + gy.dot(gy))
-        if b != 0.0:
-            px = project_x(x - (gxf + b * x) / beta)
+    # an infinite gradient entry makes the check's zeros . g an invalid
+    # inf * 0; the check reports it, so numpy need not warn as well
+    with np.errstate(invalid="ignore"):
+        for k in range(1, max_iter + 1):
+            if n == cap:
+                cap = min(max_iter, 2 * cap)
+                rows = np.resize(rows, (cap, len(_COLUMNS)))
+                xs = np.resize(xs, (cap, problem.dim_x))
+                ys = np.resize(ys, (cap, problem.dim_y))
+            if growing:
+                beta, gamma, b, c, floored = _step_floats(cfg, data, k)
+                floored_any = floored_any or floored
+            gxf = grad_x(x, y)
+            gyf = grad_y(x, y)
+            if zx.dot(gxf) + zy.dot(gyf) != 0.0:
+                raise NumericFailureError(k, "x" if not np.all(np.isfinite(gxf)) else "y")
+            # The raw gap.  A regularized block whose coefficient is 0 is the raw
+            # block: x - (g + 0*x)/beta has the bits of x - g/beta, and
+            # y + (g - 0*y)/gamma differs from y + g/gamma at most in the sign of
+            # a zero, which the norm ignores.  The regularized x projection is
+            # the alternating x-step.
+            px = project_x(x - gxf / beta)
             gx = beta * (x - px)
-        if c != 0.0:
-            gy = gamma * (y - project_y(y + (gyf - c * y) / gamma))
-        reg_gap = math.sqrt(gx.dot(gx) + gy.dot(gy)) if b != 0.0 or c != 0.0 else gap
-        rows[n] = (gap, reg_gap, beta, gamma, b, c)
-        xs[n] = x
-        ys[n] = y
-        n += 1
-        if gap <= eps:
-            T_eps = k
-            reason = "gap_le_eps"
-            break
-        if k == max_iter:
-            break
-        if cfg is None:
-            x, y = project_x(x - step_x * gxf), project_y(y + step_y * gyf)
-        else:
-            gy_new = grad_y(px, y)
-            if zy.dot(gy_new) != 0.0:
-                raise NumericFailureError(k, "y")
-            x, y = px, project_y(y + (gy_new - c * y) / gamma)
+            gy = gamma * (y - project_y(y + gyf / gamma))
+            gap = math.sqrt(gx.dot(gx) + gy.dot(gy))
+            if b != 0.0:
+                px = project_x(x - (gxf + b * x) / beta)
+                gx = beta * (x - px)
+            if c != 0.0:
+                gy = gamma * (y - project_y(y + (gyf - c * y) / gamma))
+            reg_gap = math.sqrt(gx.dot(gx) + gy.dot(gy)) if b != 0.0 or c != 0.0 else gap
+            rows[n] = (gap, reg_gap, beta, gamma, b, c)
+            xs[n] = x
+            ys[n] = y
+            n += 1
+            if gap <= eps:
+                T_eps = k
+                reason = "gap_le_eps"
+                break
+            if k == max_iter:
+                break
+            if cfg is None:
+                x, y = project_x(x - step_x * gxf), project_y(y + step_y * gyf)
+            else:
+                gy_new = grad_y(px, y)
+                if zy.dot(gy_new) != 0.0:
+                    raise NumericFailureError(k, "y")
+                x, y = px, project_y(y + (gy_new - c * y) / gamma)
 
     return _assemble_trace(problem, cfg, rows[:n], xs[:n].copy(), ys[:n].copy(),
                            reason, T_eps, eps, "agp" if cfg is not None else "gda",

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,14 +187,15 @@ class TestRunSuite:
         assert recs[0].reason == "max_iter"
         assert recs[0].iterations == 1
 
-    def test_per_run_failure_captured(self, tmp_path):
+    def test_per_run_failure_captured(self, tmp_path, parallelism=1):
         specs = parse_config(SUITE)
         specs[0].regime_cfg = NcScConfig(eta=-1.0, rho=0.25)  # breaks the run
-        recs = run_suite(specs, out_dir=tmp_path)
+        recs = run_suite(specs, parallelism=parallelism, out_dir=tmp_path)
         assert recs[0].error is not None
         assert recs[1].reason == "gap_le_eps"  # suite continued
 
-    def test_monitor_and_bound_errors_stay_in_their_run(self, tmp_path, monkeypatch):
+    def test_monitor_and_bound_errors_stay_in_their_run(self, tmp_path, monkeypatch,
+                                                        parallelism=1):
         import agp.bench as bench
 
         def monitor(trace, problem, cfg):
@@ -205,7 +207,7 @@ class TestRunSuite:
         monkeypatch.setattr(bench, "lemma_monitor", monitor)
         monkeypatch.setattr(bench, "compute_bound", bound)
         specs = parse_config(SUITE)[:2]
-        recs = run_suite(specs, out_dir=tmp_path)
+        recs = run_suite(specs, parallelism=parallelism, out_dir=tmp_path)
         for r in recs:
             assert r.reason == "gap_le_eps"
             assert r.monitor_pass is None and r.bound is None
@@ -216,7 +218,87 @@ class TestRunSuite:
         assert [r["error"] for r in payload["runs"]] == [r.error for r in recs]
         cfg = tmp_path / "suite.cfg"
         cfg.write_text(SUITE)
-        assert main(["solve", str(cfg), "--out-dir", str(tmp_path / "out")]) == 5
+        assert main(["solve", str(cfg), "--out-dir", str(tmp_path / "out"),
+                     "--parallelism", str(parallelism)]) == 5
+
+    # forked workers inherit the specs as built and the monkeypatches
+    def test_per_run_failure_captured_in_workers(self, tmp_path):
+        self.test_per_run_failure_captured(tmp_path, parallelism=2)
+
+    def test_monitor_and_bound_errors_stay_in_their_run_in_workers(self, tmp_path,
+                                                                   monkeypatch):
+        self.test_monitor_and_bound_errors_stay_in_their_run(tmp_path, monkeypatch,
+                                                             parallelism=2)
+
+    def test_summary_byte_identical_across_parallelism(self, tmp_path):
+        def outputs(parallelism):
+            d = tmp_path / f"p{parallelism}"
+            run_suite(parse_config(SUITE), parallelism=parallelism, out_dir=d,
+                      config_echo=SUITE)
+            payload = json.loads((d / "summary.json").read_text())
+            for r in payload["runs"]:
+                del r["wall_time_s"]
+            csvs = {f.name: f.read_bytes() for f in sorted(d.glob("*.csv"))}
+            return json.dumps(payload, indent=2), csvs
+
+        serial = outputs(1)
+        assert len(serial[1]) == 3
+        assert outputs(2) == serial
+        assert outputs(4) == serial
+
+    @pytest.mark.parametrize("parallelism, methods, in_parent", [
+        (1, None, True), (2, None, False), (2, ["spawn"], True)],
+        ids=["serial", "forked", "no-fork"])
+    def test_workers_write_the_csvs(self, tmp_path, monkeypatch, parallelism, methods,
+                                    in_parent):
+        import multiprocessing
+        import os
+
+        import agp.bench as bench
+
+        def write_pid(trace, path):
+            Path(path).write_text(str(os.getpid()))
+
+        monkeypatch.setattr(bench, "write_trace_csv", write_pid)
+        if methods is not None:
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        run_suite(parse_config(SUITE), parallelism=parallelism, out_dir=tmp_path)
+        pids = {int((tmp_path / f"run{i:03d}.csv").read_text()) for i in range(3)}
+        if in_parent:
+            assert pids == {os.getpid()}
+        else:
+            assert os.getpid() not in pids
+
+    def test_worker_error_propagates(self, tmp_path, monkeypatch):
+        import agp.bench as bench
+
+        def unwritable(trace, path):
+            raise OSError(f"cannot write {Path(path).name}")
+
+        monkeypatch.setattr(bench, "write_trace_csv", unwritable)
+        with pytest.raises(OSError, match="cannot write run00"):
+            run_suite(parse_config(SUITE), parallelism=2, out_dir=tmp_path)
+
+    @pytest.mark.parametrize("n_specs, csvs", [(3, 3), (1, 1), (0, 0)],
+                             ids=["more-workers-than-runs", "single-run", "no-runs"])
+    def test_parallelism_above_run_count(self, tmp_path, n_specs, csvs):
+        specs = parse_config(SUITE)[:n_specs]
+        recs = run_suite(specs, parallelism=8, out_dir=tmp_path)
+        assert [r.run_id for r in recs] == list(range(n_specs))
+        assert len(list(tmp_path.glob("*.csv"))) == csvs
+        payload = json.loads((tmp_path / "summary.json").read_text())
+        assert len(payload["runs"]) == n_specs
+
+    def test_bound_error_says_why_bound_is_null(self, tmp_path):
+        text = ("problem = quadratic(seed=7, nx=1, ny=1, regime=nc_sc)\n"
+                "Y = free(dim=1)\neps = 1e-4\n")
+        rec = run_suite(parse_config(text + BASIC), out_dir=tmp_path)[0]
+        assert rec.error is None and rec.bound is None
+        assert rec.bound_error == ("ValueError: complexity bounds require compact "
+                                   "feasible sets")
+        runs = json.loads((tmp_path / "summary.json").read_text())["runs"]
+        assert runs[0]["bound_error"] == rec.bound_error
+        assert runs[1]["bound"] is not None and runs[1]["bound_error"] is None
 
     def test_bound_ratio_at_least_one(self, tmp_path):
         recs = run_suite(parse_config(SUITE), out_dir=tmp_path)

@@ -459,8 +459,9 @@ class TestLoopNonFinite:
             run_with_bad_gradient(algo, block, call, math.nan)
         assert ei.value.block == block and ei.value.k == k
 
-    # inf * 0 in the check is an invalid operation, which numpy reports
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in dot:RuntimeWarning")
+    # inf * 0 in the check is an invalid operation, which numpy must not
+    # report: under warnings-as-errors it would replace the check's error
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["+inf", "-inf"])
     @pytest.mark.parametrize("algo, block, call, k", NONFINITE_CASES)
     def test_infinite_gradient_reports_block_and_iteration(self, algo, block, call, k,
