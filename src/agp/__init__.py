@@ -9,8 +9,7 @@ O(eps^-2) / O(eps^-4) iteration bounds.
 """
 
 from .geometry import (Ball, Box, ConstraintSet, Product, Simplex, UNBOUNDED,
-                       WholeSpace, contains, diameter, is_unbounded, max_norm,
-                       parse_set, project, sample_point)
+                       WholeSpace, is_unbounded, parse_set)
 from .objective import (MinimaxProblem, Regime, SmoothnessData, make_bilinear,
                         make_nc_sc_sine, make_quadratic, make_robust_svm_toy,
                         make_sc_nc_sine, random_quadratic)
@@ -18,8 +17,7 @@ from .schedules import (CNcConfig, InfeasibleConfigError, NcCConfig, NcScConfig,
                         RegimeConfig, ScNcConfig, StepParams,
                         UnsupportedRegimeError, auto_configure, params_at,
                         validate)
-from .solver import (GapVector, NumericFailureError, SolverState, SolverTrace,
-                     agp_step, gda_step, regularized_gap, run, run_gda,
+from .solver import (GapVector, NumericFailureError, SolverTrace, run, run_gda,
                      stationarity_gap)
 from .verify import (InvalidTraceError, MonitorReport, TheoryConstants,
                      compute_bound, finite_diff_check, grid_extremum,

@@ -525,11 +525,11 @@ def run_suite(specs: list[RunSpec], parallelism: int = 1, out_dir=None,
     start method, the runs go serially in this process.  An exception that
     escapes a run (say an ``OSError`` from a CSV write) propagates.
     """
+    if parallelism < 1:
+        raise ValueError("parallelism must be >= 1")
     out = Path(out_dir) if out_dir else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
-    if parallelism < 1:
-        raise ValueError("parallelism must be >= 1")
     workers = min(parallelism, len(specs))
     if workers > 1 and _can_fork():
         records = _run_forked(specs, out, workers)
@@ -586,6 +586,13 @@ def _common_flags(p):
 
 
 def _load_specs(args) -> tuple[list[RunSpec], str]:
+    """The config's specs with the flag overrides, checked as its keys are."""
+    if args.max_iter is not None and args.max_iter < 1:
+        raise ConfigError(f"--max-iter must be >= 1, got {args.max_iter}")
+    if args.eps is not None and not (args.eps > 0 and math.isfinite(args.eps)):
+        raise ConfigError(f"--eps must be positive and finite, got {args.eps}")
+    if args.parallelism < 1:
+        raise ConfigError(f"--parallelism must be >= 1, got {args.parallelism}")
     text = Path(args.config).read_text()
     if args.seed is not None:
         text = f"seed = {args.seed}\n" + text

@@ -27,11 +27,6 @@ __all__ = [
     "Product",
     "UNBOUNDED",
     "is_unbounded",
-    "project",
-    "contains",
-    "diameter",
-    "max_norm",
-    "sample_point",
     "parse_set",
 ]
 
@@ -73,6 +68,11 @@ def _check_dim(s: "ConstraintSet", v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _check_tol(tol: float) -> None:
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+
+
 class ConstraintSet:
     """Base class; concrete variants implement the projection calculus."""
 
@@ -82,6 +82,7 @@ class ConstraintSet:
         raise NotImplementedError
 
     def contains(self, v: np.ndarray, tol: float = 0.0) -> bool:
+        """Membership up to a slack ``tol >= 0``; any other ``tol`` raises."""
         raise NotImplementedError
 
     def diameter(self):
@@ -115,6 +116,7 @@ class WholeSpace(ConstraintSet):
 
     def contains(self, v, tol=0.0):
         _check_dim(self, v)
+        _check_tol(tol)
         return True
 
     def diameter(self):
@@ -153,6 +155,7 @@ class Box(ConstraintSet):
 
     def contains(self, v, tol=0.0):
         v = _check_dim(self, v)
+        _check_tol(tol)
         return bool(np.all(v >= self.lower - tol) and np.all(v <= self.upper + tol))
 
     def diameter(self):
@@ -194,6 +197,7 @@ class Ball(ConstraintSet):
 
     def contains(self, v, tol=0.0):
         v = _check_dim(self, v)
+        _check_tol(tol)
         return bool(np.linalg.norm(v - self.center) <= self.radius + tol)
 
     def diameter(self):
@@ -240,6 +244,7 @@ class Simplex(ConstraintSet):
 
     def contains(self, v, tol=0.0):
         v = _check_dim(self, v)
+        _check_tol(tol)
         return bool(np.all(v >= -tol) and abs(float(np.sum(v)) - self.scale) <= tol)
 
     def diameter(self):
@@ -289,6 +294,7 @@ class Product(ConstraintSet):
 
     def contains(self, v, tol=0.0):
         v = _check_dim(self, v)
+        _check_tol(tol)
         return all(p.contains(b, tol) for p, b in self._blocks(v))
 
     def diameter(self):
@@ -309,32 +315,6 @@ class Product(ConstraintSet):
     def descriptor(self):
         inner = ", ".join(p.descriptor() for p in self.parts)
         return f"product({inner})"
-
-
-# ---------------------------------------------------------------------------
-# operation-style wrappers
-
-
-def project(s: ConstraintSet, v) -> np.ndarray:
-    return s.project(v)
-
-
-def contains(s: ConstraintSet, v, tol: float = 0.0) -> bool:
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    return s.contains(v, tol)
-
-
-def diameter(s: ConstraintSet):
-    return s.diameter()
-
-
-def max_norm(s: ConstraintSet):
-    return s.max_norm()
-
-
-def sample_point(s: ConstraintSet, rng: np.random.Generator) -> np.ndarray:
-    return s.sample(rng)
 
 
 # ---------------------------------------------------------------------------

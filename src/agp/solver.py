@@ -7,7 +7,7 @@ One iteration from (x_k, y_k):
 
 The y-step always sees the fresh x_{k+1}; that alternating order is the
 point of the method and is what the descent/ascent monitors assume.  The
-simultaneous-step baseline ``gda_step`` updates both blocks from the old
+simultaneous-step baseline ``run_gda`` updates both blocks from the old
 iterate and famously spirals outward on bilinear games.
 
 Stopping uses the stationarity-gap norm of the raw objective
@@ -15,8 +15,10 @@ Stopping uses the stationarity-gap norm of the raw objective
     gap_x = beta_k  (x_k - P_X(x_k - grad_x f(x_k,y_k)/beta_k))
     gap_y = gamma_k (y_k - P_Y(y_k + grad_y f(x_k,y_k)/gamma_k))
 
-evaluated with the current iteration's (beta_k, gamma_k); the regularized
-variant swaps in the gradients of f~.
+evaluated with the current iteration's (beta_k, gamma_k).  The trace also
+records the regularized gap norm, the same mapping with the gradients of
+f~ = f + (b_k/2)||x||^2 - (c_k/2)||y||^2, which the NC-C and C-NC monitors
+read.
 
 The loop records the iterates; after it, one batched pass of
 ``problem.values`` gives the f(x_k, y_k) column, and an alternating trace
@@ -37,14 +39,10 @@ from .schedules import RegimeConfig, StepParams, _step_floats, params_at
 from .verify import trace_columns
 
 __all__ = [
-    "SolverState",
     "GapVector",
     "SolverTrace",
     "NumericFailureError",
-    "agp_step",
-    "gda_step",
     "stationarity_gap",
-    "regularized_gap",
     "run",
     "run_gda",
 ]
@@ -59,63 +57,15 @@ class NumericFailureError(RuntimeError):
         self.block = block
 
 
-@dataclass
-class SolverState:
-    k: int
-    x: np.ndarray
-    y: np.ndarray
-    x_prev: np.ndarray | None = None
-    y_prev: np.ndarray | None = None
-
-
 @dataclass(frozen=True)
 class GapVector:
     gx: np.ndarray
     gy: np.ndarray
-    regularized: bool
     norm: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "norm", _norm(self.gx, self.gy))
-
-
-def _require_finite(g, k, block):
-    if not np.all(np.isfinite(g)):
-        raise NumericFailureError(k, block)
-    return g
-
-
-def agp_step(problem: MinimaxProblem, state: SolverState, params: StepParams) -> SolverState:
-    """One alternating update; x first, then y at the fresh x."""
-    if params.k != state.k:
-        raise ValueError(f"params are for iteration {params.k}, state is at {state.k}")
-    x, y = problem.check_point(state.x, state.y)
-    gxf = _require_finite(problem.grad_x(x, y), params.k, "x")
-    x_new = problem.X.project(x - (gxf + params.b * x) / params.beta)
-    gy_new = _require_finite(problem.grad_y(x_new, y), params.k, "y")
-    y_new = problem.Y.project(y + (gy_new - params.c * y) / params.gamma)
-    return SolverState(k=state.k + 1, x=x_new, y=y_new, x_prev=x, y_prev=y)
-
-
-def gda_step(problem: MinimaxProblem, state: SolverState, step_x: float, step_y: float) -> SolverState:
-    """Simultaneous projected descent/ascent, both blocks from the old iterate."""
-    if not (step_x > 0 and step_y > 0):
-        raise ValueError("step sizes must be > 0")
-    x, y = problem.check_point(state.x, state.y)
-    gxf = _require_finite(problem.grad_x(x, y), state.k, "x")
-    gyf = _require_finite(problem.grad_y(x, y), state.k, "y")
-    x_new = problem.X.project(x - step_x * gxf)
-    y_new = problem.Y.project(y + step_y * gyf)
-    return SolverState(k=state.k + 1, x=x_new, y=y_new, x_prev=x, y_prev=y)
-
-
-def _gap_blocks(problem, x, y, gxf, gyf, beta, gamma):
-    return (beta * (x - problem.X.project(x - gxf / beta)),
-            gamma * (y - problem.Y.project(y + gyf / gamma)))
-
-
-def _norm(gx, gy) -> float:
-    return math.sqrt(float(gx @ gx) + float(gy @ gy))
+        object.__setattr__(self, "norm",
+                           math.sqrt(float(self.gx @ self.gx) + float(self.gy @ self.gy)))
 
 
 def stationarity_gap(problem: MinimaxProblem, x, y, beta: float, gamma: float) -> GapVector:
@@ -123,18 +73,9 @@ def stationarity_gap(problem: MinimaxProblem, x, y, beta: float, gamma: float) -
     if not (beta > 0 and gamma > 0):
         raise ValueError("beta and gamma must be > 0")
     x, y = problem.check_point(x, y)
-    gx, gy = _gap_blocks(problem, x, y, problem.grad_x(x, y), problem.grad_y(x, y),
-                         beta, gamma)
-    return GapVector(gx=gx, gy=gy, regularized=False)
-
-
-def regularized_gap(problem: MinimaxProblem, x, y, params: StepParams) -> GapVector:
-    """Same mapping with the gradients of f~ = f + (b/2)||x||^2 - (c/2)||y||^2."""
-    x, y = problem.check_point(x, y)
-    gxf = problem.grad_x(x, y) + params.b * x
-    gyf = problem.grad_y(x, y) - params.c * y
-    gx, gy = _gap_blocks(problem, x, y, gxf, gyf, params.beta, params.gamma)
-    return GapVector(gx=gx, gy=gy, regularized=True)
+    gxf, gyf = problem.grad_x(x, y), problem.grad_y(x, y)
+    return GapVector(gx=beta * (x - problem.X.project(x - gxf / beta)),
+                     gy=gamma * (y - problem.Y.project(y + gyf / gamma)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +175,10 @@ _COLUMNS = ("gap_norm", "reg_gap_norm", "beta", "gamma", "b", "c")
 def _iterate(problem, cfg, steps, eps, max_iter, init) -> SolverTrace:
     """The one solver loop: record row k at (x_k, y_k), stop or step.
 
-    With a regime config it steps by the alternating rule of ``agp_step``;
-    with ``cfg=None`` by the simultaneous rule of ``gda_step`` with
-    ``steps = (step_x, step_y)``.  Both wrappers reproduce it bit for bit.
+    With a regime config it steps by the alternating rule: the x-step, then
+    the y-step at the fresh x.  With ``cfg=None`` it steps by the
+    simultaneous rule, both blocks from the old iterate, with
+    ``steps = (step_x, step_y)``.
     """
     eps = _check_eps(eps)
     max_iter = int(max_iter)

@@ -9,16 +9,16 @@ PUBLIC_API = [
     "InfeasibleConfigError", "InvalidTraceError", "MinimaxProblem",
     "MonitorReport", "NcCConfig", "NcScConfig", "NumericFailureError",
     "Product", "Regime", "RegimeConfig", "RunSpec", "ScNcConfig", "Simplex",
-    "SmoothnessData", "SolverState", "SolverTrace", "StepParams",
+    "SmoothnessData", "SolverTrace", "StepParams",
     "SummaryRecord", "TheoryConstants", "UNBOUNDED", "UnsupportedRegimeError",
-    "WholeSpace", "agp_step", "auto_configure", "compute_bound", "contains",
-    "diameter", "finite_diff_check", "gda_step", "grid_extremum",
+    "WholeSpace", "auto_configure", "compute_bound",
+    "finite_diff_check", "grid_extremum",
     "is_unbounded", "lemma_monitor", "make_bilinear", "make_nc_sc_sine",
-    "make_quadratic", "make_robust_svm_toy", "make_sc_nc_sine", "max_norm",
-    "params_at", "parse_config", "parse_set", "project",
+    "make_quadratic", "make_robust_svm_toy", "make_sc_nc_sine",
+    "params_at", "parse_config", "parse_set",
     "random_quadratic", "rate_experiment", "rate_slope", "read_trace_csv",
-    "regularized_gap", "run", "run_gda", "run_suite",
-    "saddle_oracle_quadratic", "sample_point", "stationarity_gap",
+    "run", "run_gda", "run_suite",
+    "saddle_oracle_quadratic", "stationarity_gap",
     "theory_constants", "validate", "write_trace_csv",
 ]
 

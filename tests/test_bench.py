@@ -403,6 +403,19 @@ class TestCli:
                      "--eps", "1e-12", "--max-iter", "3"])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [["--max-iter", "0"], ["--eps", "nan"],
+                                       ["--eps", "-1"], ["--parallelism", "0"]],
+                             ids=lambda f: " ".join(f))
+    @pytest.mark.parametrize("command", ["solve", "rate", "check", "compare"])
+    def test_bad_flag_override_exit_4(self, tmp_path, capsys, command, flags):
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text("problem = quadratic(seed=7, nx=1, ny=1, regime=nc_sc)\n"
+                       "eps_grid = [1e-1, 1e-2, 1e-3]\nmax_iter = 100\n")
+        out = tmp_path / "out"
+        assert main([command, str(cfg), "--out-dir", str(out), *flags]) == 4
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_console_entry_point(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("problem = quadratic(seed=7, nx=1, ny=1, regime=nc_sc)\n"

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from agp.geometry import (Ball, Box, Product, Simplex, UNBOUNDED, WholeSpace,
-                          contains, diameter, is_unbounded, max_norm, parse_set,
-                          project, sample_point)
+                          is_unbounded, parse_set)
 
 
 def simplex_project_bisection(v, scale):
@@ -33,30 +32,30 @@ def all_variants(dim):
 class TestProject:
     def test_box_clamp(self):
         s = Box([0, 0], [1, 1])
-        np.testing.assert_allclose(project(s, [-0.5, 2.0]), [0.0, 1.0])
+        np.testing.assert_allclose(s.project([-0.5, 2.0]), [0.0, 1.0])
 
     def test_whole_space_identity(self):
         s = WholeSpace(2)
-        np.testing.assert_allclose(project(s, [3.1, -4.2]), [3.1, -4.2])
+        np.testing.assert_allclose(s.project([3.1, -4.2]), [3.1, -4.2])
 
     def test_simplex_sort_threshold(self):
         s = Simplex(3, scale=1.0)
-        got = project(s, [2.0, 0.5, 0.5])
+        got = s.project([2.0, 0.5, 0.5])
         want = simplex_project_bisection(np.array([2.0, 0.5, 0.5]), 1.0)
         np.testing.assert_allclose(got, [1.0, 0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_ball_radial_scaling(self):
         s = Ball([0.0, 0.0], 1.0)
-        np.testing.assert_allclose(project(s, [3.0, 4.0]), [0.6, 0.8])
+        np.testing.assert_allclose(s.project([3.0, 4.0]), [0.6, 0.8])
 
     def test_ball_center_degenerate(self):
         s = Ball([1.0, 2.0], 0.5)
-        np.testing.assert_allclose(project(s, [1.0, 2.0]), [1.0, 2.0])
+        np.testing.assert_allclose(s.project([1.0, 2.0]), [1.0, 2.0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            project(Box([0], [1]), [1.0, 2.0])
+            Box([0], [1]).project([1.0, 2.0])
 
     def test_simplex_matches_bisection_oracle_dims_to_10(self):
         rng = np.random.default_rng(42)
@@ -65,11 +64,11 @@ class TestProject:
             for _ in range(50):
                 v = 3 * rng.standard_normal(dim)
                 np.testing.assert_allclose(
-                    project(s, v), simplex_project_bisection(v, 1.0), atol=1e-10)
+                    s.project(v), simplex_project_bisection(v, 1.0), atol=1e-10)
 
     def test_product_blockwise(self):
         s = Product((Ball([0.0], 1.0), Box([0.0], [1.0])))
-        np.testing.assert_allclose(project(s, [5.0, -3.0]), [1.0, 0.0])
+        np.testing.assert_allclose(s.project([5.0, -3.0]), [1.0, 0.0])
 
 
 class TestProjectionProperties:
@@ -80,69 +79,77 @@ class TestProjectionProperties:
             for _ in range(350):
                 v = 4 * rng.standard_normal(dim)
                 w = 4 * rng.standard_normal(dim)
-                pv, pw = project(s, v), project(s, w)
+                pv, pw = s.project(v), s.project(w)
                 assert np.linalg.norm(pv - pw) <= np.linalg.norm(v - w) + 1e-10
-                np.testing.assert_allclose(project(s, pv), pv, atol=1e-12)
-                assert contains(s, pv, tol=1e-12)
-                u = sample_point(s, rng)
+                np.testing.assert_allclose(s.project(pv), pv, atol=1e-12)
+                assert s.contains(pv, tol=1e-12)
+                u = s.sample(rng)
                 assert np.linalg.norm(pv - v) <= np.linalg.norm(u - v) + 1e-10
 
 
 class TestContains:
     def test_box_inside(self):
-        assert contains(Box([0, 0], [1, 1]), [0.5, 0.5], tol=0.0)
+        assert Box([0, 0], [1, 1]).contains([0.5, 0.5], tol=0.0)
 
     def test_ball_within_tol(self):
-        assert contains(Ball([0.0, 0.0], 1.0), [1.0 + 1e-9, 0.0], tol=1e-8)
+        assert Ball([0.0, 0.0], 1.0).contains([1.0 + 1e-9, 0.0], tol=1e-8)
 
     def test_simplex_sum_violation(self):
-        assert not contains(Simplex(3, 1.0), [0.5, 0.5, 0.5], tol=1e-8)
+        assert not Simplex(3, 1.0).contains([0.5, 0.5, 0.5], tol=1e-8)
 
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            contains(Box([0], [1]), [0.5], tol=-1.0)
+    @pytest.mark.parametrize("s", [
+        WholeSpace(1),
+        Box([0.0], [1.0]),
+        Ball([0.0], 1.0),
+        Simplex(1),
+        Product((Box([0.0], [1.0]),)),
+    ], ids=lambda s: type(s).__name__)
+    @pytest.mark.parametrize("tol", [-1.0, math.nan])
+    def test_negative_tol_rejected(self, s, tol):
+        with pytest.raises(ValueError, match="tol"):
+            s.contains(s.project(np.full(s.dim, 0.5)), tol=tol)
 
 
 class TestSizes:
     def test_box_diameter(self):
-        assert diameter(Box([0, 0], [1, 1])) == pytest.approx(math.sqrt(2))
+        assert Box([0, 0], [1, 1]).diameter() == pytest.approx(math.sqrt(2))
 
     def test_ball_diameter(self):
-        assert diameter(Ball([3.0, 1.0], 0.7)) == pytest.approx(1.4)
+        assert Ball([3.0, 1.0], 0.7).diameter() == pytest.approx(1.4)
 
     def test_simplex_diameter_vertex_pairs(self):
         # oracle: max pairwise distance over the scaled vertices
         scale = 1.0
         verts = [scale * np.eye(3)[i] for i in range(3)]
         want = max(np.linalg.norm(a - b) for a in verts for b in verts)
-        assert diameter(Simplex(3, scale)) == pytest.approx(want)
+        assert Simplex(3, scale).diameter() == pytest.approx(want)
         assert want == pytest.approx(math.sqrt(2))
 
     def test_whole_space_unbounded_marker(self):
-        assert is_unbounded(diameter(WholeSpace(3)))
-        assert is_unbounded(max_norm(WholeSpace(3)))
-        assert diameter(WholeSpace(3)) is UNBOUNDED
+        assert is_unbounded(WholeSpace(3).diameter())
+        assert is_unbounded(WholeSpace(3).max_norm())
+        assert WholeSpace(3).diameter() is UNBOUNDED
 
     def test_box_max_norm(self):
-        assert max_norm(Box([-1, -1], [1, 1])) == pytest.approx(math.sqrt(2))
+        assert Box([-1, -1], [1, 1]).max_norm() == pytest.approx(math.sqrt(2))
 
     def test_ball_max_norm(self):
-        assert max_norm(Ball([0.0, 0.0], 2.0)) == pytest.approx(2.0)
+        assert Ball([0.0, 0.0], 2.0).max_norm() == pytest.approx(2.0)
 
     def test_asymmetric_box_max_norm_corner_enumeration(self):
         s = Box([1, -2], [3, 0])
         corners = [np.array([a, b]) for a in (1, 3) for b in (-2, 0)]
         want = max(np.linalg.norm(c) for c in corners)
-        assert max_norm(s) == pytest.approx(want)
+        assert s.max_norm() == pytest.approx(want)
         assert want == pytest.approx(math.sqrt(13))
 
     def test_simplex_max_norm(self):
-        assert max_norm(Simplex(4, scale=2.5)) == pytest.approx(2.5)
+        assert Simplex(4, scale=2.5).max_norm() == pytest.approx(2.5)
 
     def test_product_sizes(self):
         s = Product((Ball([0.0], 1.0), Box([-1.0], [1.0])))
-        assert diameter(s) == pytest.approx(math.hypot(2.0, 2.0))
-        assert max_norm(s) == pytest.approx(math.hypot(1.0, 1.0))
+        assert s.diameter() == pytest.approx(math.hypot(2.0, 2.0))
+        assert s.max_norm() == pytest.approx(math.hypot(1.0, 1.0))
 
 
 class TestValidation:
@@ -174,11 +181,11 @@ class TestSerialization:
         rng = np.random.default_rng(0)
         for _ in range(10):
             v = rng.standard_normal(s.dim)
-            np.testing.assert_array_equal(project(s, v), project(t, v))
+            np.testing.assert_array_equal(s.project(v), t.project(v))
 
     def test_sample_lands_inside(self):
         rng = np.random.default_rng(3)
         for dim in (1, 2, 6):
             for s in all_variants(dim):
                 for _ in range(100):
-                    assert contains(s, sample_point(s, rng), tol=1e-9)
+                    assert s.contains(s.sample(rng), tol=1e-9)

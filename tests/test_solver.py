@@ -10,9 +10,7 @@ from agp.objective import Regime, make_bilinear, make_quadratic, random_quadrati
 from agp.schedules import (CNcConfig, InfeasibleConfigError, NcCConfig,
                            NcScConfig, ScNcConfig, StepParams, auto_configure,
                            params_at)
-from agp.solver import (GapVector, NumericFailureError, SolverState, agp_step,
-                        gda_step, regularized_gap, run, run_gda,
-                        stationarity_gap)
+from agp.solver import GapVector, NumericFailureError, run, run_gda, stationarity_gap
 from agp.verify import potentials, saddle_oracle_quadratic
 
 from conftest import zoo_instances
@@ -27,82 +25,102 @@ def sp(beta, gamma, b=0.0, c=0.0, k=1):
     return StepParams(beta=beta, gamma=gamma, b=b, c=c, k=k)
 
 
+# beta = eta = 2 and gamma = 1/rho = 2, with b = c = 0
+HAND_CFG = NcScConfig(eta=2.0, rho=0.5)
+
+
+def solve(p, cfg_or_steps, eps, max_iter, init="project-origin"):
+    """run with a regime config, run_gda with a (step_x, step_y) pair."""
+    if isinstance(cfg_or_steps, tuple):
+        return run_gda(p, *cfg_or_steps, eps, max_iter, init)
+    return run(p, cfg_or_steps, eps, max_iter, init)
+
+
+def two_iterates(p, cfg_or_steps, x0, y0):
+    """The first two iterates of a 1-d problem from (x0, y0)."""
+    return solve(p, cfg_or_steps, 1e-15, 2, (np.array([x0]), np.array([y0])))
+
+
+def reference_iterates(p, cfg_or_steps, x0, y0, n):
+    """The first n iterates from (x0, y0), one oracle call at a time.
+
+    With a regime config, the alternating update: the x-step, then the
+    y-step at the fresh x, with the step parameters of iteration k.  With a
+    ``(step_x, step_y)`` pair, the simultaneous update of both blocks from
+    the old iterate.
+    """
+    xs, ys = [x0], [y0]
+    for k in range(1, n):
+        x, y = xs[-1], ys[-1]
+        if isinstance(cfg_or_steps, tuple):
+            step_x, step_y = cfg_or_steps
+            xs.append(p.X.project(x - step_x * p.grad_x(x, y)))
+            ys.append(p.Y.project(y + step_y * p.grad_y(x, y)))
+        else:
+            s = params_at(cfg_or_steps, p.constants, k)
+            xs.append(p.X.project(x - (p.grad_x(x, y) + s.b * x) / s.beta))
+            ys.append(p.Y.project(y + (p.grad_y(xs[-1], y) - s.c * y) / s.gamma))
+    return np.array(xs), np.array(ys)
+
+
+def regularized_gap_reference(p, x, y, params):
+    """The gap mapping with the gradients of f~ = f + (b/2)||x||^2 - (c/2)||y||^2."""
+    gxf = p.grad_x(x, y) + params.b * x
+    gyf = p.grad_y(x, y) - params.c * y
+    return GapVector(gx=params.beta * (x - p.X.project(x - gxf / params.beta)),
+                     gy=params.gamma * (y - p.Y.project(y + gyf / params.gamma)))
+
+
 class TestAgpStep:
+    """The first alternating step of run, against hand-executed updates."""
+
     def test_fixed_point_at_zero_gradient(self):
-        p = make_bilinear([[1.0]], X=Box([-1], [1]), Y=Box([-1], [1]))
-        s = SolverState(k=1, x=np.array([0.0]), y=np.array([0.0]))
-        out = agp_step(p, s, sp(2.0, 2.0))
-        np.testing.assert_array_equal(out.x, [0.0])
-        np.testing.assert_array_equal(out.y, [0.0])
-        assert out.k == 2
+        p = make_quadratic([[1.0]], [[1.0]], [[1.0]], X=Box([-1], [1]), Y=Box([-1], [1]))
+        tr = two_iterates(p, HAND_CFG, 0.0, 0.0)
+        assert tr.T_eps == 1 and len(tr) == 1
+        np.testing.assert_array_equal(tr.xs, [[0.0]])
+        np.testing.assert_array_equal(tr.ys, [[0.0]])
 
     def test_hand_executed_updates(self):
         # x+ = 1 - (1/2)(x + y) = 0; y+ = 1 + (1/2)(x+ - y) = 0.5
-        p = quad_1d()
-        s = SolverState(k=1, x=np.array([1.0]), y=np.array([1.0]))
-        out = agp_step(p, s, sp(2.0, 2.0))
-        np.testing.assert_allclose(out.x, [0.0])
-        np.testing.assert_allclose(out.y, [0.5])
-        np.testing.assert_array_equal(out.x_prev, [1.0])
-        np.testing.assert_array_equal(out.y_prev, [1.0])
+        tr = two_iterates(quad_1d(), HAND_CFG, 1.0, 1.0)
+        np.testing.assert_allclose(tr.xs, [[1.0], [0.0]])
+        np.testing.assert_allclose(tr.ys, [[1.0], [0.5]])
 
     def test_projection_clamps_x(self):
         p = make_quadratic([[1.0]], [[1.0]], [[1.0]], X=Box([0.5], [2.0]),
                            Y=WholeSpace(1))
-        s = SolverState(k=1, x=np.array([1.0]), y=np.array([1.0]))
-        out = agp_step(p, s, sp(2.0, 2.0))
-        np.testing.assert_allclose(out.x, [0.5])
-
-    def test_params_iteration_mismatch(self):
-        p = quad_1d()
-        s = SolverState(k=3, x=np.array([1.0]), y=np.array([1.0]))
-        with pytest.raises(ValueError):
-            agp_step(p, s, sp(2.0, 2.0, k=1))
-
-    def test_nonfinite_gradient_reports_block(self):
-        p = make_quadratic([[1.0]], [[1.0]], [[1.0]])
-        bad = make_quadratic([[1.0]], [[1.0]], [[1.0]])
-        bad = type(p)(dim_x=1, dim_y=1, X=p.X, Y=p.Y, value=p.value,
-                      grad_x=lambda x, y: np.array([math.nan]),
-                      grad_y=p.grad_y, constants=p.constants)
-        s = SolverState(k=5, x=np.array([1.0]), y=np.array([1.0]))
-        with pytest.raises(NumericFailureError) as ei:
-            agp_step(bad, s, sp(2.0, 2.0, k=5))
-        assert ei.value.k == 5 and ei.value.block == "x"
+        tr = two_iterates(p, HAND_CFG, 1.0, 1.0)
+        np.testing.assert_allclose(tr.xs[1], [0.5])
 
 
 class TestGdaStep:
+    """The first simultaneous step of run_gda, against hand-executed updates."""
+
     def test_bilinear_norm_grows(self):
-        p = make_bilinear([[1.0]])
-        s = SolverState(k=1, x=np.array([1.0]), y=np.array([0.0]))
-        out = gda_step(p, s, 0.1, 0.1)
-        np.testing.assert_allclose(out.x, [1.0])
-        np.testing.assert_allclose(out.y, [0.1])
-        assert np.hypot(out.x[0], out.y[0]) ** 2 == pytest.approx(1.01)
+        tr = two_iterates(make_bilinear([[1.0]]), (0.1, 0.1), 1.0, 0.0)
+        np.testing.assert_allclose(tr.xs[1], [1.0])
+        np.testing.assert_allclose(tr.ys[1], [0.1])
+        assert np.hypot(tr.xs[1][0], tr.ys[1][0]) ** 2 == pytest.approx(1.01)
 
     def test_contrast_with_alternating_update(self):
-        # same state, same steps: y+ differs (1.0 vs 0.5) because the
+        # same start, same steps: y+ differs (1.0 vs 0.5) because the
         # simultaneous step uses the stale x
-        p = quad_1d()
-        s = SolverState(k=1, x=np.array([1.0]), y=np.array([1.0]))
-        sim = gda_step(p, s, 0.5, 0.5)
-        alt = agp_step(p, s, sp(2.0, 2.0))
-        np.testing.assert_allclose(sim.x, [0.0])
-        np.testing.assert_allclose(sim.y, [1.0])
-        np.testing.assert_allclose(alt.y, [0.5])
+        sim = two_iterates(quad_1d(), (0.5, 0.5), 1.0, 1.0)
+        alt = two_iterates(quad_1d(), HAND_CFG, 1.0, 1.0)
+        np.testing.assert_allclose(sim.xs[1], [0.0])
+        np.testing.assert_allclose(sim.ys[1], [1.0])
+        np.testing.assert_allclose(alt.ys[1], [0.5])
 
     def test_fixed_point(self):
-        p = quad_1d()
-        s = SolverState(k=1, x=np.array([0.0]), y=np.array([0.0]))
-        out = gda_step(p, s, 0.5, 0.5)
-        np.testing.assert_array_equal(out.x, [0.0])
-        np.testing.assert_array_equal(out.y, [0.0])
+        tr = two_iterates(quad_1d(), (0.5, 0.5), 0.0, 0.0)
+        assert tr.T_eps == 1 and len(tr) == 1
+        np.testing.assert_array_equal(tr.xs, [[0.0]])
+        np.testing.assert_array_equal(tr.ys, [[0.0]])
 
     def test_positive_steps_required(self):
-        p = quad_1d()
-        s = SolverState(k=1, x=np.array([0.0]), y=np.array([0.0]))
         with pytest.raises(ValueError):
-            gda_step(p, s, 0.0, 0.1)
+            run_gda(quad_1d(), 0.0, 0.1, eps=1e-6, max_iter=10)
 
 
 class TestStationarityGap:
@@ -149,17 +167,16 @@ class TestRegularizedGap:
         p = quad_1d()
         x, y = np.array([0.7]), np.array([-0.3])
         raw = stationarity_gap(p, x, y, 2.0, 3.0)
-        reg = regularized_gap(p, x, y, sp(2.0, 3.0))
+        reg = regularized_gap_reference(p, x, y, sp(2.0, 3.0))
         np.testing.assert_array_equal(raw.gx, reg.gx)
         np.testing.assert_array_equal(raw.gy, reg.gy)
-        assert reg.regularized
 
     def test_c_substitution(self):
         # interior, base grad_y = 1, c = 0.5, y = 2 -> regularized gy = 0
         p = make_quadratic(np.zeros((1, 1)), [[1.0]], np.zeros((1, 1)),
                            X=WholeSpace(1), Y=WholeSpace(1))
-        g = regularized_gap(p, np.array([1.0]), np.array([2.0]),
-                            sp(1.0, 1.0, b=0.0, c=0.5))
+        g = regularized_gap_reference(p, np.array([1.0]), np.array([2.0]),
+                                      sp(1.0, 1.0, b=0.0, c=0.5))
         assert g.gy[0] == pytest.approx(0.0)
 
     def test_bridge_inequality_random_states(self):
@@ -172,8 +189,19 @@ class TestRegularizedGap:
             c = rng.uniform(0.0, 0.5)
             params = sp(3.0, 2.0, b=0.0, c=c)
             raw = stationarity_gap(p, x, y, 3.0, 2.0)
-            reg = regularized_gap(p, x, y, params)
+            reg = regularized_gap_reference(p, x, y, params)
             assert raw.norm <= reg.norm + c * np.linalg.norm(y) + 1e-9
+
+    @pytest.mark.parametrize("seed, regime", [(3, Regime.NC_C), (4, Regime.C_NC)])
+    def test_trace_column_matches_reference(self, seed, regime):
+        p = random_quadratic(seed, 2, 2, regime)
+        cfg = auto_configure(p.constants, regime)
+        tr = run(p, cfg, eps=1e-12, max_iter=60)
+        assert np.all(tr.b + tr.c > 0)
+        for i in range(len(tr)):
+            pk = params_at(cfg, p.constants, int(tr.k[i]))
+            g = regularized_gap_reference(p, tr.xs[i], tr.ys[i], pk)
+            assert tr.reg_gap_norm[i] == pytest.approx(g.norm, rel=1e-12)
 
 
 def potential_column(cfg, p, xs, ys):
@@ -531,14 +559,14 @@ class TestProjectionCount:
 
 
 class TestWrappersShareRule:
+    """run and run_gda reproduce the update rule of reference_iterates bit for bit."""
+
     @staticmethod
-    def replay(p, cfg):
-        tr = run(p, cfg, eps=1e-12, max_iter=60)
-        s = SolverState(k=1, x=tr.xs[0], y=tr.ys[0])
-        for i in range(1, len(tr)):
-            s = agp_step(p, s, params_at(cfg, p.constants, s.k))
-            np.testing.assert_array_equal(s.x, tr.xs[i])
-            np.testing.assert_array_equal(s.y, tr.ys[i])
+    def replay(p, cfg_or_steps):
+        tr = solve(p, cfg_or_steps, 1e-12, 60)
+        xs, ys = reference_iterates(p, cfg_or_steps, tr.xs[0], tr.ys[0], len(tr))
+        np.testing.assert_array_equal(xs, tr.xs)
+        np.testing.assert_array_equal(ys, tr.ys)
         return tr
 
     @pytest.mark.parametrize("seed, regime", [(3, Regime.NC_C), (4, Regime.C_NC),
@@ -555,10 +583,4 @@ class TestWrappersShareRule:
         self.replay(p, auto_configure(p.constants, Regime.C_NC))
 
     def test_gda_step_reproduces_run_gda(self):
-        p = random_quadratic(5, 2, 2, Regime.NC_SC)
-        tr = run_gda(p, 0.05, 0.2, eps=1e-12, max_iter=60)
-        s = SolverState(k=1, x=tr.xs[0], y=tr.ys[0])
-        for i in range(1, len(tr)):
-            s = gda_step(p, s, 0.05, 0.2)
-            np.testing.assert_array_equal(s.x, tr.xs[i])
-            np.testing.assert_array_equal(s.y, tr.ys[i])
+        self.replay(random_quadratic(5, 2, 2, Regime.NC_SC), (0.05, 0.2))
