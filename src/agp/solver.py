@@ -20,11 +20,12 @@ records the regularized gap norm, the same mapping with the gradients of
 f~ = f + (b_k/2)||x||^2 - (c_k/2)||y||^2, which the NC-C and C-NC monitors
 read.
 
-The loop records the iterates; after it, one batched pass of
-``problem.values`` gives the f(x_k, y_k) column, and an alternating trace
-also records f(x_{k+1}, y_k) (``SolverTrace.f_mixed``).  Its potential and
-monitor-slack columns are array functions of those records, computed by the
-verification module.
+The loop records the iterates in row buffers that grow in place and are
+trimmed to the trace's length, so a trace owns exactly its rows.  After
+the loop, one batched pass of ``problem.values`` gives the f(x_k, y_k)
+column, and an alternating trace also records f(x_{k+1}, y_k)
+(``SolverTrace.f_mixed``).  Its potential and monitor-slack columns are
+array functions of those records, computed by the verification module.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .objective import MinimaxProblem, Regime
 from .schedules import RegimeConfig, StepParams, _step_floats, params_at
-from .verify import trace_columns
+from .verify import _row_diffs, trace_columns
 
 __all__ = [
     "GapVector",
@@ -199,6 +200,9 @@ def _iterate(problem, cfg, steps, eps, max_iter, init) -> SolverTrace:
     # ndarray.dot is the dot of @, with less call overhead
     zx, zy = np.zeros(problem.dim_x), np.zeros(problem.dim_y)
 
+    # The row buffers start at 1024 rows and grow by a quarter in place, so
+    # past 1024 rows they hold at most 1.25 times the rows recorded; max_iter
+    # only caps them.  The loop keeps no view of them.
     cap = min(max_iter, 1024)
     rows = np.empty((cap, len(_COLUMNS)))
     xs = np.empty((cap, problem.dim_x))
@@ -212,10 +216,8 @@ def _iterate(problem, cfg, steps, eps, max_iter, init) -> SolverTrace:
     with np.errstate(invalid="ignore"):
         for k in range(1, max_iter + 1):
             if n == cap:
-                cap = min(max_iter, 2 * cap)
-                rows = np.resize(rows, (cap, len(_COLUMNS)))
-                xs = np.resize(xs, (cap, problem.dim_x))
-                ys = np.resize(ys, (cap, problem.dim_y))
+                cap = min(max_iter, cap + cap // 4)
+                _resize_rows((rows, xs, ys), cap)
             if growing:
                 beta, gamma, b, c, floored = _step_floats(cfg, data, k)
                 floored_any = floored_any or floored
@@ -256,9 +258,24 @@ def _iterate(problem, cfg, steps, eps, max_iter, init) -> SolverTrace:
                     raise NumericFailureError(k, "y")
                 x, y = px, project_y(y + (gy_new - c * y) / gamma)
 
-    return _assemble_trace(problem, cfg, rows[:n], xs[:n].copy(), ys[:n].copy(),
-                           reason, T_eps, eps, "agp" if cfg is not None else "gda",
-                           floored_any)
+    _resize_rows((rows, xs, ys), n)
+    return _assemble_trace(problem, cfg, rows, xs, ys, reason, T_eps, eps,
+                           "agp" if cfg is not None else "gda", floored_any)
+
+
+def _resize_rows(buffers, n):
+    """Give each row buffer ``n`` rows in place.
+
+    ``ndarray.resize`` reallocates the one buffer instead of building a
+    second array and copying the rows into it.  No view of a buffer may be
+    alive across the call.
+    """
+    for buf in buffers:
+        buf.resize((n, buf.shape[1]), refcheck=False)
+
+
+def _row_norm(d):
+    return np.linalg.norm(d, axis=1)
 
 
 def _assemble_trace(problem, cfg, rows, xs, ys, reason, T_eps, eps, algo,
@@ -268,9 +285,8 @@ def _assemble_trace(problem, cfg, rows, xs, ys, reason, T_eps, eps, algo,
     cols["f"] = problem.values(xs, ys)
     dx = np.full(n, np.nan)
     dy = np.full(n, np.nan)
-    if n > 1:
-        dx[1:] = np.linalg.norm(np.diff(xs, axis=0), axis=1)
-        dy[1:] = np.linalg.norm(np.diff(ys, axis=0), axis=1)
+    dx[1:] = _row_diffs(xs, _row_norm)
+    dy[1:] = _row_diffs(ys, _row_norm)
     f_mixed = None
     potential = np.full(n, np.nan)
     slack = np.full(n, np.nan)

@@ -168,14 +168,36 @@ def Dhat1_c_nc(cfg: CNcConfig, data) -> float:
 # per-trace inequality evaluation
 
 
-def _sq_diffs(arr):
-    d = np.diff(arr, axis=0)
+def _row_diffs(a, row_fn):
+    """``row_fn(np.diff(a, axis=0))`` over chunks of ``VALUE_CHUNK`` rows.
+
+    Each chunk overlaps the next by one row, so no difference array of the
+    whole trace exists; ``row_fn`` must map each row on its own, and then
+    every entry has the bits of the whole-array formula.
+    """
+    out = np.empty(max(len(a) - 1, 0))
+    for s in range(0, len(out), VALUE_CHUNK):
+        out[s:s + VALUE_CHUNK] = row_fn(np.diff(a[s:s + VALUE_CHUNK + 1], axis=0))
+    return out
+
+
+def _einsum_sq(d):
     return np.einsum("ij,ij->i", d, d)
 
 
 def _row_sq(a):
     # vecdot matches a per-row ``a @ a`` bit for bit; einsum does not
     return np.vecdot(a, a)
+
+
+def _missing_modulus(cfg, d) -> str | None:
+    """``"mu"`` for an NC-SC config without mu > 0, ``"theta"`` for an SC-NC
+    one without theta > 0, else None: their potentials divide by it."""
+    if isinstance(cfg, NcScConfig) and not d.mu > 0:
+        return "mu"
+    if isinstance(cfg, ScNcConfig) and not d.theta > 0:
+        return "theta"
+    return None
 
 
 def potentials(cfg: RegimeConfig, d, xs, ys, f, fmix) -> np.ndarray:
@@ -185,32 +207,35 @@ def potentials(cfg: RegimeConfig, d, xs, ys, f, fmix) -> np.ndarray:
     and ``d`` the smoothness data.  Entry j-1 is the j-th potential: NC-SC and
     NC-C add iterate terms to ``f[j-1]``, SC-NC and C-NC to ``fmix[j-1]``.
     NaN while the referenced iterates or schedule values do not exist yet
-    (the first 1-2 rows, or the missing lookahead x_{j+1} on the last row).
+    (the first 1-2 rows, or the missing lookahead x_{j+1} on the last row),
+    and everywhere for an NC-SC (SC-NC) config without mu > 0 (theta > 0).
     """
     n = len(xs)
     pot = np.full(n, np.nan)
+    if _missing_modulus(cfg, d):
+        return pot
     if isinstance(cfg, NcScConfig):  # j = 2..n
         rho, mu, Ly = cfg.rho, d.mu, d.L_y
         coeff = mu + 7.0 / (2 * rho) - rho * Ly**2 / 2 - 2 * Ly**2 / mu
         s = 2.0 / (rho**2 * mu)
-        pot[1:] = f[1:] + (s - coeff) * _row_sq(np.diff(ys, axis=0))
+        pot[1:] = f[1:] + (s - coeff) * _row_diffs(ys, _row_sq)
     elif isinstance(cfg, NcCConfig):  # j = 3..n
         rb = cfg.rho_bar
         c = np.array([cfg.c(k) for k in range(1, n + 1)])
         cj, cjm1, cjm2 = c[2:], c[1:-1], c[:-2]
-        dy2 = _row_sq(np.diff(ys, axis=0))[1:]
+        dy2 = _row_diffs(ys, _row_sq)[1:]
         yn2 = _row_sq(ys)[2:]
         s = (4.0 / (rb**2 * cj)) * dy2 - (4.0 / rb) * (cjm2 / cjm1 - 1.0) * yn2
         pot[2:] = f[2:] + s - 7.0 / (2 * rb) * dy2 - 0.5 * cjm1 * yn2
     elif isinstance(cfg, ScNcConfig):  # j = 1..n-1
         z, th = cfg.zeta, d.theta
-        dx2 = _row_sq(np.diff(xs, axis=0))
+        dx2 = _row_diffs(xs, _row_sq)
         pot[:-1] = fmix - (2.0 / (z**2 * th)) * dx2 - (th / 2 - 3.0 / z) * dx2
     elif isinstance(cfg, CNcConfig):  # j = 2..n-1
         zb = cfg.zeta_bar
         q = np.array([cfg.q(k) for k in range(1, n)])
         qj, qjm1 = q[1:], q[:-1]
-        dx2 = _row_sq(np.diff(xs, axis=0))[1:]
+        dx2 = _row_diffs(xs, _row_sq)[1:]
         xn2 = _row_sq(xs)[2:]
         s = -(4.0 / (zb**2 * qj)) * dx2 - (4.0 / zb) * (1.0 - qjm1 / qj) * xn2
         pot[1:-1] = fmix[1:] + s + 17.0 / (5 * zb) * dx2 + 0.5 * qjm1 * xn2
@@ -226,9 +251,12 @@ def _inequalities(cfg, d, xs, ys, f, fmix, gap, rgap, beta, gamma, pot):
     ``d`` is the smoothness data, ``fmix[k-1] = f(x_{k+1}, y_k)``,
     ``pot[j-1]`` the j-th potential value.
     """
+    modulus = _missing_modulus(cfg, d)
+    if modulus:
+        raise InvalidTraceError(f"the {cfg.regime.value} inequalities need {modulus} > 0")
     n = len(xs)
-    dx2 = _sq_diffs(xs)  # dx2[k-1] = ||x_{k+1}-x_k||^2, k = 1..n-1
-    dy2 = _sq_diffs(ys)
+    dx2 = _row_diffs(xs, _einsum_sq)  # dx2[k-1] = ||x_{k+1}-x_k||^2, k = 1..n-1
+    dy2 = _row_diffs(ys, _einsum_sq)
     xn2 = np.einsum("ij,ij->i", xs, xs)
     yn2 = np.einsum("ij,ij->i", ys, ys)
     out = []
@@ -608,6 +636,9 @@ def theory_constants(problem: MinimaxProblem, cfg: RegimeConfig, trace: SolverTr
     """
     _require_f_mixed(trace)
     d = problem.constants
+    modulus = _missing_modulus(cfg, d)
+    if modulus:
+        raise InfeasibleConfigError(f"the {cfg.regime.value} bound needs {modulus} > 0")
     sigma_x, sigma_y, sighat_x, sighat_y = _finite_sizes(problem)
     ext = grid_extremum(problem, resolution)
     f_lower = ext.f_lower - ext.pad

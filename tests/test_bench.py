@@ -416,6 +416,30 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("regime, modulus", [("nc_sc(eta=2, rho=0.5)", "mu"),
+                                                  ("sc_nc(zeta=0.5, nu=2)", "theta")],
+                             ids=["nc_sc", "sc_nc"])
+    def test_regime_without_its_modulus(self, tmp_path, capsys, regime, modulus):
+        # bilinear has mu = theta = 0: the loop runs, but the NC-SC / SC-NC
+        # potentials, monitors and bound do not apply to it
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(f"problem = bilinear(dim=1)\nregime = {regime}\n"
+                       "x0 = [1]\ny0 = [1]\nmax_iter = 50\n")
+        out = tmp_path / "out"
+        assert main(["solve", str(cfg), "--out-dir", str(out)]) == 2
+        rec = json.loads((out / "summary.json").read_text())["runs"][0]
+        assert rec["error"] is None and rec["monitor_pass"] is None
+        assert rec["bound_error"] == (f"InfeasibleConfigError: the {regime[:5]} bound "
+                                      f"needs {modulus} > 0")
+        trace = read_trace_csv(out / "run000.csv")
+        assert len(trace["k"]) == 50
+        assert np.all(np.isnan(trace["potential"]))
+        assert np.all(np.isnan(trace["monitor_slack"]))
+        capsys.readouterr()
+        assert main(["check", str(cfg)]) == 0
+        assert f"monitors=n/a (the {regime[:5]} inequalities need {modulus} > 0)" \
+            in capsys.readouterr().out
+
     def test_console_entry_point(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("problem = quadratic(seed=7, nx=1, ny=1, regime=nc_sc)\n"

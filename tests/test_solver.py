@@ -1,10 +1,12 @@
 import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from agp import verify
 from agp.geometry import Ball, Box, Product, WholeSpace
 from agp.objective import Regime, make_bilinear, make_quadratic, random_quadratic
 from agp.schedules import (CNcConfig, InfeasibleConfigError, NcCConfig,
@@ -584,3 +586,96 @@ class TestWrappersShareRule:
 
     def test_gda_step_reproduces_run_gda(self):
         self.replay(random_quadratic(5, 2, 2, Regime.NC_SC), (0.05, 0.2))
+
+
+def traced_run(*args, **kwargs):
+    """``run`` under tracemalloc: (trace, peak, held) in bytes over the baseline."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tr = run(*args, **kwargs)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return tr, peak - base, held - base
+
+
+class TestTraceMemory:
+    """A trace costs its payload: no second copy of the iterates, no n x d
+    diff temporaries, no buffer beyond the recorded rows."""
+
+    def test_peak_within_payload_bound(self):
+        # stops by eps at 21,286 rows, so the grown buffers must be trimmed
+        p = random_quadratic(9, 64, 64, Regime.NC_SC)
+        cfg = auto_configure(p.constants, Regime.NC_SC)
+        tr, peak, held = traced_run(p, cfg, eps=1e-3, max_iter=10**6)
+        n = len(tr)
+        assert tr.reason == "gap_le_eps" and 15_000 < n < 30_000
+        assert tr.xs.shape == (n, p.dim_x) and tr.ys.shape == (n, p.dim_y)
+        payload = tr.xs.nbytes + tr.ys.nbytes
+        assert peak <= 1.5 * payload
+        # The trace's own arrays are 1.1x the iterates at 64 x 64: 13 per-row
+        # columns (104 B) against 1,024 B of iterates.  An iterate array that
+        # is a view of a larger buffer holds more than its nbytes.
+        owned = sum(v.nbytes for v in vars(tr).values() if isinstance(v, np.ndarray))
+        assert owned <= 1.11 * payload
+        assert held <= owned + 0.01 * payload
+
+    def test_no_rows_reserved_up_front(self):
+        p = random_quadratic(7, 2, 2, Regime.NC_SC)
+        cfg = auto_configure(p.constants, Regime.NC_SC)
+        tr, peak, _ = traced_run(p, cfg, eps=1e-6, max_iter=10**7)
+        assert tr.reason == "gap_le_eps" and len(tr) <= 1000
+        assert peak < 2 * 2**20
+
+
+# f = x^2/1000 - y^2/2 on the whole plane: under HAND_CFG the x-step is
+# x <- 0.999 x, so the gap falls strictly and never reaches 0
+SLOW_1D = make_quadratic([[0.002]], [[0.0]], [[1.0]])
+
+
+class TestGrowthBoundaries:
+    """Trace lengths on both sides of each growth step of the row buffers
+    (1024 rows, then a quarter more: 1280, 1600)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 1279, 1280, 1281, 1599,
+                                   1600, 1601])
+    def test_iterates_match_reference(self, n):
+        init = (np.array([1.0]), np.array([1.0]))
+        capped = run(SLOW_1D, HAND_CFG, eps=1e-300, max_iter=n, init=init)
+        # the same rows, stopped by eps from buffers that outgrew them
+        stopped = run(SLOW_1D, HAND_CFG, eps=capped.gap_norm[-1], max_iter=10**6,
+                      init=init)
+        xs, ys = reference_iterates(SLOW_1D, HAND_CFG, init[0], init[1], n)
+        for tr in (capped, stopped):
+            assert len(tr) == n and tr.xs.shape == (n, 1) and tr.ys.shape == (n, 1)
+            assert tr.xs.flags.owndata and tr.ys.flags.owndata
+            np.testing.assert_array_equal(tr.xs, xs)
+            np.testing.assert_array_equal(tr.ys, ys)
+
+
+class TestChunkBoundaries:
+    """The row-chunked diff norms equal the whole-array formulas bit for bit."""
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    def test_columns_match_whole_array_formulas(self, monkeypatch, regime, extra):
+        n = verify.VALUE_CHUNK + extra
+        p = random_quadratic(5, 3, 3, regime)
+        cfg = auto_configure(p.constants, regime)
+        tr = run(p, cfg, eps=1e-300, max_iter=n)
+        assert len(tr) == n
+        whole = np.full(n, np.nan)
+        whole[1:] = np.linalg.norm(np.diff(tr.xs, axis=0), axis=1)
+        assert np.array_equal(tr.dx_norm, whole, equal_nan=True)
+        whole[1:] = np.linalg.norm(np.diff(tr.ys, axis=0), axis=1)
+        assert np.array_equal(tr.dy_norm, whole, equal_nan=True)
+        # one chunk covers the whole trace: the whole-array formulas
+        monkeypatch.setattr(verify, "VALUE_CHUNK", 10 * n)
+        pot, slack = verify.trace_columns(
+            cfg, p.constants, tr.xs, tr.ys, tr.f, tr.f_mixed, tr.gap_norm,
+            tr.reg_gap_norm, tr.beta, tr.gamma)
+        assert not np.all(np.isnan(tr.potential))
+        assert np.array_equal(tr.potential, pot, equal_nan=True)
+        assert np.array_equal(tr.monitor_slack, slack, equal_nan=True)

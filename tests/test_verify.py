@@ -9,7 +9,7 @@ from agp.geometry import Ball, Box, Product, Simplex, WholeSpace
 from agp.objective import (VALUE_CHUNK, MinimaxProblem, Regime, make_bilinear,
                            make_quadratic, random_quadratic)
 from agp.schedules import (CNcConfig, InfeasibleConfigError, NcCConfig,
-                           NcScConfig, auto_configure)
+                           NcScConfig, ScNcConfig, auto_configure)
 from agp.solver import run, run_gda, stationarity_gap
 from agp.verify import (GridExtremum, InvalidTraceError, TheoryConstants,
                         _covering_radius, _grid_points, compute_bound, d1_nc_sc,
@@ -453,6 +453,25 @@ class TestLemmaMonitor:
             lemma_monitor(tr, p, cfg)
         with pytest.raises(InvalidTraceError):
             theory_constants(p, cfg, tr, resolution=5)
+
+
+class TestMissingModulus:
+    """NC-SC without mu > 0 and SC-NC without theta > 0: the loop runs, the
+    potentials that divide by the modulus stay NaN, and the monitors and the
+    bound refuse the trace instead of dividing by zero."""
+
+    @pytest.mark.parametrize("cfg", [NcScConfig(eta=2.0, rho=0.5),
+                                     ScNcConfig(zeta=0.5, nu=2.0)], ids=["nc_sc", "sc_nc"])
+    def test_no_division_by_zero(self, cfg):
+        p = make_bilinear([[1.0]], X=Box([-2.0], [2.0]), Y=Box([-2.0], [2.0]))
+        assert p.constants.mu == 0 and p.constants.theta == 0
+        tr = run(p, cfg, eps=1e-12, max_iter=20, init=(np.array([1.0]), np.array([1.0])))
+        assert len(tr) == 20
+        assert np.all(np.isnan(tr.potential)) and np.all(np.isnan(tr.monitor_slack))
+        with pytest.raises(InvalidTraceError):
+            lemma_monitor(tr, p, cfg)
+        with pytest.raises(InfeasibleConfigError):
+            theory_constants(p, cfg, tr, resolution=11)
 
 
 class TestOracleCallBudget:
