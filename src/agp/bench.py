@@ -13,7 +13,10 @@ sine(seed, nx, ny, mu), sine_dual(seed, nx, ny, theta), svm(seed, m, n).
 ``X = box(lower=[...], upper=[...])`` / ``Y = ...`` override feasible sets.
 ``regime`` is either a name (auto-configured constants) or an explicit
 call like ``nc_c(rho_bar=1, eta_bar=0.5, tau=3)``.  GDA runs take
-``step_x`` / ``step_y``.
+``step_x`` / ``step_y``.  The flags ``--seed``, ``--max-iter`` and ``--eps``
+override those keys in every block.  Every bad value, in a key or a flag,
+is a config error (exit 4) that names its line or flag, raised before
+anything runs or is written.
 
 CLI subcommands: solve, rate, check, compare.  Exit codes: 0 all runs
 converged and monitors passed, 2 some run hit max_iter, 3 a monitor
@@ -47,7 +50,7 @@ from ._expr import _CallValue, parse_value
 from .geometry import Ball, Box, ConstraintSet, Product, build_set
 from .objective import (MinimaxProblem, Regime, make_bilinear, make_nc_sc_sine,
                         make_robust_svm_toy, make_sc_nc_sine, random_quadratic)
-from .schedules import (CNcConfig, NcCConfig, NcScConfig, RegimeConfig,
+from .schedules import (DEFAULT_TAU, CNcConfig, NcCConfig, NcScConfig, RegimeConfig,
                         ScNcConfig, UnsupportedRegimeError, auto_configure)
 from .solver import SolverTrace, run, run_gda
 from .verify import (InvalidTraceError, compute_bound, lemma_monitor,
@@ -72,12 +75,15 @@ CSV_COLUMNS = ("k", "f", "gap_norm", "reg_gap_norm", "beta", "gamma", "b", "c",
 DEFAULT_EPS = 1e-3
 DEFAULT_MAX_ITER = 10**6
 DEFAULT_EPS_GRID = (1e-1, 1e-2, 1e-3)
+_GDA_STEP = 0.1  # step_x and step_y of a GDA run that sets none
 
 _KNOWN_KEYS = {"problem", "solver", "regime", "eps", "max_iter", "seed", "tau",
                "step_x", "step_y", "init", "x0", "y0", "X", "Y", "eps_grid",
                "label"}
 
 _REGIME_PRIORITY = (Regime.NC_SC, Regime.SC_NC, Regime.NC_C, Regime.C_NC)
+_REGIME_CONFIGS = {cls.regime.value: cls
+                   for cls in (NcScConfig, NcCConfig, ScNcConfig, CNcConfig)}
 
 
 class ConfigError(ValueError):
@@ -127,8 +133,8 @@ class SummaryRecord:
 # config parsing
 
 
-def _err(msg, lineno):
-    raise ConfigError(f"{msg} (line {lineno})")
+def _err(msg, where):
+    raise ConfigError(f"{msg} ({where})")
 
 
 def _parse_lines(text):
@@ -138,133 +144,136 @@ def _parse_lines(text):
             continue
         m = re.match(r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$", line)
         if not m:
-            _err(f"malformed line {raw.strip()!r}", lineno)
-        yield lineno, m.group(1), m.group(2).strip()
+            _err(f"malformed line {raw.strip()!r}", f"line {lineno}")
+        yield f"line {lineno}", m.group(1), m.group(2).strip()
 
 
 def parse_config(text: str) -> list[RunSpec]:
     """Parse config text into run specs; unknown keys and bad values error
     with their line number."""
+    return _parse_config(text, {})
+
+
+def _parse_config(text, flags):
+    """The specs of ``text``, each read by checked readers from ``{**defaults,
+    **block, **flags}``; each layer maps a key to ``(value text, "line N")``
+    or ``(value text, "flag --name")``, so an error names its line or flag."""
     defaults: dict = {}
     blocks: list[dict] = []
-    current: dict | None = None
-    for lineno, key, value in _parse_lines(text):
+    for where, key, value in _parse_lines(text):
         if key not in _KNOWN_KEYS:
-            _err(f"unknown key {key!r}", lineno)
+            _err(f"unknown key {key!r}", where)
         if key == "problem":
-            current = {"problem": (value, lineno)}
-            blocks.append(current)
-            continue
-        target = current if current is not None else defaults
-        target[key] = (value, lineno)
-    specs = []
-    for i, block in enumerate(blocks):
-        merged = {**defaults, **block}
-        specs.append(_build_spec(i, merged))
-    return specs
+            blocks.append({})
+        (blocks[-1] if blocks else defaults)[key] = (value, where)
+    _flag_keys(flags)  # a bad flag is refused even when no block reads it
+    return [_build_spec(i, {**defaults, **block, **flags})
+            for i, block in enumerate(blocks)]
 
 
-def _float_key(merged, key, default):
-    if key not in merged:
-        return default
-    value, lineno = merged[key]
+def _value(merged, key):
+    text, where = merged[key]
     try:
-        out = float(parse_value(value))
+        return parse_value(text), where
+    except ValueError as e:
+        _err(f"bad {key}: {e}", where)
+
+
+def _finite(value, what, where):
+    try:
+        out = float(value)
     except (ValueError, TypeError):
-        _err(f"invalid number for {key}: {value!r}", lineno)
+        out = math.nan
+    if not math.isfinite(out):
+        _err(f"{what}: {value!r} is not a finite number", where)
     return out
 
 
-def _build_spec(index: int, merged: dict) -> RunSpec:
-    ptext, plineno = merged["problem"]
-    seed_override = None
-    if "seed" in merged:
-        value, lineno = merged["seed"]
-        try:
-            seed_override = int(parse_value(value))
-        except (ValueError, TypeError):
-            _err(f"invalid seed {value!r}", lineno)
+def _number(merged, key, default, above=0.0):
+    """A finite float ``> above``."""
+    if key not in merged:
+        return default
+    value, where = _value(merged, key)
+    out = _finite(value, key, where)
+    if not out > above:
+        _err(f"{key} must be " + ("positive" if above == 0 else f"> {above:g}"), where)
+    return out
 
-    tau = _float_key(merged, "tau", 3.0)
-    if not tau > 2:
-        _err(f"tau must be > 2, got {tau}", merged["tau"][1])
 
-    X_override = Y_override = None
-    for key in ("X", "Y"):
-        if key in merged:
-            value, lineno = merged[key]
-            try:
-                call = parse_value(value)
-                s = build_set(call.name, call.args, call.kwargs) \
-                    if isinstance(call, _CallValue) else None
-            except (ValueError, KeyError) as e:
-                _err(f"bad set for {key}: {e}", lineno)
-            if s is None:
-                _err(f"bad set for {key}: {value!r}", lineno)
-            if key == "X":
-                X_override = s
-            else:
-                Y_override = s
+def _integer(merged, key, default, least):
+    """An integral number ``>= least``, as an int."""
+    if key not in merged:
+        return default
+    value, where = _value(merged, key)
+    out = _finite(value, key, where)
+    if not (out.is_integer() and out >= least):
+        _err(f"{key} must be an integer >= {least}, got {value!r}", where)
+    return value if type(value) is int else int(out)
 
+
+def _numbers(merged, key):
+    """A list of finite floats."""
+    value, where = _value(merged, key)
+    if not isinstance(value, list):
+        _err(f"{key} must be a list of numbers, got {value!r}", where)
+    return [_finite(v, key, where) for v in value]
+
+
+def _flag_keys(merged):
+    """``(seed, eps, max_iter)``: the keys that a flag can set too."""
+    return (_integer(merged, "seed", None, least=0), _number(merged, "eps", DEFAULT_EPS),
+            _integer(merged, "max_iter", DEFAULT_MAX_ITER, least=1))
+
+
+def _set(merged, key):
+    if key not in merged:
+        return None
+    call, where = _value(merged, key)
+    if not isinstance(call, _CallValue):
+        _err(f"bad set for {key}: {merged[key][0]!r}", where)
     try:
-        problem, problem_regime = _build_problem(ptext, seed_override,
-                                                 X_override, Y_override)
+        return build_set(call.name, call.args, call.kwargs)
     except (ValueError, KeyError, TypeError) as e:
-        _err(f"bad problem: {e}", plineno)
+        _err(f"bad set for {key}: {e}", where)
 
-    solver = "agp"
-    if "solver" in merged:
-        value, lineno = merged["solver"]
-        if value not in ("agp", "gda"):
-            _err(f"solver must be agp or gda, got {value!r}", lineno)
-        solver = value
 
-    eps = _float_key(merged, "eps", DEFAULT_EPS)
-    if not (eps > 0 and math.isfinite(eps)):
-        _err("eps must be positive", merged["eps"][1] if "eps" in merged else plineno)
+def _build_spec(index: int, merged: dict) -> RunSpec:
+    ptext, pwhere = merged["problem"]
+    seed, eps, max_iter = _flag_keys(merged)
+    tau = _number(merged, "tau", DEFAULT_TAU, above=2)
+    X, Y = _set(merged, "X"), _set(merged, "Y")
+    try:
+        problem, problem_regime = _build_problem(ptext, seed, X, Y)
+    except (ValueError, KeyError, TypeError) as e:
+        _err(f"bad problem: {e}", pwhere)
 
-    max_iter = DEFAULT_MAX_ITER
-    if "max_iter" in merged:
-        value, lineno = merged["max_iter"]
-        try:
-            max_iter = int(float(parse_value(value)))
-        except (ValueError, TypeError):
-            _err(f"invalid max_iter {value!r}", lineno)
-        if max_iter < 1:
-            _err("max_iter must be >= 1", lineno)
+    solver = merged.get("solver", ("agp",))[0]
+    if solver not in ("agp", "gda"):
+        _err(f"solver must be agp or gda, got {solver!r}", merged["solver"][1])
 
     init = "project-origin"
-    if "init" in merged:
-        value, lineno = merged["init"]
-        if value != "project-origin":
-            _err(f"init must be project-origin (use x0/y0 for explicit starts)", lineno)
+    if "init" in merged and merged["init"][0] != "project-origin":
+        _err("init must be project-origin (use x0/y0 for explicit starts)", merged["init"][1])
     if "x0" in merged or "y0" in merged:
         if not ("x0" in merged and "y0" in merged):
-            lineno = merged.get("x0", merged.get("y0"))[1]
-            _err("x0 and y0 must be given together", lineno)
-        x0 = np.asarray(parse_value(merged["x0"][0]), dtype=float)
-        y0 = np.asarray(parse_value(merged["y0"][0]), dtype=float)
-        if x0.shape != (problem.dim_x,) or y0.shape != (problem.dim_y,):
+            _err("x0 and y0 must be given together", merged.get("x0", merged.get("y0"))[1])
+        init = (np.array(_numbers(merged, "x0")), np.array(_numbers(merged, "y0")))
+        if init[0].shape != (problem.dim_x,) or init[1].shape != (problem.dim_y,):
             _err("x0/y0 dimensions do not match the problem", merged["x0"][1])
-        init = (x0, y0)
 
-    regime_cfg = None
-    step_x = step_y = None
+    regime_cfg = step_x = step_y = None
     if solver == "gda":
-        step_x = _float_key(merged, "step_x", 0.1)
-        step_y = _float_key(merged, "step_y", 0.1)
-        if step_x <= 0 or step_y <= 0:
-            _err("step sizes must be positive", merged.get("step_x", (None, plineno))[1])
+        step_x = _number(merged, "step_x", _GDA_STEP)
+        step_y = _number(merged, "step_y", _GDA_STEP)
     else:
-        regime_cfg = _resolve_regime(merged, problem, problem_regime, tau, plineno)
+        regime_cfg = _resolve_regime(merged, problem, problem_regime, tau, pwhere)
 
     eps_grid = DEFAULT_EPS_GRID
     if "eps_grid" in merged:
-        value, lineno = merged["eps_grid"]
-        grid = parse_value(value)
-        if not isinstance(grid, list) or len(grid) < 3:
-            _err("eps_grid must be a list of at least 3 values", lineno)
-        eps_grid = tuple(float(g) for g in grid)
+        eps_grid = tuple(_numbers(merged, "eps_grid"))
+        if len(eps_grid) < 3 or not all(a > b > 0 for a, b in zip(eps_grid, eps_grid[1:])):
+            _err("eps_grid must be a list of at least 3 positive, strictly decreasing "
+                 "values", merged["eps_grid"][1])
 
     label = merged["label"][0] if "label" in merged else \
         f"{index:03d}-{_slug(problem.name)}-{solver}"
@@ -277,51 +286,47 @@ def _slug(name):
     return re.sub(r"[^A-Za-z0-9_.-]+", "-", name).strip("-") or "run"
 
 
-def _resolve_regime(merged, problem, problem_regime, tau, plineno):
+def _resolve_regime(merged, problem, problem_regime, tau, pwhere):
     if "regime" in merged:
-        value, lineno = merged["regime"]
-        parsed = parse_value(value)
+        parsed, where = _value(merged, "regime")
         if isinstance(parsed, _CallValue):
-            return _explicit_regime(parsed, tau, lineno)
+            return _explicit_regime(parsed, tau, where)
         try:
             regime = Regime(parsed)
         except ValueError:
-            _err(f"unknown regime {parsed!r}", lineno)
+            _err(f"unknown regime {parsed!r}", where)
     elif problem_regime is not None:
-        regime = problem_regime
-        lineno = plineno
+        regime, where = problem_regime, pwhere
     else:
         tagged = [r for r in _REGIME_PRIORITY if r in problem.tags]
         if not tagged:
-            _err("problem has no regime tag; add a regime key", plineno)
-        regime, lineno = tagged[0], plineno
+            _err("problem has no regime tag; add a regime key", pwhere)
+        regime, where = tagged[0], pwhere
     try:
         cfg = auto_configure(problem.constants, regime)
     except UnsupportedRegimeError as e:
         _err(f"{e}; give explicit constants, e.g. regime = "
-             f"{regime.value}(...)", lineno)
+             f"{regime.value}(...)", where)
     if isinstance(cfg, (NcCConfig, CNcConfig)) and tau != cfg.tau:
         cfg = dataclasses.replace(cfg, tau=tau)
     return cfg
 
 
-def _explicit_regime(call, tau, lineno):
-    kw = dict(call.kwargs)
-    kw.setdefault("tau", tau)
+def _explicit_regime(call, tau, where):
+    """The inverse of ``RegimeConfig.descriptor()``: the config class named
+    by ``call``, built from its ``init`` fields; ``tau`` fills an unset tau."""
+    cls = _REGIME_CONFIGS.get(call.name)
+    if cls is None:
+        _err(f"unknown regime {call.name!r}", where)
+    names = [f.name for f in dataclasses.fields(cls) if f.init]
+    kw = {"tau": tau, **call.kwargs} if "tau" in names else call.kwargs
+    if call.args or set(kw) != set(names):
+        _err(f"regime {call.name} takes the named constants {', '.join(names)}", where)
+    constants = {n: _finite(kw[n], f"{call.name} constant {n}", where) for n in names}
     try:
-        if call.name == "nc_sc":
-            return NcScConfig(eta=float(kw["eta"]), rho=float(kw["rho"]))
-        if call.name == "nc_c":
-            return NcCConfig(eta_bar=float(kw["eta_bar"]), rho_bar=float(kw["rho_bar"]),
-                             tau=float(kw["tau"]))
-        if call.name == "sc_nc":
-            return ScNcConfig(zeta=float(kw["zeta"]), nu=float(kw["nu"]))
-        if call.name == "c_nc":
-            return CNcConfig(zeta_bar=float(kw["zeta_bar"]), nu_bar=float(kw["nu_bar"]),
-                             tau=float(kw["tau"]))
-    except KeyError as e:
-        _err(f"regime {call.name} missing constant {e}", lineno)
-    _err(f"unknown regime {call.name!r}", lineno)
+        return cls(**constants)
+    except ValueError as e:
+        _err(f"bad regime {call.name}: {e}", where)
 
 
 def _default_boxes(nx, ny):
@@ -342,7 +347,7 @@ def _build_problem(text, seed_override, X_override, Y_override):
         regime = Regime(kw.get("regime", "nc_sc"))
         prob = random_quadratic(int(kw.get("seed", 0)), int(kw["nx"]), int(kw["ny"]),
                                 regime)
-        prob = _override_sets(prob, X_override, Y_override)
+        prob = dataclasses.replace(prob, X=X_override or prob.X, Y=Y_override or prob.Y)
     elif name == "bilinear":
         if "dim" in kw:
             B = np.eye(int(kw["dim"]))
@@ -352,22 +357,14 @@ def _build_problem(text, seed_override, X_override, Y_override):
         nx, ny = B.shape
         X, Y = _default_boxes(nx, ny)
         prob = make_bilinear(B, X=X_override or X, Y=Y_override or Y)
-    elif name == "sine":
+    elif name in ("sine", "sine_dual"):
+        make, modulus, regime = ((make_nc_sc_sine, "mu", Regime.NC_SC) if name == "sine"
+                                 else (make_sc_nc_sine, "theta", Regime.SC_NC))
         nx, ny = int(kw["nx"]), int(kw["ny"])
         rng = np.random.default_rng(int(kw.get("seed", 0)))
         B = 0.5 * rng.standard_normal((nx, ny)) / math.sqrt(max(nx, ny))
         X, Y = _default_boxes(nx, ny)
-        prob = make_nc_sc_sine(nx, ny, B, float(kw.get("mu", 1.0)),
-                               X_override or X, Y_override or Y)
-        regime = Regime.NC_SC
-    elif name == "sine_dual":
-        nx, ny = int(kw["nx"]), int(kw["ny"])
-        rng = np.random.default_rng(int(kw.get("seed", 0)))
-        B = 0.5 * rng.standard_normal((nx, ny)) / math.sqrt(max(nx, ny))
-        X, Y = _default_boxes(nx, ny)
-        prob = make_sc_nc_sine(nx, ny, B, float(kw.get("theta", 1.0)),
-                               X_override or X, Y_override or Y)
-        regime = Regime.SC_NC
+        prob = make(nx, ny, B, float(kw.get(modulus, 1.0)), X_override or X, Y_override or Y)
     elif name == "svm":
         m = int(kw.get("m", 2))
         n = int(kw.get("n", 6))
@@ -381,12 +378,6 @@ def _build_problem(text, seed_override, X_override, Y_override):
     else:
         raise ValueError(f"unknown problem {name!r}")
     return prob, regime
-
-
-def _override_sets(prob, X, Y):
-    if X is None and Y is None:
-        return prob
-    return dataclasses.replace(prob, X=X or prob.X, Y=Y or prob.Y)
 
 
 # ---------------------------------------------------------------------------
@@ -579,30 +570,26 @@ def _common_flags(p):
     p.add_argument("config", help="path to a run-spec config file")
     p.add_argument("--out-dir", default=None,
                    help="output root (default $AGP_OUT_DIR or ./agp_out)")
-    p.add_argument("--parallelism", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None, help="override problem seeds")
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--parallelism", type=int, default=1,
+                   help="forked worker processes of solve (default 1); "
+                        "rate, check and compare run serially")
+    p.add_argument("--seed", type=int, default=None,
+                   help="problem seed of every run, over the config's seed keys")
+    p.add_argument("--max-iter", type=int, default=None,
+                   help="max_iter of every run, over the config's max_iter keys")
+    p.add_argument("--eps", type=float, default=None,
+                   help="eps of every run, over the config's eps keys")
 
 
 def _load_specs(args) -> tuple[list[RunSpec], str]:
-    """The config's specs with the flag overrides, checked as its keys are."""
-    if args.max_iter is not None and args.max_iter < 1:
-        raise ConfigError(f"--max-iter must be >= 1, got {args.max_iter}")
-    if args.eps is not None and not (args.eps > 0 and math.isfinite(args.eps)):
-        raise ConfigError(f"--eps must be positive and finite, got {args.eps}")
+    """The config's specs and text; its flags override every block."""
     if args.parallelism < 1:
         raise ConfigError(f"--parallelism must be >= 1, got {args.parallelism}")
     text = Path(args.config).read_text()
-    if args.seed is not None:
-        text = f"seed = {args.seed}\n" + text
-    specs = parse_config(text)
-    for s in specs:
-        if args.max_iter is not None:
-            s.max_iter = args.max_iter
-        if args.eps is not None:
-            s.eps = args.eps
-    return specs, text
+    flags = {key: (repr(value), f"flag --{key.replace('_', '-')}")
+             for key, value in (("seed", args.seed), ("eps", args.eps),
+                                ("max_iter", args.max_iter)) if value is not None}
+    return _parse_config(text, flags), text
 
 
 def _out_dir(args):
@@ -686,9 +673,8 @@ def _cmd_compare(args) -> int:
     for spec in specs:
         agp_trace = run(spec.problem, spec.regime_cfg, spec.eps, spec.max_iter,
                         spec.init) if spec.regime_cfg else None
-        sx = spec.step_x or 0.1
-        sy = spec.step_y or 0.1
-        gda_trace = run_gda(spec.problem, sx, sy, spec.eps, spec.max_iter, spec.init)
+        gda_trace = run_gda(spec.problem, spec.step_x or _GDA_STEP, spec.step_y or _GDA_STEP,
+                            spec.eps, spec.max_iter, spec.init)
         for algo, tr in (("agp", agp_trace), ("gda", gda_trace)):
             if tr is None:
                 continue

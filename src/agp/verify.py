@@ -640,6 +640,10 @@ def theory_constants(problem: MinimaxProblem, cfg: RegimeConfig, trace: SolverTr
     if modulus:
         raise InfeasibleConfigError(f"the {cfg.regime.value} bound needs {modulus} > 0")
     sigma_x, sigma_y, sighat_x, sighat_y = _finite_sizes(problem)
+    # a run with no bound is refused before it pays for the grid scan
+    ratio = (d1_nc_sc(cfg, d) if isinstance(cfg, NcScConfig)
+             else dhat1_sc_nc(cfg, d) if isinstance(cfg, ScNcConfig) else None)
+    _require_positive_ratio(cfg.regime, ratio)
     ext = grid_extremum(problem, resolution)
     f_lower = ext.f_lower - ext.pad
     f_upper = ext.f_upper + ext.pad
@@ -649,7 +653,7 @@ def theory_constants(problem: MinimaxProblem, cfg: RegimeConfig, trace: SolverTr
 
     if isinstance(cfg, NcScConfig):
         coeff = d.mu + 7 / (2 * cfg.rho) - cfg.rho * d.L_y**2 / 2 - 2 * d.L_y**2 / d.mu
-        return TheoryConstants(**base, d1=d1_nc_sc(cfg, d),
+        return TheoryConstants(**base, d1=ratio,
                                F1=float(trace.f[0]),
                                F_lower=f_lower - coeff * sigma_y**2)
     if isinstance(cfg, ScNcConfig):
@@ -657,7 +661,7 @@ def theory_constants(problem: MinimaxProblem, cfg: RegimeConfig, trace: SolverTr
             raise ValueError("need at least 2 iterations to evaluate the initial potential")
         Fhat1 = _initial_potential(cfg, d, trace, 1)
         upper = f_upper - (d.theta / 2 - 3 / cfg.zeta) * sigma_x**2
-        return TheoryConstants(**base, dhat1=dhat1_sc_nc(cfg, d), Fhat1=Fhat1,
+        return TheoryConstants(**base, dhat1=ratio, Fhat1=Fhat1,
                                Fhat_upper=upper)
     if isinstance(cfg, NcCConfig):
         if len(trace) < 3:
@@ -685,21 +689,24 @@ def theory_constants(problem: MinimaxProblem, cfg: RegimeConfig, trace: SolverTr
     raise TypeError(f"unknown regime config {cfg!r}")
 
 
+def _require_positive_ratio(regime, ratio):
+    """Refuse a missing or nonpositive NC-SC ``d1`` or SC-NC ``dhat1``; the
+    other regimes have no such ratio."""
+    if regime in (Regime.NC_SC, Regime.SC_NC) and not (ratio is not None and ratio > 0):
+        name, side = ("d1", "descent") if regime is Regime.NC_SC else ("dhat1", "ascent")
+        raise InfeasibleConfigError(f"nonpositive per-iteration ratio {name}: the "
+                                    f"configuration violates the {side} conditions")
+
+
 def compute_bound(tc: TheoryConstants, eps: float) -> float:
     """Literal iteration-count bound for reaching gap norm <= eps."""
     if not (eps > 0):
         raise ValueError("eps must be > 0")
     if tc.regime is Regime.NC_SC:
-        if tc.d1 is None or not (tc.d1 > 0):
-            raise InfeasibleConfigError(
-                "nonpositive per-iteration ratio d1: the configuration violates "
-                "the descent conditions")
+        _require_positive_ratio(tc.regime, tc.d1)
         return (tc.F1 - tc.F_lower) / (tc.d1 * eps**2)
     if tc.regime is Regime.SC_NC:
-        if tc.dhat1 is None or not (tc.dhat1 > 0):
-            raise InfeasibleConfigError(
-                "nonpositive per-iteration ratio dhat1: the configuration violates "
-                "the ascent conditions")
+        _require_positive_ratio(tc.regime, tc.dhat1)
         return (tc.Fhat_upper - tc.Fhat1) / (tc.dhat1 * eps**2)
     if tc.regime is Regime.NC_C:
         first = (64 * tc.rho_bar * (tc.tau - 2) * tc.L_12**2 * tc.d3 * tc.d4 / eps**2 + 2) ** 2

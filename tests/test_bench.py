@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -300,6 +302,28 @@ class TestRunSuite:
         assert runs[0]["bound_error"] == rec.bound_error
         assert runs[1]["bound"] is not None and runs[1]["bound_error"] is None
 
+    @pytest.mark.parametrize("text, ratio", [
+        ("problem = quadratic(seed=7, nx=2, ny=2, regime=nc_sc)\n"
+         "regime = nc_sc(eta=1, rho=1)\n", "d1: the configuration violates the descent"),
+        ("problem = quadratic(seed=3, nx=2, ny=2, regime=sc_nc)\n"
+         "regime = sc_nc(zeta=1, nu=1)\n", "dhat1: the configuration violates the ascent")],
+        ids=["nc_sc", "sc_nc"])
+    def test_nonpositive_ratio_skips_the_grid_scan(self, tmp_path, text, ratio):
+        spec = parse_config(text + "max_iter = 50\n")[0]
+        rows = []
+
+        def counted_rows(X, Y, value_rows=spec.problem.value_rows):
+            rows.append(len(X))
+            return value_rows(X, Y)
+
+        spec.problem = dataclasses.replace(spec.problem, value_rows=counted_rows)
+        rec = run_suite([spec], out_dir=tmp_path)[0]
+        n = rec.iterations
+        assert sum(rows) == n + (n - 1)  # the f and f_mixed columns, no grid pair
+        assert rec.error is None and rec.bound is None
+        assert rec.bound_error == ("InfeasibleConfigError: nonpositive per-iteration "
+                                   f"ratio {ratio} conditions")
+
     def test_bound_ratio_at_least_one(self, tmp_path):
         recs = run_suite(parse_config(SUITE), out_dir=tmp_path)
         for r in recs:
@@ -416,6 +440,56 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lines, where", [
+        ("regime = nc_c(rho_bar=1, eta_bar=0.5, tau=1)", "line 2"),
+        ("regime = nc_c(rho_bar=0, eta_bar=0.5)", "line 2"),
+        ("regime = nc_sc(eta=[1], rho=1)", "line 2"),
+        ("regime = nc_sc(eta=2, rho=0.5, bogus=1)", "line 2"),
+        ("regime = nc_sc(2, 0.5)", "line 2"),
+        ("x0 = [a]\ny0 = [0]", "line 2"),
+        ("eps_grid = [a, b, c]", "line 2"),
+        ("eps_grid = [1e-1, 1e-2, [1]]", "line 2"),
+        ("eps_grid = [1e-3, 1e-2, 1e-1]", "line 2"),
+        ("eps_grid = [1e-1, 1e-2, 0]", "line 2"),
+        ("solver = gda\nstep_x = nan", "line 3"),
+        ("seed = 1.7", "line 2")])
+    def test_bad_config_value_exit_4(self, tmp_path, capsys, lines, where):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("problem = quadratic(seed=7, nx=1, ny=1, regime=nc_sc)\n"
+                       f"{lines}\nmax_iter = 100\n")
+        out = tmp_path / "out"
+        assert main(["solve", str(cfg), "--out-dir", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "config error" in err and f"({where})" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--eps", "-1"], ["--eps", "inf"],
+                                       ["--max-iter", "0"], ["--seed", "-1"]],
+                             ids=lambda f: " ".join(f))
+    def test_bad_flag_without_runs_exit_4(self, tmp_path, capsys, flags):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("# no runs\neps = 1e-3\n")
+        out = tmp_path / "out"
+        assert main(["solve", str(cfg), "--out-dir", str(out), *flags]) == 4
+        err = capsys.readouterr().err
+        assert "config error" in err and f"(flag {flags[0]})" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "seed = 3\nproblem = quadratic(seed=7, nx=1, ny=1, regime=nc_sc)\n",
+        "problem = quadratic(seed=7, nx=1, ny=1, regime=nc_sc)\nseed = 3\n"],
+        ids=["defaults", "block"])
+    def test_seed_flag_overrides_seed_keys(self, tmp_path, text):
+        def csv(name, text, *flags):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text + "max_iter = 200\n")
+            main(["solve", str(cfg), "--out-dir", str(tmp_path / name), *flags])
+            return (tmp_path / name / "run000.csv").read_bytes()
+
+        seed5 = csv("seed5", "problem = quadratic(seed=5, nx=1, ny=1, regime=nc_sc)\n")
+        assert csv("flag", text, "--seed", "5") == seed5
+        assert csv("keys", text) != seed5
+
     @pytest.mark.parametrize("regime, modulus", [("nc_sc(eta=2, rho=0.5)", "mu"),
                                                   ("sc_nc(zeta=0.5, nu=2)", "theta")],
                              ids=["nc_sc", "sc_nc"])
@@ -444,8 +518,11 @@ class TestCli:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("problem = quadratic(seed=7, nx=1, ny=1, regime=nc_sc)\n"
                        "eps = 1e-3\nmax_iter = 10000\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c",
                                "import sys; from agp.bench import main; sys.exit(main(sys.argv[1:]))",
                                "solve", str(cfg), "--out-dir", str(tmp_path / "o")],
+                              env={**os.environ, "PYTHONPATH": path},
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
