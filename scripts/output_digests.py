@@ -1,0 +1,87 @@
+"""Print a sha256 digest of every output of the benchmark workloads.
+
+    python scripts/output_digests.py ROOT
+
+imports ``agp`` from ``ROOT/src`` only (with the benchmark's
+``import_agp``), builds the config text of every workload in
+``benchmark/workloads.py`` at seeds 0 and 1, and prints one
+``sha256  workload/seed/item`` line per output.  The benchmark code is that
+of the checkout this script sits in, so every root sees the same input:
+
+- every workload runs ``rate_experiment`` on each of its ``agp`` specs: one
+  line per spec for its table, slope and ``partial`` flag;
+- a ``suite`` workload also runs through ``run_suite`` serially: one line
+  per CSV trace, and one for ``summary.json`` with its ``wall_time_s``
+  fields dropped, the only fields that vary between runs.
+
+Two checkouts produce the same outputs when the script prints the same
+lines for both::
+
+    python scripts/output_digests.py /path/to/a > a.txt
+    python scripts/output_digests.py /path/to/b > b.txt
+    diff a.txt b.txt
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmark"))
+from passrun import import_agp  # noqa: E402
+from workloads import WORKLOADS, config_text  # noqa: E402
+
+SEEDS = (0, 1)
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def suite_digests(agp, text, out_dir):
+    """``(item, digest)`` of each CSV and of the timing-free summary."""
+    agp.run_suite(agp.parse_config(text), parallelism=1, out_dir=out_dir,
+                  config_echo=text)
+    for csv in sorted(out_dir.glob("*.csv")):
+        yield csv.name, digest(csv.read_bytes())
+    summary = json.loads((out_dir / "summary.json").read_text())
+    for run in summary["runs"]:
+        del run["wall_time_s"]
+    yield "summary.json", digest(json.dumps(summary, indent=2).encode())
+
+
+def rate_digests(agp, text):
+    """``(item, digest)`` of the rate table of each ``agp`` spec."""
+    for spec in agp.parse_config(text):
+        if spec.solver != "agp":
+            continue
+        res = agp.rate_experiment(spec.problem, spec.regime_cfg, spec.eps_grid,
+                                  spec.max_iter, spec.init)
+        table = {"table": res.table, "slope": res.slope, "partial": res.partial}
+        yield f"rate{spec.index:03d}", digest(json.dumps(table).encode())
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[0], file=sys.stderr)
+        print("usage: output_digests.py ROOT", file=sys.stderr)
+        return 2
+    agp = import_agp(argv[0])
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (_, kind, _) in WORKLOADS.items():
+            for seed in SEEDS:
+                text = config_text(name, seed)
+                items = list(rate_digests(agp, text))
+                if kind == "suite":
+                    items += suite_digests(agp, text, Path(tmp) / name / str(seed))
+                for item, sha in items:
+                    print(f"{sha}  {name}/{seed}/{item}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,16 +14,13 @@ from .objective import (MinimaxProblem, Regime, SmoothnessData, make_bilinear,
                         make_nc_sc_sine, make_quadratic, make_robust_svm_toy,
                         make_sc_nc_sine, random_quadratic)
 from .schedules import (CNcConfig, InfeasibleConfigError, NcCConfig, NcScConfig,
-                        RegimeConfig, ScNcConfig, StepParams,
-                        UnsupportedRegimeError, auto_configure, params_at,
-                        validate)
-from .solver import (GapVector, NumericFailureError, SolverTrace, run, run_gda,
-                     stationarity_gap)
+                        RegimeConfig, ScNcConfig, UnsupportedRegimeError,
+                        auto_configure, validate)
+from .solver import NumericFailureError, SolverTrace, run, run_gda
 from .verify import (InvalidTraceError, MonitorReport, TheoryConstants,
                      compute_bound, finite_diff_check, grid_extremum,
-                     lemma_monitor, rate_slope, saddle_oracle_quadratic,
-                     theory_constants)
+                     lemma_monitor, rate_slope, theory_constants)
 from .bench import (ConfigError, RunSpec, SummaryRecord, parse_config,
-                    rate_experiment, read_trace_csv, run_suite, write_trace_csv)
+                    rate_experiment, run_suite, write_trace_csv)
 
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ast
 
-__all__ = ["parse_call", "parse_value"]
+__all__ = ["parse_value"]
 
 
 def _eval_node(node):
@@ -63,14 +63,3 @@ def parse_value(text: str):
     except SyntaxError as e:
         raise ValueError(f"malformed value {text!r}: {e.msg}") from None
     return _eval_node(tree.body)
-
-
-def parse_call(text: str):
-    """Parse a value that must be a call form; returns (name, args, kwargs)."""
-    val = parse_value(text)
-    if isinstance(val, _CallValue):
-        # resolve nested calls in args/kwargs lazily by the consumer
-        return val.name, val.args, val.kwargs
-    if isinstance(val, str):
-        return val, [], {}
-    raise ValueError(f"expected name(...) form, got {text!r}")

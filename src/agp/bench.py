@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from ._expr import _CallValue, parse_value
-from .geometry import Ball, Box, ConstraintSet, Product, build_set
+from .geometry import Ball, Box, Product, parse_set
 from .objective import (MinimaxProblem, Regime, make_bilinear, make_nc_sc_sine,
                         make_robust_svm_toy, make_sc_nc_sine, random_quadratic)
 from .schedules import (DEFAULT_TAU, CNcConfig, NcCConfig, NcScConfig, RegimeConfig,
@@ -65,7 +65,6 @@ __all__ = [
     "run_suite",
     "rate_experiment",
     "write_trace_csv",
-    "read_trace_csv",
     "main",
 ]
 
@@ -201,13 +200,17 @@ def _number(merged, key, default, above=0.0):
 
 
 def _integer(merged, key, default, least):
-    """An integral number ``>= least``, as an int."""
     if key not in merged:
         return default
     value, where = _value(merged, key)
-    out = _finite(value, key, where)
+    return _whole(value, key, where, least)
+
+
+def _whole(value, what, where, least):
+    """An integral number ``>= least``, as an int."""
+    out = _finite(value, what, where)
     if not (out.is_integer() and out >= least):
-        _err(f"{key} must be an integer >= {least}, got {value!r}", where)
+        _err(f"{what} must be an integer >= {least}, got {value!r}", where)
     return value if type(value) is int else int(out)
 
 
@@ -228,13 +231,31 @@ def _flag_keys(merged):
 def _set(merged, key):
     if key not in merged:
         return None
-    call, where = _value(merged, key)
-    if not isinstance(call, _CallValue):
-        _err(f"bad set for {key}: {merged[key][0]!r}", where)
+    text, where = merged[key]
     try:
-        return build_set(call.name, call.args, call.kwargs)
+        return parse_set(text)
     except (ValueError, KeyError, TypeError) as e:
         _err(f"bad set for {key}: {e}", where)
+
+
+# the least integer each numeric problem argument takes; None for a finite real
+_PROBLEM_ARGS = {"seed": 0, "nx": 1, "ny": 1, "dim": 1, "m": 1, "n": 1,
+                 "mu": None, "theta": None}
+
+
+def _problem_call(merged, seed):
+    """``(name, kwargs)`` of the problem call, its numeric arguments read by
+    the checked readers; ``seed``, when set, overrides the call's own."""
+    call, where = _value(merged, "problem")
+    if not isinstance(call, _CallValue):
+        _err(f"bad problem: expected a call form, got {merged['problem'][0]!r}", where)
+    kw = dict(call.kwargs) if seed is None else {**call.kwargs, "seed": seed}
+    for key, least in _PROBLEM_ARGS.items():
+        if key in kw:
+            what = f"bad problem: {key}"
+            kw[key] = (_finite(kw[key], what, where) if least is None
+                       else _whole(kw[key], what, where, least))
+    return call.name.lower(), kw
 
 
 def _build_spec(index: int, merged: dict) -> RunSpec:
@@ -242,8 +263,9 @@ def _build_spec(index: int, merged: dict) -> RunSpec:
     seed, eps, max_iter = _flag_keys(merged)
     tau = _number(merged, "tau", DEFAULT_TAU, above=2)
     X, Y = _set(merged, "X"), _set(merged, "Y")
+    name, kw = _problem_call(merged, seed)
     try:
-        problem, problem_regime = _build_problem(ptext, seed, X, Y)
+        problem, problem_regime = _build_problem(name, kw, X, Y)
     except (ValueError, KeyError, TypeError) as e:
         _err(f"bad problem: {e}", pwhere)
 
@@ -333,42 +355,32 @@ def _default_boxes(nx, ny):
     return (Box(-np.ones(nx), np.ones(nx)), Box(-np.ones(ny), np.ones(ny)))
 
 
-def _build_problem(text, seed_override, X_override, Y_override):
-    call = parse_value(text)
-    if not isinstance(call, _CallValue):
-        raise ValueError(f"problem must be a call form, got {text!r}")
-    kw = dict(call.kwargs)
-    if seed_override is not None:
-        kw["seed"] = seed_override
-    name = call.name.lower()
+def _build_problem(name, kw, X_override, Y_override):
     regime = None
-
     if name == "quadratic":
         regime = Regime(kw.get("regime", "nc_sc"))
-        prob = random_quadratic(int(kw.get("seed", 0)), int(kw["nx"]), int(kw["ny"]),
-                                regime)
+        prob = random_quadratic(kw.get("seed", 0), kw["nx"], kw["ny"], regime)
         prob = dataclasses.replace(prob, X=X_override or prob.X, Y=Y_override or prob.Y)
     elif name == "bilinear":
         if "dim" in kw:
-            B = np.eye(int(kw["dim"]))
+            B = np.eye(kw["dim"])
         else:
-            rng = np.random.default_rng(int(kw.get("seed", 0)))
-            B = rng.standard_normal((int(kw["nx"]), int(kw["ny"])))
+            rng = np.random.default_rng(kw.get("seed", 0))
+            B = rng.standard_normal((kw["nx"], kw["ny"]))
         nx, ny = B.shape
         X, Y = _default_boxes(nx, ny)
         prob = make_bilinear(B, X=X_override or X, Y=Y_override or Y)
     elif name in ("sine", "sine_dual"):
         make, modulus, regime = ((make_nc_sc_sine, "mu", Regime.NC_SC) if name == "sine"
                                  else (make_sc_nc_sine, "theta", Regime.SC_NC))
-        nx, ny = int(kw["nx"]), int(kw["ny"])
-        rng = np.random.default_rng(int(kw.get("seed", 0)))
+        nx, ny = kw["nx"], kw["ny"]
+        rng = np.random.default_rng(kw.get("seed", 0))
         B = 0.5 * rng.standard_normal((nx, ny)) / math.sqrt(max(nx, ny))
         X, Y = _default_boxes(nx, ny)
-        prob = make(nx, ny, B, float(kw.get(modulus, 1.0)), X_override or X, Y_override or Y)
+        prob = make(nx, ny, B, kw.get(modulus, 1.0), X_override or X, Y_override or Y)
     elif name == "svm":
-        m = int(kw.get("m", 2))
-        n = int(kw.get("n", 6))
-        rng = np.random.default_rng(int(kw.get("seed", 0)))
+        m, n = kw.get("m", 2), kw.get("n", 6)
+        rng = np.random.default_rng(kw.get("seed", 0))
         feats = rng.standard_normal((n, m))
         labels = np.where(feats[:, 0] + 0.1 * rng.standard_normal(n) >= 0, 1.0, -1.0)
         X = X_override or Ball(np.zeros(m + 1), 1.0)
@@ -393,21 +405,6 @@ def write_trace_csv(trace: SolverTrace, path) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         fh.writelines(_CSV_ROW % row for row in zip(*cols))
-
-
-def read_trace_csv(path) -> dict:
-    """Inverse of write_trace_csv; returns column arrays keyed by name."""
-    text = Path(path).read_text().strip().splitlines()
-    header = text[0].split(",")
-    if tuple(header) != CSV_COLUMNS:
-        raise ValueError(f"unexpected trace header {header}")
-    rows = [line.split(",") for line in text[1:]]
-    out = {}
-    for j, name in enumerate(CSV_COLUMNS):
-        col = [r[j] for r in rows]
-        out[name] = (np.array([int(v) for v in col], dtype=int) if name == "k"
-                     else np.array([float(v) for v in col]))
-    return out
 
 
 # ---------------------------------------------------------------------------

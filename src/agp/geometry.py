@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._expr import _CallValue, parse_value
+
 __all__ = [
     "ConstraintSet",
     "WholeSpace",
@@ -331,15 +333,13 @@ def _fmt_vec(v) -> str:
 
 def parse_set(text: str) -> ConstraintSet:
     """Parse a set descriptor like ``box(lower=[0, 0], upper=[1, 1])``."""
-    from ._expr import parse_call
-
-    name, args, kwargs = parse_call(text)
-    return build_set(name, args, kwargs)
+    call = parse_value(text)
+    if not isinstance(call, _CallValue):
+        raise ValueError(f"expected name(...) form, got {text!r}")
+    return build_set(call.name, call.args, call.kwargs)
 
 
 def build_set(name: str, args: list, kwargs: dict) -> ConstraintSet:
-    from ._expr import _CallValue
-
     def as_set(v):
         if isinstance(v, ConstraintSet):
             return v

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .geometry import Ball, Box, ConstraintSet, Product, Simplex, WholeSpace
+from .geometry import Ball, Box, ConstraintSet, Product, WholeSpace
 
 __all__ = [
     "Regime",

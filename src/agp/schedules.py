@@ -25,6 +25,7 @@ schedule; the Lyapunov monitors only assert from there on).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .objective import Regime, SmoothnessData
@@ -35,8 +36,6 @@ __all__ = [
     "NcCConfig",
     "ScNcConfig",
     "CNcConfig",
-    "StepParams",
-    "params_at",
     "auto_configure",
     "validate",
     "ValidationReport",
@@ -118,22 +117,6 @@ class CNcConfig(RegimeConfig):
         return 1.0 / (2.0 * self.zeta_bar * k**0.25)
 
 
-@dataclass(frozen=True)
-class StepParams:
-    beta: float
-    gamma: float
-    b: float
-    c: float
-    k: int
-    floored: bool = False
-
-    def __post_init__(self):
-        if not (self.beta > 0 and self.gamma > 0):
-            raise ValueError("beta and gamma must be > 0")
-        if self.b > 0 and self.c > 0:
-            raise ValueError("at most one of b, c may be nonzero")
-
-
 def nc_c_beta_bar(cfg: NcCConfig, data: SmoothnessData, k: int) -> float:
     ck = cfg.c(k)
     alpha = (4 * cfg.tau - 8) * data.L_12**2 / (cfg.rho_bar * ck**2)
@@ -149,27 +132,20 @@ def c_nc_gamma_bar(cfg: CNcConfig, data: SmoothnessData, k: int) -> float:
             - 2 * cfg.nu_bar)
 
 
-def params_at(cfg: RegimeConfig, data: SmoothnessData, k: int) -> StepParams:
-    """Step parameters of iteration k >= 1; pure in (cfg, data, k)."""
-    if k < 1:
-        raise ValueError("iterations are 1-based")
-    beta, gamma, b, c, floored = _step_floats(cfg, data, k)
-    return StepParams(beta=beta, gamma=gamma, b=b, c=c, k=k, floored=floored)
-
-
 def _step_floats(cfg: RegimeConfig, data: SmoothnessData, k: int) -> tuple:
-    """``(beta, gamma, b, c, floored)`` of iteration k as plain floats.
+    """``(beta, gamma, b, c, floored)`` of iteration k >= 1 as plain floats.
 
-    The solver loop calls this once per iteration of a growing schedule
-    (NC-C, C-NC), so it builds no ``StepParams``; ``k`` is not checked.
+    The solver reads k = 1 before its loop and each k of a growing schedule
+    (NC-C, C-NC) in it.  A config whose beta or gamma is not positive, NaN
+    included, is infeasible.
     """
     if isinstance(cfg, NcScConfig):
-        if cfg.eta <= 0 or cfg.rho <= 0:
-            raise InfeasibleConfigError("needs eta > 0 and rho > 0")
+        if not (cfg.eta > 0 and 0 < cfg.rho < math.inf):
+            raise InfeasibleConfigError("needs eta > 0 and 0 < rho < inf")
         return cfg.eta, 1.0 / cfg.rho, 0.0, 0.0, False
     if isinstance(cfg, ScNcConfig):
-        if cfg.zeta <= 0 or cfg.nu <= 0:
-            raise InfeasibleConfigError("needs zeta > 0 and nu > 0")
+        if not (0 < cfg.zeta < math.inf and cfg.nu > 0):
+            raise InfeasibleConfigError("needs 0 < zeta < inf and nu > 0")
         return 1.0 / cfg.zeta, cfg.nu, 0.0, 0.0, False
     if isinstance(cfg, NcCConfig):
         beta = cfg.eta_bar + nc_c_beta_bar(cfg, data, k)

@@ -31,19 +31,17 @@ array functions of those records, computed by the verification module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .objective import MinimaxProblem, Regime
-from .schedules import RegimeConfig, StepParams, _step_floats, params_at
+from .schedules import RegimeConfig, _step_floats
 from .verify import _row_diffs, trace_columns
 
 __all__ = [
-    "GapVector",
     "SolverTrace",
     "NumericFailureError",
-    "stationarity_gap",
     "run",
     "run_gda",
 ]
@@ -56,27 +54,6 @@ class NumericFailureError(RuntimeError):
         super().__init__(f"non-finite gradient in block {block!r} at iteration {k}")
         self.k = k
         self.block = block
-
-
-@dataclass(frozen=True)
-class GapVector:
-    gx: np.ndarray
-    gy: np.ndarray
-    norm: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "norm",
-                           math.sqrt(float(self.gx @ self.gx) + float(self.gy @ self.gy)))
-
-
-def stationarity_gap(problem: MinimaxProblem, x, y, beta: float, gamma: float) -> GapVector:
-    """Scaled projected-gradient mapping of the raw objective."""
-    if not (beta > 0 and gamma > 0):
-        raise ValueError("beta and gamma must be > 0")
-    x, y = problem.check_point(x, y)
-    gxf, gyf = problem.grad_x(x, y), problem.grad_y(x, y)
-    return GapVector(gx=beta * (x - problem.X.project(x - gxf / beta)),
-                     gy=gamma * (y - problem.Y.project(y + gyf / gamma)))
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +141,8 @@ def run_gda(problem: MinimaxProblem, step_x: float, step_y: float, eps: float,
     The gap is evaluated with beta = 1/step_x, gamma = 1/step_y so the
     projected-gradient mapping matches the steps actually taken.
     """
-    if not (step_x > 0 and step_y > 0):
-        raise ValueError("step sizes must be > 0")
+    if not (0 < step_x < math.inf and 0 < step_y < math.inf):
+        raise ValueError("step sizes must be positive and finite")
     return _iterate(problem, None, (step_x, step_y), eps, max_iter, init)
 
 
@@ -189,10 +166,9 @@ def _iterate(problem, cfg, steps, eps, max_iter, init) -> SolverTrace:
     data = problem.constants
     if cfg is None:
         step_x, step_y = steps
-        p = StepParams(1.0 / step_x, 1.0 / step_y, 0.0, 0.0, 1)
+        beta, gamma, b, c = 1.0 / step_x, 1.0 / step_y, 0.0, 0.0
     else:
-        p = params_at(cfg, data, 1)
-    beta, gamma, b, c = p.beta, p.gamma, p.b, p.c
+        beta, gamma, b, c, _ = _step_floats(cfg, data, 1)
     growing = cfg is not None and cfg.regime in (Regime.NC_C, Regime.C_NC)
     grad_x, grad_y = problem.grad_x, problem.grad_y
     project_x, project_y = problem.X.project, problem.Y.project

@@ -1,6 +1,6 @@
-"""Independent checkers: gradient validation, saddle oracles, runtime
-monitors for the per-iteration descent/ascent inequalities, and the
-iteration-complexity bound calculators.
+"""Independent checkers: gradient validation, runtime monitors for the
+per-iteration descent/ascent inequalities, and the iteration-complexity
+bound calculators.
 
 The monitors re-evaluate, on a recorded trace, every inequality the
 convergence analysis asserts along the iterates.  They are diagnostics for
@@ -20,7 +20,6 @@ their grid scan.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -41,7 +40,6 @@ __all__ = [
     "TheoryConstants",
     "InvalidTraceError",
     "finite_diff_check",
-    "saddle_oracle_quadratic",
     "grid_extremum",
     "GridExtremum",
     "compute_bound",
@@ -97,12 +95,6 @@ class MonitorReport:
             lines.append(f"{e.id:<28} {rng:>12} {e.n_checked:>8} "
                          f"{e.max_violation:>13.3e} {'yes' if e.passed else 'NO':>4}")
         return "\n".join(lines)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "passed": self.passed,
-            "entries": [e.__dict__ for e in self.entries],
-        }, indent=2)
 
 
 def _entry(eid, ks, lhs, rhs, sense, tol=MONITOR_TOL):
@@ -453,35 +445,6 @@ def finite_diff_check(problem: MinimaxProblem, n_points: int, seed=0) -> Monitor
                                  FD_TOL, worst[label] <= FD_TOL)
                     for label in ("grad_x", "grad_y"))
     return MonitorReport(entries)
-
-
-# ---------------------------------------------------------------------------
-# small-instance oracles
-
-
-def saddle_oracle_quadratic(A, B, C, a=None, c_lin=None):
-    """Unconstrained first-order point of the quadratic testbed.
-
-    Solves A x + B y = -a, B' x - C y = c_lin; returns (x, y) or None when
-    the system is singular or the residual exceeds 1e-10.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    nx, ny = A.shape[0], C.shape[0]
-    a = np.zeros(nx) if a is None else np.asarray(a, dtype=float)
-    c_lin = np.zeros(ny) if c_lin is None else np.asarray(c_lin, dtype=float)
-    M = np.block([[A, B], [B.T, -C]])
-    rhs = np.concatenate([-a, c_lin])
-    try:
-        sol = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(sol)):
-        return None
-    if np.linalg.norm(M @ sol - rhs) > 1e-10 * (1.0 + np.linalg.norm(rhs)):
-        return None
-    return sol[:nx], sol[nx:]
 
 
 @dataclass(frozen=True)

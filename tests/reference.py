@@ -1,0 +1,94 @@
+"""Reference implementations the tests check the package against.
+
+The solver computes its step parameters and its stationarity gap inline;
+these are second, one-call-at-a-time copies of both.  The saddle oracle
+solves the quadratic testbed's first-order system directly, and
+``read_trace_csv`` inverts ``agp.bench.write_trace_csv``.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from pathlib import Path
+
+import numpy as np
+
+from agp.bench import CSV_COLUMNS
+from agp.objective import MinimaxProblem, SmoothnessData
+from agp.schedules import RegimeConfig, _step_floats
+
+
+@dataclass(frozen=True)
+class StepParams:
+    beta: float
+    gamma: float
+    b: float
+    c: float
+    floored: bool = False
+
+
+def params_at(cfg: RegimeConfig, data: SmoothnessData, k: int) -> StepParams:
+    """Step parameters of iteration k >= 1, as the solver reads them."""
+    return StepParams(*_step_floats(cfg, data, k))
+
+
+@dataclass(frozen=True)
+class GapVector:
+    gx: np.ndarray
+    gy: np.ndarray
+    norm: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "norm",
+                           math.sqrt(float(self.gx @ self.gx) + float(self.gy @ self.gy)))
+
+
+def stationarity_gap(problem: MinimaxProblem, x, y, beta: float, gamma: float) -> GapVector:
+    """Scaled projected-gradient mapping of the raw objective."""
+    if not (beta > 0 and gamma > 0):
+        raise ValueError("beta and gamma must be > 0")
+    x, y = problem.check_point(x, y)
+    gxf, gyf = problem.grad_x(x, y), problem.grad_y(x, y)
+    return GapVector(gx=beta * (x - problem.X.project(x - gxf / beta)),
+                     gy=gamma * (y - problem.Y.project(y + gyf / gamma)))
+
+
+def saddle_oracle_quadratic(A, B, C, a=None, c_lin=None):
+    """Unconstrained first-order point of the quadratic testbed.
+
+    Solves A x + B y = -a, B' x - C y = c_lin; returns (x, y) or None when
+    the system is singular or the residual exceeds 1e-10.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    C = np.atleast_2d(np.asarray(C, dtype=float))
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    nx, ny = A.shape[0], C.shape[0]
+    a = np.zeros(nx) if a is None else np.asarray(a, dtype=float)
+    c_lin = np.zeros(ny) if c_lin is None else np.asarray(c_lin, dtype=float)
+    M = np.block([[A, B], [B.T, -C]])
+    rhs = np.concatenate([-a, c_lin])
+    try:
+        sol = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(sol)):
+        return None
+    if np.linalg.norm(M @ sol - rhs) > 1e-10 * (1.0 + np.linalg.norm(rhs)):
+        return None
+    return sol[:nx], sol[nx:]
+
+
+def read_trace_csv(path) -> dict:
+    """Inverse of write_trace_csv; returns column arrays keyed by name."""
+    text = Path(path).read_text().strip().splitlines()
+    header = text[0].split(",")
+    if tuple(header) != CSV_COLUMNS:
+        raise ValueError(f"unexpected trace header {header}")
+    rows = [line.split(",") for line in text[1:]]
+    out = {}
+    for j, name in enumerate(CSV_COLUMNS):
+        col = [r[j] for r in rows]
+        out[name] = (np.array([int(v) for v in col], dtype=int) if name == "k"
+                     else np.array([float(v) for v in col]))
+    return out

@@ -18,8 +18,10 @@ from agp.objective import (Regime, make_bilinear, make_nc_sc_sine,
 from agp.schedules import CNcConfig, NcCConfig, auto_configure
 from agp.solver import run, run_gda
 from agp.verify import (compute_bound, finite_diff_check, lemma_monitor,
-                        rate_slope, saddle_oracle_quadratic, theory_constants)
-from agp.bench import parse_config, rate_experiment, read_trace_csv, run_suite, write_trace_csv
+                        rate_slope, theory_constants)
+from agp.bench import parse_config, rate_experiment, run_suite, write_trace_csv
+
+from reference import read_trace_csv, saddle_oracle_quadratic
 
 TINY = 1e-300  # effectively "never stop early" for fixed-length monitor runs
 

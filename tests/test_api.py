@@ -5,20 +5,19 @@ import agp
 # The public API of the package, sorted.  A change to the API shows up here
 # as a one-line diff.
 PUBLIC_API = [
-    "Ball", "Box", "CNcConfig", "ConfigError", "ConstraintSet", "GapVector",
+    "Ball", "Box", "CNcConfig", "ConfigError", "ConstraintSet",
     "InfeasibleConfigError", "InvalidTraceError", "MinimaxProblem",
     "MonitorReport", "NcCConfig", "NcScConfig", "NumericFailureError",
     "Product", "Regime", "RegimeConfig", "RunSpec", "ScNcConfig", "Simplex",
-    "SmoothnessData", "SolverTrace", "StepParams",
+    "SmoothnessData", "SolverTrace",
     "SummaryRecord", "TheoryConstants", "UNBOUNDED", "UnsupportedRegimeError",
     "WholeSpace", "auto_configure", "compute_bound",
     "finite_diff_check", "grid_extremum",
     "is_unbounded", "lemma_monitor", "make_bilinear", "make_nc_sc_sine",
     "make_quadratic", "make_robust_svm_toy", "make_sc_nc_sine",
-    "params_at", "parse_config", "parse_set",
-    "random_quadratic", "rate_experiment", "rate_slope", "read_trace_csv",
+    "parse_config", "parse_set",
+    "random_quadratic", "rate_experiment", "rate_slope",
     "run", "run_gda", "run_suite",
-    "saddle_oracle_quadratic", "stationarity_gap",
     "theory_constants", "validate", "write_trace_csv",
 ]
 

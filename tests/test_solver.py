@@ -10,12 +10,13 @@ from agp import verify
 from agp.geometry import Ball, Box, Product, WholeSpace
 from agp.objective import Regime, make_bilinear, make_quadratic, random_quadratic
 from agp.schedules import (CNcConfig, InfeasibleConfigError, NcCConfig,
-                           NcScConfig, ScNcConfig, StepParams, auto_configure,
-                           params_at)
-from agp.solver import GapVector, NumericFailureError, run, run_gda, stationarity_gap
-from agp.verify import potentials, saddle_oracle_quadratic
+                           NcScConfig, ScNcConfig, auto_configure)
+from agp.solver import NumericFailureError, run, run_gda
+from agp.verify import potentials
 
 from conftest import zoo_instances
+from reference import (GapVector, StepParams, params_at, saddle_oracle_quadratic,
+                       stationarity_gap)
 
 
 def quad_1d():
@@ -23,8 +24,8 @@ def quad_1d():
     return make_quadratic([[1.0]], [[1.0]], [[1.0]])
 
 
-def sp(beta, gamma, b=0.0, c=0.0, k=1):
-    return StepParams(beta=beta, gamma=gamma, b=b, c=c, k=k)
+def sp(beta, gamma, b=0.0, c=0.0):
+    return StepParams(beta=beta, gamma=gamma, b=b, c=c)
 
 
 # beta = eta = 2 and gamma = 1/rho = 2, with b = c = 0
@@ -431,6 +432,12 @@ class TestRunGda:
         assert tr.gamma[0] == pytest.approx(2.0)
         assert tr.algo == "gda"
 
+    @pytest.mark.parametrize("steps", [(0.0, 0.1), (0.1, -1.0), (math.nan, 0.1),
+                                       (0.1, math.inf)])
+    def test_steps_must_be_positive_and_finite(self, steps):
+        with pytest.raises(ValueError, match="step sizes"):
+            run_gda(quad_1d(), *steps, eps=1e-6, max_iter=10)
+
 
 def bad_on_call(grad, n, value=math.nan):
     """grad, except that its n-th call returns ``value`` in every entry."""
@@ -525,7 +532,13 @@ class TestRunInfeasible:
         # decoupled and flat in the floored block: the floor 1.01*L is 0 too
         ([[0.0]], [[0.0]], [[1.0]], NcCConfig(eta_bar=0.1, rho_bar=1.0)),
         ([[1.0]], [[0.0]], [[0.0]], CNcConfig(zeta_bar=1.0, nu_bar=0.1)),
-    ], ids=["nc_sc", "sc_nc", "nc_c", "c_nc"])
+        # NaN fails the step check; an infinite rho or zeta makes a zero step
+        ([[1.0]], [[1.0]], [[1.0]], NcScConfig(eta=math.nan, rho=1.0)),
+        ([[1.0]], [[1.0]], [[1.0]], ScNcConfig(zeta=1.0, nu=math.nan)),
+        ([[1.0]], [[1.0]], [[1.0]], NcScConfig(eta=1.0, rho=math.inf)),
+        ([[1.0]], [[1.0]], [[1.0]], ScNcConfig(zeta=math.inf, nu=1.0)),
+    ], ids=["nc_sc", "sc_nc", "nc_c", "c_nc", "nc_sc nan eta", "sc_nc nan nu",
+            "nc_sc inf rho", "sc_nc inf zeta"])
     def test_raises_before_the_first_gradient(self, A, B, C, cfg):
         def no_gradient(x, y):
             raise AssertionError("gradient taken under an infeasible config")

@@ -10,11 +10,13 @@ from agp.objective import (VALUE_CHUNK, MinimaxProblem, Regime, make_bilinear,
                            make_quadratic, random_quadratic)
 from agp.schedules import (CNcConfig, InfeasibleConfigError, NcCConfig,
                            NcScConfig, ScNcConfig, auto_configure)
-from agp.solver import run, run_gda, stationarity_gap
+from agp.solver import run, run_gda
 from agp.verify import (GridExtremum, InvalidTraceError, TheoryConstants,
                         _covering_radius, _grid_points, compute_bound, d1_nc_sc,
                         finite_diff_check, grid_extremum, lemma_monitor,
-                        rate_slope, saddle_oracle_quadratic, theory_constants)
+                        rate_slope, theory_constants)
+
+from reference import saddle_oracle_quadratic, stationarity_gap
 
 
 def counting(p, batched=True):
