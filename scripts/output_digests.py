@@ -12,7 +12,11 @@ of the checkout this script sits in, so every root sees the same input:
   line per spec for its table, slope and ``partial`` flag;
 - a ``suite`` workload also runs through ``run_suite`` serially: one line
   per CSV trace, and one for ``summary.json`` with its ``wall_time_s``
-  fields dropped, the only fields that vary between runs.
+  fields dropped, the only fields that vary between runs;
+- at seed 0, every workload also runs through the ``rate``, ``check`` and
+  ``compare`` subcommands of ``agp.bench.main`` at ``--parallelism`` 1 and
+  2: one line per command and setting over its stdout and every file it
+  writes.
 
 Two checkouts produce the same outputs when the script prints the same
 lines for both::
@@ -24,7 +28,9 @@ lines for both::
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -35,6 +41,8 @@ from passrun import import_agp  # noqa: E402
 from workloads import WORKLOADS, config_text  # noqa: E402
 
 SEEDS = (0, 1)
+CLI_COMMANDS = ("rate", "check", "compare")
+CLI_PARALLELISM = (1, 2)
 
 
 def digest(data: bytes) -> str:
@@ -64,6 +72,25 @@ def rate_digests(agp, text):
         yield f"rate{spec.index:03d}", digest(json.dumps(table).encode())
 
 
+def cli_digests(agp, text, tmp):
+    """``(item, digest)`` of each CLI command and parallelism: one sha256
+    over the stdout and the sorted files of the output directory."""
+    tmp.mkdir(parents=True)
+    cfg = tmp / "workload.cfg"
+    cfg.write_text(text)
+    for cmd in CLI_COMMANDS:
+        for p in CLI_PARALLELISM:
+            out_dir = tmp / f"{cmd}-p{p}"
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                agp.bench.main([cmd, str(cfg), "--out-dir", str(out_dir),
+                                "--parallelism", str(p)])
+            h = hashlib.sha256(stdout.getvalue().encode())
+            for f in sorted(out_dir.glob("*")):
+                h.update(f.name.encode() + b"\0" + f.read_bytes())
+            yield f"{cmd}-p{p}", h.hexdigest()
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -78,6 +105,8 @@ def main(argv=None) -> int:
                 items = list(rate_digests(agp, text))
                 if kind == "suite":
                     items += suite_digests(agp, text, Path(tmp) / name / str(seed))
+                if seed == 0:
+                    items += cli_digests(agp, text, Path(tmp) / name / "cli")
                 for item, sha in items:
                     print(f"{sha}  {name}/{seed}/{item}", flush=True)
     return 0

@@ -19,16 +19,16 @@ is a config error (exit 4) that names its line or flag, raised before
 anything runs or is written.
 
 CLI subcommands: solve, rate, check, compare.  Exit codes: 0 all runs
-converged and monitors passed, 2 some run hit max_iter, 3 a monitor
-failed, 4 config error, 5 some run raised an error in its solve, monitors
-or bound (``solve``; it takes precedence over 3, which takes precedence
-over 2).
+converged and monitors passed, 2 some run hit max_iter, 3 a monitor or a
+``check`` condition failed, 4 config error, 5 some run raised an error, on
+every subcommand (5 takes precedence over 3, and 3 over 2); the other
+runs go on.
 
-``solve --parallelism N`` runs the suite in N forked worker processes; each
-worker writes the CSV traces of its runs, and the parent writes
-``summary.json`` in spec order, so no output byte apart from the wall times
-depends on N.  A platform without the ``fork`` start method runs the suite
-serially.
+Every subcommand maps its specs on ``--parallelism N`` forked worker
+processes; each worker writes the CSV traces of its runs, and the parent
+prints each run's lines and writes ``summary.json`` / ``rate.json`` in spec
+order, so no output byte apart from the wall times depends on N.  A
+platform without the ``fork`` start method runs the specs serially.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ from .geometry import Ball, Box, Product, parse_set
 from .objective import (MinimaxProblem, Regime, make_bilinear, make_nc_sc_sine,
                         make_robust_svm_toy, make_sc_nc_sine, random_quadratic)
 from .schedules import (DEFAULT_TAU, CNcConfig, NcCConfig, NcScConfig, RegimeConfig,
-                        ScNcConfig, UnsupportedRegimeError, auto_configure)
+                        ScNcConfig, UnsupportedRegimeError, auto_configure, validate)
 from .solver import SolverTrace, run, run_gda
-from .verify import (InvalidTraceError, compute_bound, lemma_monitor,
+from .verify import (InvalidTraceError, compute_bound, finite_diff_check, lemma_monitor,
                      rate_slope, theory_constants)
 
 __all__ = [
@@ -416,7 +416,8 @@ def _grid_resolution(problem):
     return 101 if d <= 1 else 21 if d <= 2 else 9
 
 
-def _execute(spec: RunSpec) -> tuple[SummaryRecord, SolverTrace | None]:
+def _execute(spec: RunSpec, out: Path | None) -> SummaryRecord:
+    """Run one spec; write its CSV trace into ``out``, if set, after timing it."""
     t0 = time.perf_counter()
     rec = SummaryRecord(run_id=spec.index, label=spec.label, solver=spec.solver,
                         regime=spec.regime_cfg.regime.value if spec.regime_cfg else None,
@@ -432,7 +433,7 @@ def _execute(spec: RunSpec) -> tuple[SummaryRecord, SolverTrace | None]:
     except Exception as e:  # per-run failure: capture, let the suite continue
         rec.error = f"{type(e).__name__}: {e}"
         rec.wall_time_s = time.perf_counter() - t0
-        return rec, None
+        return rec
     rec.reason = trace.reason
     rec.T_eps = trace.T_eps
     rec.final_gap = trace.final_gap
@@ -459,46 +460,41 @@ def _execute(spec: RunSpec) -> tuple[SummaryRecord, SolverTrace | None]:
             errors.append(f"bound: {type(e).__name__}: {e}")
         rec.error = "; ".join(errors) or None
     rec.wall_time_s = time.perf_counter() - t0
-    return rec, trace
-
-
-def _execute_and_write(spec: RunSpec, out: Path | None) -> SummaryRecord:
-    rec, trace = _execute(spec)
-    if out and trace is not None:
+    if out:
         write_trace_csv(trace, out / f"run{spec.index:03d}.csv")
     return rec
 
 
-# (specs, out) of the suite a forked worker serves.  A MinimaxProblem holds
-# closures and cannot be pickled, so the pool's initializer sets this in each
-# worker from the arguments it inherits by fork, and only spec indices and
-# summary records cross the pipes.
-_WORKER_SUITE = None
+# (job, specs) of the map a forked worker serves, set by the pool's
+# initializer from the arguments the worker inherits by fork: a MinimaxProblem
+# holds closures and cannot be pickled, so only indices and results cross.
+_WORKER_JOB = None
 
 
-def _adopt_suite(specs, out):
-    global _WORKER_SUITE
-    _WORKER_SUITE = (specs, out)
+def _adopt_job(job, specs):
+    global _WORKER_JOB
+    _WORKER_JOB = (job, specs)
 
 
-def _execute_forked(i: int) -> SummaryRecord:
-    specs, out = _WORKER_SUITE
-    return _execute_and_write(specs[i], out)
+def _run_adopted(i: int):
+    job, specs = _WORKER_JOB
+    return job(specs[i])
 
 
-def _can_fork() -> bool:
+def _map_specs(job, specs: list[RunSpec], workers: int) -> list:
+    """``[job(s) for s in specs]``: in ``min(workers, len(specs))`` forked
+    processes when that is two or more and the platform can fork, else
+    serially here.  An exception that escapes a job propagates."""
     import multiprocessing
 
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _run_forked(specs, out, workers) -> list[SummaryRecord]:
-    import multiprocessing
+    workers = min(workers, len(specs))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [job(s) for s in specs]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_adopt_suite, initargs=(specs, out)) as pool:
-        return list(pool.map(_execute_forked, range(len(specs))))
+                             initializer=_adopt_job, initargs=(job, specs)) as pool:
+        return list(pool.map(_run_adopted, range(len(specs))))
 
 
 def run_suite(specs: list[RunSpec], parallelism: int = 1, out_dir=None,
@@ -518,11 +514,7 @@ def run_suite(specs: list[RunSpec], parallelism: int = 1, out_dir=None,
     out = Path(out_dir) if out_dir else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
-    workers = min(parallelism, len(specs))
-    if workers > 1 and _can_fork():
-        records = _run_forked(specs, out, workers)
-    else:
-        records = [_execute_and_write(s, out) for s in specs]
+    records = _map_specs(lambda s: _execute(s, out), specs, parallelism)
     if out:
         payload = {"config": config_echo, "runs": [r.to_dict() for r in records]}
         (out / "summary.json").write_text(json.dumps(payload, indent=2) + "\n")
@@ -568,8 +560,7 @@ def _common_flags(p):
     p.add_argument("--out-dir", default=None,
                    help="output root (default $AGP_OUT_DIR or ./agp_out)")
     p.add_argument("--parallelism", type=int, default=1,
-                   help="forked worker processes of solve (default 1); "
-                        "rate, check and compare run serially")
+                   help="forked worker processes (default 1)")
     p.add_argument("--seed", type=int, default=None,
                    help="problem seed of every run, over the config's seed keys")
     p.add_argument("--max-iter", type=int, default=None,
@@ -611,54 +602,83 @@ def _cmd_solve(args) -> int:
     return code
 
 
+def _run_jobs(job, specs, args) -> tuple[int, list]:
+    """Map ``job: spec -> (lines, code, payload)`` over ``specs`` with
+    ``args.parallelism`` workers and print the lines in spec order; returns
+    the highest code and the payloads.  A job that raises gets the line
+    ``[NNN] label: Type: msg``, code 5 and payload ``{"label", "error"}``."""
+    def guarded(spec):
+        try:
+            return job(spec)
+        except Exception as e:  # per-run failure: the other runs go on
+            error = f"{type(e).__name__}: {e}"
+            return [f"[{spec.index:03d}] {spec.label}: {error}"], 5, \
+                {"label": spec.label, "error": error}
+
+    results = _map_specs(guarded, specs, args.parallelism)
+    for lines, _, _ in results:
+        print(*lines, sep="\n")
+    return max((r[1] for r in results), default=0), [r[2] for r in results]
+
+
+def _rate_job(spec):
+    res = rate_experiment(spec.problem, spec.regime_cfg, spec.eps_grid,
+                          spec.max_iter, spec.init)
+    lines = [f"[{spec.index:03d}] {spec.label}: slope="
+             f"{'n/a' if res.slope is None else f'{res.slope:.3f}'}"
+             f"{' (partial)' if res.partial else ''}"]
+    lines += [f"    eps={e:g}  T={t}" for e, t in res.table]
+    row = {"label": spec.label, "slope": res.slope, "partial": res.partial,
+           "table": [[e, t] for e, t in res.table]}
+    return lines, 2 if res.partial else 0, row
+
+
 def _cmd_rate(args) -> int:
     specs, _ = _load_specs(args)
     out = Path(_out_dir(args))
     out.mkdir(parents=True, exist_ok=True)
-    code = 0
-    rows = []
-    for spec in specs:
-        if spec.solver != "agp":
-            continue
-        res = rate_experiment(spec.problem, spec.regime_cfg, spec.eps_grid,
-                              spec.max_iter, spec.init)
-        print(f"[{spec.index:03d}] {spec.label}: slope="
-              f"{'n/a' if res.slope is None else f'{res.slope:.3f}'}"
-              f"{' (partial)' if res.partial else ''}")
-        for e, t in res.table:
-            print(f"    eps={e:g}  T={t}")
-        rows.append({"label": spec.label, "slope": res.slope, "partial": res.partial,
-                     "table": [[e, t] for e, t in res.table]})
-        if res.partial:
-            code = max(code, 2)
+    code, rows = _run_jobs(_rate_job, [s for s in specs if s.solver == "agp"], args)
     (out / "rate.json").write_text(json.dumps({"experiments": rows}, indent=2) + "\n")
     return code
 
 
-def _cmd_check(args) -> int:
-    from .verify import finite_diff_check
+def _check_job(spec):
+    grads = finite_diff_check(spec.problem, 100, seed=spec.index)
+    trace = run(spec.problem, spec.regime_cfg, spec.eps, min(spec.max_iter, 2000),
+                spec.init)
+    reports = [grads, validate(spec.regime_cfg, spec.problem.constants)]
+    try:
+        reports.append(lemma_monitor(trace, spec.problem, spec.regime_cfg))
+        verdicts = ["ok" if r.passed else "FAIL" for r in reports]
+    except InvalidTraceError as e:
+        # the regime's analysis does not apply to this problem (a missing
+        # modulus), so neither its conditions nor its monitors say anything
+        del reports[1:]
+        verdicts = ["ok" if grads.passed else "FAIL", "n/a", f"n/a ({e})"]
+    line = "[{:03d}] {}: gradients={} conditions={} monitors={}".format(
+        spec.index, spec.label, *verdicts)
+    if "FAIL" not in verdicts:
+        return [line], 0, None
+    return [line, *map(str, reports)], 3, None
 
+
+def _cmd_check(args) -> int:
     specs, _ = _load_specs(args)
-    code = 0
-    for spec in specs:
-        if spec.solver != "agp":
-            continue
-        grads = finite_diff_check(spec.problem, 100, seed=spec.index)
-        trace = run(spec.problem, spec.regime_cfg, spec.eps,
-                    min(spec.max_iter, 2000), spec.init)
-        try:
-            monitors = lemma_monitor(trace, spec.problem, spec.regime_cfg)
-            verdict = "ok" if monitors.passed else "FAIL"
-        except InvalidTraceError as e:  # the monitors do not apply to this config
-            monitors, verdict = None, f"n/a ({e})"
-        print(f"[{spec.index:03d}] {spec.label}: gradients="
-              f"{'ok' if grads.passed else 'FAIL'} monitors={verdict}")
-        if not grads.passed or verdict == "FAIL":
-            print(grads)
-            if monitors is not None:
-                print(monitors)
-            code = 3
-    return code
+    return _run_jobs(_check_job, [s for s in specs if s.solver == "agp"], args)[0]
+
+
+def _compare_job(spec, out):
+    agp_trace = run(spec.problem, spec.regime_cfg, spec.eps, spec.max_iter,
+                    spec.init) if spec.regime_cfg else None
+    gda_trace = run_gda(spec.problem, spec.step_x or _GDA_STEP, spec.step_y or _GDA_STEP,
+                        spec.eps, spec.max_iter, spec.init)
+    lines = []
+    for algo, tr in (("agp", agp_trace), ("gda", gda_trace)):
+        if tr is not None:
+            lines.append(f"{spec.label:<28} {algo:<5} {str(tr.T_eps):>8} "
+                         f"{tr.final_gap:>12.3e} {tr.iterations:>8}")
+            write_trace_csv(tr, out / f"run{spec.index:03d}_{algo}.csv")
+    return lines, 2 if agp_trace is not None and agp_trace.reason == "max_iter" else 0, None
 
 
 def _cmd_compare(args) -> int:
@@ -666,21 +686,7 @@ def _cmd_compare(args) -> int:
     out = Path(_out_dir(args))
     out.mkdir(parents=True, exist_ok=True)
     print(f"{'run':<28} {'algo':<5} {'T_eps':>8} {'final gap':>12} {'iters':>8}")
-    code = 0
-    for spec in specs:
-        agp_trace = run(spec.problem, spec.regime_cfg, spec.eps, spec.max_iter,
-                        spec.init) if spec.regime_cfg else None
-        gda_trace = run_gda(spec.problem, spec.step_x or _GDA_STEP, spec.step_y or _GDA_STEP,
-                            spec.eps, spec.max_iter, spec.init)
-        for algo, tr in (("agp", agp_trace), ("gda", gda_trace)):
-            if tr is None:
-                continue
-            print(f"{spec.label:<28} {algo:<5} {str(tr.T_eps):>8} "
-                  f"{tr.final_gap:>12.3e} {tr.iterations:>8}")
-            write_trace_csv(tr, out / f"run{spec.index:03d}_{algo}.csv")
-            if tr.reason == "max_iter" and algo == "agp":
-                code = max(code, 2)
-    return code
+    return _run_jobs(lambda s: _compare_job(s, out), specs, args)[0]
 
 
 def main(argv=None) -> int:

@@ -278,7 +278,7 @@ def validate(cfg: RegimeConfig, data: SmoothnessData) -> ValidationReport:
             _lt("L_y < eta", d.L_y, cfg.eta),
             _lt("L_12^2 rho + 4 L_12^2/(rho mu^2) < eta",
                 d.L_12**2 * cfg.rho + 4 * d.L_12**2 / (cfg.rho * d.mu**2)
-                if d.mu > 0 else float("inf"), cfg.eta),
+                if d.mu > 0 and cfg.rho > 0 else float("inf"), cfg.eta),
             _le("rho <= mu/(4 L_y^2)", cfg.rho,
                 d.mu / (4 * d.L_y**2) if d.L_y > 0 else float("inf")),
         )
@@ -298,7 +298,7 @@ def validate(cfg: RegimeConfig, data: SmoothnessData) -> ValidationReport:
             _lt("L_y < nu", d.L_y, cfg.nu),
             _lt("L_21^2 zeta + 4 L_21^2/(zeta theta^2) < nu",
                 d.L_21**2 * cfg.zeta + 4 * d.L_21**2 / (cfg.zeta * d.theta**2)
-                if d.theta > 0 else float("inf"), cfg.nu),
+                if d.theta > 0 and cfg.zeta > 0 else float("inf"), cfg.nu),
             _le("zeta <= theta/(4 L_x^2)", cfg.zeta,
                 d.theta / (4 * d.L_x**2) if d.L_x > 0 else float("inf")),
             _le("zeta <= 6/theta", cfg.zeta,

@@ -29,7 +29,7 @@ import numpy as np
 from . import geometry
 from .objective import VALUE_CHUNK, MinimaxProblem, Regime
 from .schedules import (CNcConfig, NcCConfig, NcScConfig, RegimeConfig,
-                        ScNcConfig, InfeasibleConfigError, _decay_k0)
+                        ScNcConfig, InfeasibleConfigError, _decay_k0, validate)
 
 if TYPE_CHECKING:
     from .solver import SolverTrace
@@ -596,6 +596,7 @@ def theory_constants(problem: MinimaxProblem, cfg: RegimeConfig, trace: SolverTr
     columns under ``cfg`` (the first potential uses the convention
     y_0 = y_1, collapsing its delta term), the extremal f values from a
     padded grid scan, which takes ``problem.values`` over every grid pair.
+    A config that fails a ``validate`` condition gets no bound.
     """
     _require_f_mixed(trace)
     d = problem.constants
@@ -607,6 +608,10 @@ def theory_constants(problem: MinimaxProblem, cfg: RegimeConfig, trace: SolverTr
     ratio = (d1_nc_sc(cfg, d) if isinstance(cfg, NcScConfig)
              else dhat1_sc_nc(cfg, d) if isinstance(cfg, ScNcConfig) else None)
     _require_positive_ratio(cfg.regime, ratio)
+    failed = next((c for c in validate(cfg, d).checks if not c.passed), None)
+    if failed is not None:
+        raise InfeasibleConfigError(f"the {cfg.regime.value} bound needs {failed.name}, which "
+                                    f"fails: {failed.lhs:.6g} {failed.op} {failed.rhs:.6g}")
     ext = grid_extremum(problem, resolution)
     f_lower = ext.f_lower - ext.pad
     f_upper = ext.f_upper + ext.pad

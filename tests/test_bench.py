@@ -152,6 +152,24 @@ max_iter = 10
 """
 
 
+def _bound_error_without_grid_scan(tmp_path, text):
+    """The ``bound_error`` of the one run of ``text``, which must have left
+    its bound ``None`` without an error and without scanning a grid pair."""
+    spec = parse_config(text + "max_iter = 50\n")[0]
+    rows = []
+
+    def counted_rows(X, Y, value_rows=spec.problem.value_rows):
+        rows.append(len(X))
+        return value_rows(X, Y)
+
+    spec.problem = dataclasses.replace(spec.problem, value_rows=counted_rows)
+    rec = run_suite([spec], out_dir=tmp_path)[0]
+    n = rec.iterations
+    assert sum(rows) == n + (n - 1)  # the f and f_mixed columns, no grid pair
+    assert rec.error is None and rec.bound is None
+    return rec.bound_error
+
+
 class TestRunSuite:
     def test_records_and_files(self, tmp_path):
         specs = parse_config(SUITE)
@@ -234,19 +252,31 @@ class TestRunSuite:
         self.test_monitor_and_bound_errors_stay_in_their_run(tmp_path, monkeypatch,
                                                              parallelism=2)
 
-    def test_summary_byte_identical_across_parallelism(self, tmp_path):
+    @pytest.mark.parametrize("command, files", [
+        ("solve", ["run000.csv", "run001.csv", "run002.csv", "summary.json"]),
+        ("rate", ["rate.json"]), ("check", []),
+        ("compare", ["run000_agp.csv", "run000_gda.csv", "run001_agp.csv",
+                     "run001_gda.csv", "run002_gda.csv"])],
+        ids=["solve", "rate", "check", "compare"])
+    def test_outputs_byte_identical_across_parallelism(self, tmp_path, capsys, command,
+                                                       files):
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(SUITE)
+
         def outputs(parallelism):
             d = tmp_path / f"p{parallelism}"
-            run_suite(parse_config(SUITE), parallelism=parallelism, out_dir=d,
-                      config_echo=SUITE)
-            payload = json.loads((d / "summary.json").read_text())
-            for r in payload["runs"]:
-                del r["wall_time_s"]
-            csvs = {f.name: f.read_bytes() for f in sorted(d.glob("*.csv"))}
-            return json.dumps(payload, indent=2), csvs
+            main([command, str(cfg), "--out-dir", str(d), "--parallelism", str(parallelism)])
+            out = {f.name: f.read_bytes() for f in sorted(d.glob("*"))}
+            if command == "solve":
+                payload = json.loads(out["summary.json"])
+                assert payload["config"] == SUITE
+                for r in payload["runs"]:
+                    del r["wall_time_s"]
+                out["summary.json"] = json.dumps(payload, indent=2)
+            return capsys.readouterr().out, out
 
         serial = outputs(1)
-        assert len(serial[1]) == 3
+        assert serial[0].count("\n") >= 2 and sorted(serial[1]) == files
         assert outputs(2) == serial
         assert outputs(4) == serial
 
@@ -311,20 +341,19 @@ class TestRunSuite:
          "regime = sc_nc(zeta=1, nu=1)\n", "dhat1: the configuration violates the ascent")],
         ids=["nc_sc", "sc_nc"])
     def test_nonpositive_ratio_skips_the_grid_scan(self, tmp_path, text, ratio):
-        spec = parse_config(text + "max_iter = 50\n")[0]
-        rows = []
+        assert _bound_error_without_grid_scan(tmp_path, text) == (
+            f"InfeasibleConfigError: nonpositive per-iteration ratio {ratio} conditions")
 
-        def counted_rows(X, Y, value_rows=spec.problem.value_rows):
-            rows.append(len(X))
-            return value_rows(X, Y)
-
-        spec.problem = dataclasses.replace(spec.problem, value_rows=counted_rows)
-        rec = run_suite([spec], out_dir=tmp_path)[0]
-        n = rec.iterations
-        assert sum(rows) == n + (n - 1)  # the f and f_mixed columns, no grid pair
-        assert rec.error is None and rec.bound is None
-        assert rec.bound_error == ("InfeasibleConfigError: nonpositive per-iteration "
-                                   f"ratio {ratio} conditions")
+    @pytest.mark.parametrize("text, condition", [
+        ("problem = quadratic(seed=11, nx=2, ny=2, regime=nc_c)\n"
+         "regime = nc_c(rho_bar=5, eta_bar=0.5)\n", "nc_c bound needs rho~ <= 2/(L_y' + c_1)"),
+        ("problem = quadratic(seed=13, nx=2, ny=2, regime=c_nc)\n"
+         "regime = c_nc(zeta_bar=5, nu_bar=0.5)\n", "c_nc bound needs zeta~ <= 2/(L_x' + q_1)")],
+        ids=["nc_c", "c_nc"])
+    def test_failed_condition_skips_the_grid_scan(self, tmp_path, text, condition):
+        # both bounds read about 1e22 to 1e24 when the conditions were not checked
+        assert _bound_error_without_grid_scan(tmp_path, text) == (
+            f"InfeasibleConfigError: the {condition}, which fails: 5 <= 1.17647")
 
     def test_bound_ratio_at_least_one(self, tmp_path):
         recs = run_suite(parse_config(SUITE), out_dir=tmp_path)
@@ -420,6 +449,43 @@ class TestCli:
         assert main(["compare", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "run000_agp.csv").exists()
         assert (tmp_path / "out" / "run000_gda.csv").exists()
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("command", ["rate", "check", "compare"])
+    def test_raised_run_fails_alone_exit_5(self, tmp_path, capsys, command, parallelism):
+        cfg = tmp_path / "raise.cfg"
+        cfg.write_text("max_iter = 2000\n"
+                       "problem = quadratic(seed=7, nx=1, ny=1, regime=nc_sc)\n"
+                       "regime = nc_sc(eta=-1, rho=0.25)\n"
+                       "problem = quadratic(seed=7, nx=1, ny=1, regime=nc_sc)\n")
+        out = tmp_path / "out"
+        assert main([command, str(cfg), "--out-dir", str(out),
+                     "--parallelism", str(parallelism)]) == 5
+        error = "InfeasibleConfigError: needs eta > 0 and 0 < rho < inf"
+        label = "quadratic-seed-7-nx-1-ny-1-regime-nc_sc-agp"
+        lines = capsys.readouterr().out.splitlines()
+        assert f"[000] 000-{label}: {error}" in lines
+        run1 = [line for line in lines if f"001-{label}" in line]
+        assert run1 and error not in run1[0]
+        if command == "rate":
+            rows = json.loads((out / "rate.json").read_text())["experiments"]
+            assert len(rows) == 2
+            assert rows[0] == {"label": f"000-{label}", "error": error}
+            assert rows[1]["label"] == f"001-{label}" and rows[1]["slope"] is not None
+        elif command == "compare":
+            names = sorted(f.name for f in out.iterdir())
+            assert names == ["run001_agp.csv", "run001_gda.csv"]
+        else:
+            assert run1[0].endswith("gradients=ok conditions=ok monitors=ok")
+
+    def test_check_reports_failed_conditions_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "premise.cfg"
+        cfg.write_text("problem = quadratic(seed=11, nx=2, ny=2, regime=nc_c)\n"
+                       "regime = nc_c(rho_bar=5, eta_bar=0.5)\nmax_iter = 200\n")
+        assert main(["check", str(cfg)]) == 3
+        out = capsys.readouterr().out
+        assert "gradients=ok conditions=FAIL" in out
+        assert "rho~ <= 2/(L_y' + c_1)" in out and "NO" in out
 
     def test_eps_and_max_iter_overrides(self, tmp_path):
         cfg = tmp_path / "o.cfg"

@@ -162,6 +162,16 @@ class TestValidate:
         rep = validate(NcScConfig(eta=0.5, rho=10.0), d)
         assert not rep.passed
 
+    @pytest.mark.parametrize("cfg, seed, regime, failing", [
+        (NcScConfig(eta=50.0, rho=-1.0), 7, Regime.NC_SC, 2),
+        (ScNcConfig(zeta=-1.0, nu=50.0), 3, Regime.SC_NC, 1)], ids=["nc_sc", "sc_nc"])
+    def test_negative_step_fails(self, cfg, seed, regime, failing):
+        # a negative rho / zeta turns the coupling condition's left side negative
+        rep = validate(cfg, random_quadratic(seed, 2, 2, regime).constants)
+        assert not rep.passed
+        assert [i for i, c in enumerate(rep.checks) if not c.passed] == [failing]
+        assert rep.checks[failing].lhs == math.inf
+
     def test_report_formats(self):
         d = data(mu=1.0)
         rep = validate(NcScConfig(eta=16.4125, rho=0.25), d)
