@@ -13,10 +13,11 @@ of the checkout this script sits in, so every root sees the same input:
 - a ``suite`` workload also runs through ``run_suite`` serially: one line
   per CSV trace, and one for ``summary.json`` with its ``wall_time_s``
   fields dropped, the only fields that vary between runs;
-- at seed 0, every workload also runs through the ``rate``, ``check`` and
-  ``compare`` subcommands of ``agp.bench.main`` at ``--parallelism`` 1 and
-  2: one line per command and setting over its stdout and every file it
-  writes.
+- at seed 0, every workload also runs through the ``solve``, ``rate``,
+  ``check`` and ``compare`` subcommands of ``agp.bench.main`` at
+  ``--parallelism`` 1 and 2: one line per command and setting over its exit
+  code, its stdout and every file it writes (``summary.json`` without its
+  ``wall_time_s`` fields).
 
 Two checkouts produce the same outputs when the script prints the same
 lines for both::
@@ -41,12 +42,20 @@ from passrun import import_agp  # noqa: E402
 from workloads import WORKLOADS, config_text  # noqa: E402
 
 SEEDS = (0, 1)
-CLI_COMMANDS = ("rate", "check", "compare")
+CLI_COMMANDS = ("solve", "rate", "check", "compare")
 CLI_PARALLELISM = (1, 2)
 
 
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def timing_free_summary(path) -> bytes:
+    """``summary.json`` without its ``wall_time_s`` fields."""
+    summary = json.loads(path.read_text())
+    for run in summary["runs"]:
+        del run["wall_time_s"]
+    return json.dumps(summary, indent=2).encode()
 
 
 def suite_digests(agp, text, out_dir):
@@ -55,10 +64,7 @@ def suite_digests(agp, text, out_dir):
                   config_echo=text)
     for csv in sorted(out_dir.glob("*.csv")):
         yield csv.name, digest(csv.read_bytes())
-    summary = json.loads((out_dir / "summary.json").read_text())
-    for run in summary["runs"]:
-        del run["wall_time_s"]
-    yield "summary.json", digest(json.dumps(summary, indent=2).encode())
+    yield "summary.json", digest(timing_free_summary(out_dir / "summary.json"))
 
 
 def rate_digests(agp, text):
@@ -74,7 +80,8 @@ def rate_digests(agp, text):
 
 def cli_digests(agp, text, tmp):
     """``(item, digest)`` of each CLI command and parallelism: one sha256
-    over the stdout and the sorted files of the output directory."""
+    over the exit code, the stdout and the sorted files of the output
+    directory."""
     tmp.mkdir(parents=True)
     cfg = tmp / "workload.cfg"
     cfg.write_text(text)
@@ -83,11 +90,13 @@ def cli_digests(agp, text, tmp):
             out_dir = tmp / f"{cmd}-p{p}"
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
-                agp.bench.main([cmd, str(cfg), "--out-dir", str(out_dir),
-                                "--parallelism", str(p)])
-            h = hashlib.sha256(stdout.getvalue().encode())
+                code = agp.bench.main([cmd, str(cfg), "--out-dir", str(out_dir),
+                                       "--parallelism", str(p)])
+            h = hashlib.sha256(f"exit {code}\n{stdout.getvalue()}".encode())
             for f in sorted(out_dir.glob("*")):
-                h.update(f.name.encode() + b"\0" + f.read_bytes())
+                data = (timing_free_summary(f) if f.name == "summary.json"
+                        else f.read_bytes())
+                h.update(f.name.encode() + b"\0" + data)
             yield f"{cmd}-p{p}", h.hexdigest()
 
 

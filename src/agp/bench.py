@@ -41,7 +41,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +80,6 @@ _KNOWN_KEYS = {"problem", "solver", "regime", "eps", "max_iter", "seed", "tau",
                "step_x", "step_y", "init", "x0", "y0", "X", "Y", "eps_grid",
                "label"}
 
-_REGIME_PRIORITY = (Regime.NC_SC, Regime.SC_NC, Regime.NC_C, Regime.C_NC)
 _REGIME_CONFIGS = {cls.regime.value: cls
                    for cls in (NcScConfig, NcCConfig, ScNcConfig, CNcConfig)}
 
@@ -320,10 +319,7 @@ def _resolve_regime(merged, problem, problem_regime, tau, pwhere):
     elif problem_regime is not None:
         regime, where = problem_regime, pwhere
     else:
-        tagged = [r for r in _REGIME_PRIORITY if r in problem.tags]
-        if not tagged:
-            _err("problem has no regime tag; add a regime key", pwhere)
-        regime, where = tagged[0], pwhere
+        _err(f"{problem.name} has no regime of its own; add a regime key", pwhere)
     try:
         cfg = auto_configure(problem.constants, regime)
     except UnsupportedRegimeError as e:
@@ -335,8 +331,8 @@ def _resolve_regime(merged, problem, problem_regime, tau, pwhere):
 
 
 def _explicit_regime(call, tau, where):
-    """The inverse of ``RegimeConfig.descriptor()``: the config class named
-    by ``call``, built from its ``init`` fields; ``tau`` fills an unset tau."""
+    """The config class named by ``call``, built from its ``init`` fields;
+    ``tau`` fills an unset tau."""
     cls = _REGIME_CONFIGS.get(call.name)
     if cls is None:
         _err(f"unknown regime {call.name!r}", where)
@@ -573,7 +569,10 @@ def _load_specs(args) -> tuple[list[RunSpec], str]:
     """The config's specs and text; its flags override every block."""
     if args.parallelism < 1:
         raise ConfigError(f"--parallelism must be >= 1, got {args.parallelism}")
-    text = Path(args.config).read_text()
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read the config: {e}") from None
     flags = {key: (repr(value), f"flag --{key.replace('_', '-')}")
              for key, value in (("seed", args.seed), ("eps", args.eps),
                                 ("max_iter", args.max_iter)) if value is not None}
@@ -703,9 +702,6 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 4
-    except FileNotFoundError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 4
 

@@ -97,13 +97,6 @@ class ConstraintSet:
         """Random point of the set (used by property tests and checkers)."""
         raise NotImplementedError
 
-    def descriptor(self) -> str:
-        """Config-format text form; ``parse_set`` inverts it."""
-        raise NotImplementedError
-
-    def __repr__(self):
-        return self.descriptor()
-
 
 @dataclass(frozen=True)
 class WholeSpace(ConstraintSet):
@@ -129,9 +122,6 @@ class WholeSpace(ConstraintSet):
 
     def sample(self, rng):
         return rng.standard_normal(self.dim)
-
-    def descriptor(self):
-        return f"free(dim={self.dim})"
 
 
 @dataclass(frozen=True)
@@ -168,9 +158,6 @@ class Box(ConstraintSet):
 
     def sample(self, rng):
         return rng.uniform(self.lower, self.upper)
-
-    def descriptor(self):
-        return f"box(lower={_fmt_vec(self.lower)}, upper={_fmt_vec(self.upper)})"
 
 
 @dataclass(frozen=True)
@@ -216,9 +203,6 @@ class Ball(ConstraintSet):
         u = rng.uniform() ** (1.0 / self.dim)
         return self.center + d * (self.radius * u / n)
 
-    def descriptor(self):
-        return f"ball(center={_fmt_vec(self.center)}, radius={_fmt_num(self.radius)})"
-
 
 @dataclass(frozen=True)
 class Simplex(ConstraintSet):
@@ -260,9 +244,6 @@ class Simplex(ConstraintSet):
 
     def sample(self, rng):
         return rng.dirichlet(np.ones(self.dim)) * self.scale
-
-    def descriptor(self):
-        return f"simplex(dim={self.dim}, scale={_fmt_num(self.scale)})"
 
 
 @dataclass(frozen=True)
@@ -314,25 +295,13 @@ class Product(ConstraintSet):
     def sample(self, rng):
         return np.concatenate([p.sample(rng) for p in self.parts])
 
-    def descriptor(self):
-        inner = ", ".join(p.descriptor() for p in self.parts)
-        return f"product({inner})"
-
 
 # ---------------------------------------------------------------------------
-# config-text serialization
-
-
-def _fmt_num(x: float) -> str:
-    return "%.17g" % float(x)
-
-
-def _fmt_vec(v) -> str:
-    return "[" + ", ".join(_fmt_num(x) for x in np.asarray(v, dtype=float)) + "]"
+# config-text parsing
 
 
 def parse_set(text: str) -> ConstraintSet:
-    """Parse a set descriptor like ``box(lower=[0, 0], upper=[1, 1])``."""
+    """Parse config text like ``box(lower=[0, 0], upper=[1, 1])`` into a set."""
     call = parse_value(text)
     if not isinstance(call, _CallValue):
         raise ValueError(f"expected name(...) form, got {text!r}")

@@ -40,7 +40,6 @@ __all__ = [
     "make_sc_nc_sine",
     "make_robust_svm_toy",
     "random_quadratic",
-    "QuadraticData",
 ]
 
 # eigenvalues within this relative band of zero count as zero when deriving
@@ -104,7 +103,6 @@ class MinimaxProblem:
     constants: SmoothnessData
     tags: frozenset = frozenset()
     name: str = ""
-    quadratic: "QuadraticData | None" = None
     value_rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
@@ -136,15 +134,6 @@ class MinimaxProblem:
 
 # ---------------------------------------------------------------------------
 # quadratic testbed  f(x,y) = 1/2 x'Ax + a'x + x'By - 1/2 y'Cy - c'y
-
-
-@dataclass(frozen=True)
-class QuadraticData:
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    a: np.ndarray
-    c_lin: np.ndarray
 
 
 def _one_row(rows):
@@ -224,8 +213,7 @@ def make_quadratic(A, B, C, a=None, c_lin=None, X=None, Y=None, name="quadratic"
         dim_x=nx, dim_y=ny, X=X, Y=Y,
         value=_one_row(rows), grad_x=grad_x, grad_y=grad_y,
         constants=SmoothnessData(L_x=L_x, L_y=L_y, L_12=L_c, L_21=L_c, mu=mu, theta=theta),
-        tags=frozenset(tags), name=name,
-        quadratic=QuadraticData(A, B, C, a, c_lin), value_rows=rows,
+        tags=frozenset(tags), name=name, value_rows=rows,
     )
 
 
@@ -403,11 +391,11 @@ def _shift_to_indefinite(M, target_lam_min):
     return M + (target_lam_min - lam_min) * np.eye(M.shape[0])
 
 
-def random_quadratic(seed, nx, ny, regime, box_half_width=1.0) -> MinimaxProblem:
+def random_quadratic(seed, nx, ny, regime) -> MinimaxProblem:
     """Random quadratic instance engineered to carry the requested tag.
 
-    Feasible sets default to centered boxes so the complexity bounds have
-    finite size constants.
+    The feasible sets are the boxes [-1, 1]^nx and [-1, 1]^ny, so the
+    complexity bounds have finite size constants.
     """
     regime = Regime(regime) if not isinstance(regime, Regime) else regime
     rng = np.random.default_rng(seed)
@@ -432,8 +420,8 @@ def random_quadratic(seed, nx, ny, regime, box_half_width=1.0) -> MinimaxProblem
     # project-origin default start actually has to move
     a = 0.2 * rng.standard_normal(nx)
     c_lin = 0.2 * rng.standard_normal(ny)
-    X = Box(-box_half_width * np.ones(nx), box_half_width * np.ones(nx))
-    Y = Box(-box_half_width * np.ones(ny), box_half_width * np.ones(ny))
+    X = Box(-np.ones(nx), np.ones(nx))
+    Y = Box(-np.ones(ny), np.ones(ny))
     prob = make_quadratic(A, B, C, a=a, c_lin=c_lin, X=X, Y=Y,
                           name=f"quadratic(seed={seed}, nx={nx}, ny={ny}, regime={regime.value})")
     if regime not in prob.tags:

@@ -24,7 +24,6 @@ schedule; the Lyapunov monitors only assert from there on).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -60,13 +59,6 @@ class UnsupportedRegimeError(ValueError):
 
 class RegimeConfig:
     regime: Regime
-
-    def descriptor(self) -> str:
-        """Config-format text form, e.g. ``nc_c(rho_bar=1, eta_bar=0.5, tau=3)``."""
-        fields = {f: getattr(self, f) for f in self.__dataclass_fields__
-                  if f != "regime"}
-        inner = ", ".join(f"{k}={'%.17g' % v}" for k, v in fields.items())
-        return f"{self.regime.value}({inner})"
 
 
 @dataclass(frozen=True)
@@ -201,14 +193,13 @@ def auto_configure(data: SmoothnessData, regime: Regime) -> RegimeConfig:
         nu = SAFETY * max(data.L_y,
                           data.L_21**2 * zeta + 4 * data.L_21**2 / (zeta * data.theta**2))
         return ScNcConfig(zeta=zeta, nu=nu)
-    if regime is Regime.C_NC:
-        if not (data.L_x > 0 and data.L_21 > 0):
-            raise UnsupportedRegimeError(
-                "convex-nonconcave auto-configuration needs L_x > 0 and L_21 > 0; "
-                "pass an explicit config for degenerate instances")
-        zeta_bar = 1.0 / data.L_x
-        return CNcConfig(nu_bar=zeta_bar * data.L_21**2 / 2, zeta_bar=zeta_bar, tau=DEFAULT_TAU)
-    raise UnsupportedRegimeError(f"unknown regime {regime!r}")
+    # C_NC: Regime(regime) has refused every other value
+    if not (data.L_x > 0 and data.L_21 > 0):
+        raise UnsupportedRegimeError(
+            "convex-nonconcave auto-configuration needs L_x > 0 and L_21 > 0; "
+            "pass an explicit config for degenerate instances")
+    zeta_bar = 1.0 / data.L_x
+    return CNcConfig(nu_bar=zeta_bar * data.L_21**2 / 2, zeta_bar=zeta_bar, tau=DEFAULT_TAU)
 
 
 # ---------------------------------------------------------------------------
@@ -242,15 +233,6 @@ class ValidationReport:
         if self.k0 is not None:
             lines.append(f"decay condition first holds at k0 = {self.k0}")
         return "\n".join(lines)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "regime": self.regime.value,
-            "passed": self.passed,
-            "k0": self.k0,
-            "checks": [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "op": c.op,
-                        "passed": c.passed} for c in self.checks],
-        }, indent=2)
 
 
 def _lt(name, lhs, rhs):

@@ -83,7 +83,6 @@ class SolverTrace:
     eps: float
     algo: str
     regime: Regime | None
-    problem_name: str
     floored_any: bool = False
     # f(x_{k+1}, y_k) for k = 1..n-1; None on GDA traces
     f_mixed: np.ndarray | None = None
@@ -275,5 +274,5 @@ def _assemble_trace(problem, cfg, rows, xs, ys, reason, T_eps, eps, algo,
         k=np.arange(1, n + 1), dx_norm=dx, dy_norm=dy, potential=potential,
         monitor_slack=slack, xs=xs, ys=ys, reason=reason, T_eps=T_eps, eps=eps,
         algo=algo, regime=cfg.regime if cfg is not None else None,
-        problem_name=problem.name, floored_any=floored_any, f_mixed=f_mixed, **cols,
+        floored_any=floored_any, f_mixed=f_mixed, **cols,
     )

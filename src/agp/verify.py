@@ -505,7 +505,8 @@ def grid_extremum(problem: MinimaxProblem, resolution: int) -> GridExtremum:
 
     Desk-scale only: the pairs of bounding-box grid points,
     ``resolution ** (dim_x + dim_y)``, are counted before any grid is built
-    and capped at 1e7.
+    and capped at 1e7.  NaN values are skipped, but a scan whose min or max
+    is not finite raises ``ValueError``.
     """
     total = resolution ** (problem.dim_x + problem.dim_y)
     if total > 10**7:
@@ -523,6 +524,8 @@ def grid_extremum(problem: MinimaxProblem, resolution: int) -> GridExtremum:
         v = v[~np.isnan(v)]
         lo = min(lo, float(np.min(v, initial=math.inf)))
         hi = max(hi, float(np.max(v, initial=-math.inf)))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"grid scan of f has no finite extrema: min {lo}, max {hi}")
     # crude gradient bound over the product set, anchored at one point
     d = problem.constants
     x0, y0 = gx[0], gy[0]
@@ -667,24 +670,27 @@ def _require_positive_ratio(regime, ratio):
 
 
 def compute_bound(tc: TheoryConstants, eps: float) -> float:
-    """Literal iteration-count bound for reaching gap norm <= eps."""
+    """Literal iteration-count bound for reaching gap norm <= eps; a NaN
+    bound (say from a NaN f at the start point) raises ``ArithmeticError``."""
     if not (eps > 0):
         raise ValueError("eps must be > 0")
     if tc.regime is Regime.NC_SC:
         _require_positive_ratio(tc.regime, tc.d1)
-        return (tc.F1 - tc.F_lower) / (tc.d1 * eps**2)
-    if tc.regime is Regime.SC_NC:
+        bound = (tc.F1 - tc.F_lower) / (tc.d1 * eps**2)
+    elif tc.regime is Regime.SC_NC:
         _require_positive_ratio(tc.regime, tc.dhat1)
-        return (tc.Fhat_upper - tc.Fhat1) / (tc.dhat1 * eps**2)
-    if tc.regime is Regime.NC_C:
+        bound = (tc.Fhat_upper - tc.Fhat1) / (tc.dhat1 * eps**2)
+    elif tc.regime is Regime.NC_C:
         first = (64 * tc.rho_bar * (tc.tau - 2) * tc.L_12**2 * tc.d3 * tc.d4 / eps**2 + 2) ** 2
-        second = tc.sighat_y**4 / (tc.rho_bar**4 * eps**4) + 1
-        return max(first, second)
-    if tc.regime is Regime.C_NC:
+        bound = max(first, tc.sighat_y**4 / (tc.rho_bar**4 * eps**4) + 1)
+    elif tc.regime is Regime.C_NC:
         first = (64 * tc.zeta_bar * (tc.tau - 2) * tc.L_21**2 * tc.dhat3 * tc.dhat4 / eps**2 + 1) ** 2
-        second = tc.sighat_x**4 / (tc.zeta_bar**4 * eps**4) + 1
-        return max(first, second)
-    raise TypeError(f"unknown regime {tc.regime!r}")
+        bound = max(first, tc.sighat_x**4 / (tc.zeta_bar**4 * eps**4) + 1)
+    else:
+        raise TypeError(f"unknown regime {tc.regime!r}")
+    if math.isnan(bound):
+        raise ArithmeticError(f"the {tc.regime.value} bound is NaN")
+    return bound
 
 
 def rate_slope(points) -> float:

@@ -91,14 +91,36 @@ class TestParseConfig:
         s = parse_config(text)[0]
         np.testing.assert_array_equal(s.init[0], [1.0])
 
+    @pytest.mark.parametrize("tau, block, expected", [
+        ("4", "quadratic(seed=11, nx=2, ny=2, regime=nc_c)\n", 4.0),
+        ("4", "quadratic(seed=13, nx=2, ny=2, regime=c_nc)\n", 4.0),
+        ("4", "bilinear(dim=1)\nregime = nc_c(rho_bar=1, eta_bar=0.5)\n", 4.0),
+        ("4", "bilinear(dim=1)\nregime = nc_c(rho_bar=1, eta_bar=0.5, tau=5)\n", 5.0),
+        ("4", "quadratic(seed=7, nx=2, ny=2, regime=nc_sc)\n", None),
+        ("2", "quadratic(seed=11, nx=2, ny=2, regime=nc_c)\n", ConfigError),
+    ], ids=["nc_c", "c_nc", "explicit", "explicit-tau", "nc_sc", "not-above-2"])
+    def test_tau_key(self, tau, block, expected):
+        # the tau of an nc_c / c_nc regime that sets none; other regimes ignore it
+        text = f"tau = {tau}\nproblem = {block}"
+        if expected is ConfigError:
+            with pytest.raises(ConfigError, match=r"^tau must be > 2 \(line 1\)$"):
+                parse_config(text)
+            return
+        cfg = parse_config(text)[0].regime_cfg
+        base = parse_config(f"problem = {block}")[0].regime_cfg
+        assert cfg == (base if expected is None else dataclasses.replace(base, tau=expected))
+        assert getattr(cfg, "tau", None) == expected
+
     def test_regime_config_round_trip(self):
         from agp.schedules import CNcConfig, ScNcConfig
-        for cfg in (NcScConfig(eta=16.4125, rho=0.25),
-                    NcCConfig(eta_bar=0.5, rho_bar=1.0, tau=3.0),
-                    ScNcConfig(zeta=0.25, nu=3.0),
-                    CNcConfig(nu_bar=0.5, zeta_bar=1.0, tau=3.0)):
+        for call, cfg in (("nc_sc(eta=16.4125, rho=0.25)", NcScConfig(eta=16.4125, rho=0.25)),
+                          ("nc_c(eta_bar=0.5, rho_bar=1, tau=3)",
+                           NcCConfig(eta_bar=0.5, rho_bar=1.0, tau=3.0)),
+                          ("sc_nc(zeta=0.25, nu=3)", ScNcConfig(zeta=0.25, nu=3.0)),
+                          ("c_nc(nu_bar=0.5, zeta_bar=1, tau=3)",
+                           CNcConfig(nu_bar=0.5, zeta_bar=1.0, tau=3.0))):
             text = ("problem = quadratic(seed=1, nx=2, ny=2, regime=nc_sc)\n"
-                    f"regime = {cfg.descriptor()}\n")
+                    f"regime = {call}\n")
             parsed = parse_config(text)[0].regime_cfg
             assert parsed == cfg
 
@@ -355,6 +377,34 @@ class TestRunSuite:
         assert _bound_error_without_grid_scan(tmp_path, text) == (
             f"InfeasibleConfigError: the {condition}, which fails: 5 <= 1.17647")
 
+    @pytest.mark.parametrize("everywhere, bound_error", [
+        (True, "ValueError: grid scan of f has no finite extrema: min inf, max -inf"),
+        (False, "ArithmeticError: the nc_sc bound is NaN")], ids=["everywhere", "at-start"])
+    def test_nan_value_gives_no_bound(self, tmp_path, everywhere, bound_error):
+        # f is NaN on every pair, or only at the start point (0, 0), which
+        # makes F1 NaN while the grid scan skips that one pair
+        spec = parse_config("problem = quadratic(seed=7, nx=2, ny=2, regime=nc_sc)\n"
+                            "max_iter = 200\n")[0]
+        rows = spec.problem.value_rows
+
+        def nan_rows(X, Y):
+            at = np.full(len(X), True) if everywhere else ~(X.any(axis=1) | Y.any(axis=1))
+            return np.where(at, np.nan, rows(X, Y))
+
+        spec.problem = dataclasses.replace(
+            spec.problem, value_rows=nan_rows,
+            value=lambda x, y: float(nan_rows(x[None], y[None])[0]))
+        rec = run_suite([spec], out_dir=tmp_path)[0]
+        assert rec.bound is None and rec.bound_ratio is None
+        assert rec.bound_error == bound_error
+
+        def no_bare_constant(name):
+            raise AssertionError(f"summary.json holds a bare {name}")
+
+        runs = json.loads((tmp_path / "summary.json").read_text(),
+                          parse_constant=no_bare_constant)["runs"]
+        assert runs[0]["bound"] is None and runs[0]["bound_error"] == bound_error
+
     def test_bound_ratio_at_least_one(self, tmp_path):
         recs = run_suite(parse_config(SUITE), out_dir=tmp_path)
         for r in recs:
@@ -426,8 +476,29 @@ class TestCli:
         cfg.write_text("problem = bilinear(dim=1)\nnope = 1\n")
         assert main(["solve", str(cfg)]) == 4
 
-    def test_missing_file_exit_4(self, tmp_path):
-        assert main(["solve", str(tmp_path / "absent.cfg")]) == 4
+    @pytest.mark.parametrize("kind", ["absent", "directory", "non-utf8"])
+    def test_missing_file_exit_4(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "bad.cfg"
+        if kind == "directory":
+            cfg.mkdir()
+        elif kind == "non-utf8":
+            cfg.write_bytes(b"problem = bilinear(dim=1)\nlabel = \xff\n")
+        out = tmp_path / "out"
+        assert main(["solve", str(cfg), "--out-dir", str(out)]) == 4
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("problem", ["bilinear(dim=1)", "bilinear(dim=3)",
+                                         "bilinear(nx=2, ny=3)"])
+    def test_bilinear_without_regime_exit_4(self, tmp_path, capsys, problem):
+        cfg = tmp_path / "bilinear.cfg"
+        cfg.write_text(f"problem = {problem}\n")
+        assert main(["solve", str(cfg), "--out-dir", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == ("config error: bilinear has no regime of its "
+                                           "own; add a regime key (line 1)\n")
+        # a GDA block needs no regime (the origin is the saddle point: T_eps = 1)
+        cfg.write_text(f"problem = {problem}\nsolver = gda\n")
+        assert main(["solve", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
 
     def test_check_command(self, tmp_path):
         cfg = tmp_path / "chk.cfg"

@@ -167,21 +167,24 @@ class TestValidation:
 
 
 class TestSerialization:
+    # (config text, the set it names): one case per set kind
     @pytest.mark.parametrize("s", [
-        WholeSpace(3),
-        Box([0.0, -1.5], [1.0, 2.25]),
-        Ball([0.5, 0.5], 1.25),
-        Simplex(4, scale=2.0),
-        Product((Ball([0.0, 0.0], 1.0), Box([-1.0], [1.0]))),
+        ("free(dim=3)", WholeSpace(3)),
+        ("box(lower=[0, -1.5], upper=[1, 2.25])", Box([0.0, -1.5], [1.0, 2.25])),
+        ("ball(center=[0.5, 0.5], radius=1.25)", Ball([0.5, 0.5], 1.25)),
+        ("simplex(dim=4, scale=2)", Simplex(4, scale=2.0)),
+        ("product(ball(center=[0, 0], radius=1), interval(-1, 1))",
+         Product((Ball([0.0, 0.0], 1.0), Box([-1.0], [1.0])))),
     ])
     def test_round_trip(self, s):
-        t = parse_set(s.descriptor())
-        assert type(t) is type(s)
-        assert t.descriptor() == s.descriptor()
+        text, expected = s
+        t = parse_set(text)
+        assert type(t) is type(expected)
+        assert repr(t) == repr(expected)
         rng = np.random.default_rng(0)
         for _ in range(10):
-            v = rng.standard_normal(s.dim)
-            np.testing.assert_array_equal(s.project(v), t.project(v))
+            v = rng.standard_normal(expected.dim)
+            np.testing.assert_array_equal(expected.project(v), t.project(v))
 
     def test_sample_lands_inside(self):
         rng = np.random.default_rng(3)

@@ -299,8 +299,8 @@ def row_cases(d):
     T = rng.standard_normal((d, d))
     B = rng.standard_normal((d, d))
     a, c_lin = rng.standard_normal(d), rng.standard_normal(d)
+    # S + S.T and T + T.T are symmetric, so make_quadratic keeps them bit for bit
     quad = make_quadratic(S + S.T, B, T + T.T, a, c_lin, X=box, Y=box)
-    q = quad.quadratic
     bil = make_bilinear(B, X=box, Y=box)
     feats = rng.standard_normal((7, d))
     labels = np.where(feats[:, 0] > 0, 1.0, -1.0)
@@ -308,7 +308,7 @@ def row_cases(d):
                               Product((Ball(np.zeros(d), 1.0), Box([-1.0], [1.0]))))
     zeros = np.zeros((d, d))
     return [
-        ("quadratic", quad, ref_quadratic(q.A, q.B, q.C, q.a, q.c_lin)),
+        ("quadratic", quad, ref_quadratic(S + S.T, B, T + T.T, a, c_lin)),
         ("bilinear", bil, ref_quadratic(zeros, B, zeros, np.zeros(d), np.zeros(d))),
         ("sine", make_nc_sc_sine(d, d, B, 0.7, box, box), ref_sine(B, 0.7)),
         ("sine_dual", make_sc_nc_sine(d, d, B, 0.9, box, box), ref_sine_dual(B, 0.9)),
