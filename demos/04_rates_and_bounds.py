@@ -24,7 +24,7 @@ for eps, T in res.table:
 print(f"  slope = {res.slope:.3f}   (worst case exponent: 2)")
 
 trace = run(p, cfg, eps=1e-4, max_iter=2_000_000)
-tc = theory_constants(p, cfg, trace, resolution=101)
+tc = theory_constants(p, cfg, trace)
 for eps, T in res.table:
     print(f"  bound({eps:g}) = {compute_bound(tc, eps):.2e}  vs observed {T}")
 
@@ -37,5 +37,5 @@ for eps, T in res.table:
     print(f"  T({eps:g}) = {T}")
 print(f"  slope = {res.slope:.3f}   (worst case exponent: 4)")
 trace = run(p, cfg, eps=1e-3, max_iter=2_000_000, init=one)
-tc = theory_constants(p, cfg, trace, resolution=101)
+tc = theory_constants(p, cfg, trace)
 print(f"  bound(1e-3) = {compute_bound(tc, 1e-3):.2e}  vs observed {res.table[-1][1]}")

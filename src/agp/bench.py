@@ -407,11 +407,6 @@ def write_trace_csv(trace: SolverTrace, path) -> None:
 # suite execution
 
 
-def _grid_resolution(problem):
-    d = max(problem.dim_x, problem.dim_y)
-    return 101 if d <= 1 else 21 if d <= 2 else 9
-
-
 def _execute(spec: RunSpec, out: Path | None) -> SummaryRecord:
     """Run one spec; write its CSV trace into ``out``, if set, after timing it."""
     t0 = time.perf_counter()
@@ -444,8 +439,7 @@ def _execute(spec: RunSpec, out: Path | None) -> SummaryRecord:
         except Exception as e:
             errors.append(f"lemma_monitor: {type(e).__name__}: {e}")
         try:
-            tc = theory_constants(spec.problem, spec.regime_cfg, trace,
-                                  resolution=_grid_resolution(spec.problem))
+            tc = theory_constants(spec.problem, spec.regime_cfg, trace)
             rec.bound = compute_bound(tc, spec.eps)
             if trace.T_eps:
                 rec.bound_ratio = rec.bound / trace.T_eps

@@ -4,9 +4,7 @@ Variants: whole space, box, Euclidean ball, scaled probability simplex, and
 a block product of those (the problem zoo needs ball x interval).  Every
 compact variant answers two size queries consumed by the complexity-bound
 calculators: ``diameter`` (max pairwise distance) and ``max_norm`` (max
-Euclidean norm over the set).  Unbounded answers are the explicit marker
-``UNBOUNDED``, never an inf float, so downstream code has to deal with it
-deliberately.
+Euclidean norm over the set).  An unbounded set answers ``math.inf``.
 
 All sets are immutable after construction and safe to share across workers.
 """
@@ -27,31 +25,8 @@ __all__ = [
     "Ball",
     "Simplex",
     "Product",
-    "UNBOUNDED",
-    "is_unbounded",
     "parse_set",
 ]
-
-
-class _Unbounded:
-    """Marker for an infinite diameter / max-norm query."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "UNBOUNDED"
-
-
-UNBOUNDED = _Unbounded()
-
-
-def is_unbounded(value) -> bool:
-    return value is UNBOUNDED
 
 
 def _freeze(a) -> np.ndarray:
@@ -115,10 +90,10 @@ class WholeSpace(ConstraintSet):
         return True
 
     def diameter(self):
-        return UNBOUNDED
+        return math.inf
 
     def max_norm(self):
-        return UNBOUNDED
+        return math.inf
 
     def sample(self, rng):
         return rng.standard_normal(self.dim)
@@ -135,6 +110,8 @@ class Box(ConstraintSet):
         hi = _freeze(self.upper)
         if lo.shape != hi.shape:
             raise ValueError("lower/upper dimension mismatch")
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise ValueError("box bounds must not be NaN")
         if np.any(lo > hi):
             raise ValueError("box requires lower <= upper componentwise")
         object.__setattr__(self, "lower", lo)
@@ -169,8 +146,10 @@ class Ball(ConstraintSet):
     def __post_init__(self):
         c = _freeze(self.center)
         r = float(self.radius)
-        if not (r > 0):
-            raise ValueError("ball radius must be > 0")
+        if not np.isfinite(c).all():
+            raise ValueError("ball center must be finite")
+        if not (0 < r < math.inf):
+            raise ValueError("ball radius must be positive and finite")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", r)
         object.__setattr__(self, "dim", c.shape[0])
@@ -214,8 +193,8 @@ class Simplex(ConstraintSet):
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if not (float(self.scale) > 0):
-            raise ValueError("simplex scale must be > 0")
+        if not (0 < float(self.scale) < math.inf):
+            raise ValueError("simplex scale must be positive and finite")
         object.__setattr__(self, "scale", float(self.scale))
 
     def project(self, v):
@@ -282,14 +261,10 @@ class Product(ConstraintSet):
 
     def diameter(self):
         ds = [p.diameter() for p in self.parts]
-        if any(is_unbounded(d) for d in ds):
-            return UNBOUNDED
         return float(math.sqrt(sum(d * d for d in ds)))
 
     def max_norm(self):
         ms = [p.max_norm() for p in self.parts]
-        if any(is_unbounded(m) for m in ms):
-            return UNBOUNDED
         return float(math.sqrt(sum(m * m for m in ms)))
 
     def sample(self, rng):
@@ -316,15 +291,21 @@ def build_set(name: str, args: list, kwargs: dict) -> ConstraintSet:
             return build_set(v.name, v.args, v.kwargs)
         raise ValueError(f"expected a set descriptor, got {v!r}")
 
+    def as_dim(v):
+        # int() would truncate a fractional dim such as 2.5 to 2
+        if isinstance(v, bool) or not float(v).is_integer():
+            raise ValueError(f"dim must be an integer, got {v!r}")
+        return int(v)
+
     name = name.lower()
     if name == "free":
-        return WholeSpace(int(kwargs.get("dim", args[0] if args else 0)))
+        return WholeSpace(as_dim(kwargs.get("dim", args[0] if args else 0)))
     if name == "box":
         return Box(kwargs["lower"], kwargs["upper"])
     if name == "ball":
         return Ball(kwargs["center"], kwargs["radius"])
     if name == "simplex":
-        return Simplex(int(kwargs["dim"]), float(kwargs.get("scale", 1.0)))
+        return Simplex(as_dim(kwargs["dim"]), float(kwargs.get("scale", 1.0)))
     if name == "interval":
         lo, hi = (args if len(args) == 2 else (kwargs["lower"], kwargs["upper"]))
         return Box([float(lo)], [float(hi)])

@@ -24,7 +24,8 @@ The loop records the iterates in row buffers that grow in place and are
 trimmed to the trace's length, so a trace owns exactly its rows.  After
 the loop, one batched pass of ``problem.values`` gives the f(x_k, y_k)
 column, and an alternating trace also records f(x_{k+1}, y_k)
-(``SolverTrace.f_mixed``).  Its potential and monitor-slack columns are
+(``SolverTrace.f_mixed``); a non-finite entry in either raises
+``NumericFailureError``.  Its potential and monitor-slack columns are
 array functions of those records, computed by the verification module.
 """
 
@@ -48,10 +49,14 @@ __all__ = [
 
 
 class NumericFailureError(RuntimeError):
-    """A gradient came back non-finite; carries the iteration and block."""
+    """A gradient or value came back non-finite; carries the iteration and
+    what failed: the gradient block ``"x"`` or ``"y"``, or the value ``"f"``
+    (f(x_k, y_k)) or ``"f_mixed"`` (f(x_{k+1}, y_k))."""
 
     def __init__(self, k: int, block: str):
-        super().__init__(f"non-finite gradient in block {block!r} at iteration {k}")
+        what = {"f": "value f(x_k, y_k)", "f_mixed": "value f(x_{k+1}, y_k)"}.get(
+            block, f"gradient in block {block!r}")
+        super().__init__(f"non-finite {what} at iteration {k}")
         self.k = k
         self.block = block
 
@@ -253,11 +258,18 @@ def _row_norm(d):
     return np.linalg.norm(d, axis=1)
 
 
+def _require_finite(values, name):
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NumericFailureError(int(bad[0]) + 1, name)
+
+
 def _assemble_trace(problem, cfg, rows, xs, ys, reason, T_eps, eps, algo,
                     floored_any) -> SolverTrace:
     n = len(rows)
     cols = {name: rows[:, i].copy() for i, name in enumerate(_COLUMNS)}
     cols["f"] = problem.values(xs, ys)
+    _require_finite(cols["f"], "f")
     dx = np.full(n, np.nan)
     dy = np.full(n, np.nan)
     dx[1:] = _row_diffs(xs, _row_norm)
@@ -267,6 +279,7 @@ def _assemble_trace(problem, cfg, rows, xs, ys, reason, T_eps, eps, algo,
     slack = np.full(n, np.nan)
     if cfg is not None:
         f_mixed = problem.values(xs[1:], ys[:-1])
+        _require_finite(f_mixed, "f_mixed")
         potential, slack = trace_columns(
             cfg, problem.constants, xs, ys, cols["f"], f_mixed, cols["gap_norm"],
             cols["reg_gap_norm"], cols["beta"], cols["gamma"])

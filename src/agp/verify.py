@@ -14,12 +14,14 @@ it at k0 = 9.
 
 The monitors and the Lyapunov potentials are array functions of the
 trace's recorded columns: the iterates, f(x_k, y_k) and f(x_{k+1}, y_k).
-They make no oracle calls; the bound constants call the oracles only for
-their grid scan.
+They make no oracle calls.  The bound constants call the oracles only for
+their certified bound of f over a compact X x Y, from best-first bisection
+of the joint bounding box with a fixed budget of cells.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -40,8 +42,6 @@ __all__ = [
     "TheoryConstants",
     "InvalidTraceError",
     "finite_diff_check",
-    "grid_extremum",
-    "GridExtremum",
     "compute_bound",
     "theory_constants",
     "rate_slope",
@@ -447,17 +447,10 @@ def finite_diff_check(problem: MinimaxProblem, n_points: int, seed=0) -> Monitor
     return MonitorReport(entries)
 
 
-@dataclass(frozen=True)
-class GridExtremum:
-    f_lower: float
-    f_upper: float
-    pad: float  # one-cell Lipschitz error bound on both extrema
-
-
 def _bounding_box(s: geometry.ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
     """Corners ``(lo, hi)`` of an axis-aligned box holding ``s``."""
     if isinstance(s, geometry.WholeSpace):
-        raise ValueError("grid extremum needs a compact set, got an unbounded one")
+        return np.full(s.dim, -math.inf), np.full(s.dim, math.inf)
     if isinstance(s, geometry.Box):
         return s.lower, s.upper
     if isinstance(s, geometry.Ball):
@@ -471,69 +464,71 @@ def _bounding_box(s: geometry.ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
     raise TypeError(f"unknown set {s!r}")
 
 
-def _grid_points(s: geometry.ConstraintSet, resolution: int) -> np.ndarray:
-    """The bounding-box grid of ``s``, each point projected onto ``s``.
+# cells of the joint bounding box that ``_certified_range`` scores; each
+# costs one value and two gradient calls
+_CELL_BUDGET = 201
 
-    A box-grid point farther than the covering radius from its projection
-    is dropped: every point of ``s`` is at least as far from it, so it
-    covers nothing.
+
+def _cell_bound(problem: MinimaxProblem, lo, hi, sign: float, L: float) -> float | None:
+    """A lower bound of ``sign * f`` over the points of X x Y in the cell
+    ``[lo, hi]``, or None when the cell holds none of them.
+
+    f is evaluated once, at the projection p of the cell's center c.  Every
+    feasible z in the cell lies within r, half the cell's diagonal, of c, so
+    within r of p: projection is nonexpansive and fixes z.  The descent lemma
+    with the joint gradient's Lipschitz constant ``L`` then bounds
+    ``sign * f(z)`` by ``sign * f(p) - ||grad f(p)|| r - (L/2) r^2``, rounded
+    outward by ``1e-12 |b| + 4 ulp(f(p))``.  A c farther than r from p has
+    every feasible point farther still, so the cell is empty.
     """
-    radius = _covering_radius(s, resolution)
-    lo, hi = _bounding_box(s)
-    axes = [np.linspace(a, b, resolution) for a, b in zip(lo, hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    box = np.stack([m.ravel() for m in mesh], axis=1)
-    pts = np.array([s.project(g) for g in box])
-    return pts[np.linalg.norm(pts - box, axis=1) <= radius * (1 + 1e-12)]
+    nx = problem.dim_x
+    c = (lo + hi) / 2
+    r = 0.5 * float(np.linalg.norm(hi - lo))
+    x, y = problem.X.project(c[:nx]), problem.Y.project(c[nx:])
+    if math.hypot(float(np.linalg.norm(c[:nx] - x)),
+                  float(np.linalg.norm(c[nx:] - y))) > r * (1 + 1e-12):
+        return None
+    v = float(problem.value(x, y))
+    g = math.hypot(float(np.linalg.norm(problem.grad_x(x, y))),
+                   float(np.linalg.norm(problem.grad_y(x, y))))
+    if not (math.isfinite(v) and math.isfinite(g)):
+        raise ValueError(f"f or its gradient is not finite on X x Y: f = {v}, "
+                         f"||grad f|| = {g}")
+    b = sign * v - (g * r + L / 2 * r * r)
+    return b - (1e-12 * abs(b) + 4 * math.ulp(v))
 
 
-def _covering_radius(s: geometry.ConstraintSet, resolution: int) -> float:
-    """Upper bound on the distance from a point of ``s`` to its nearest grid point.
+def _certified_range(problem: MinimaxProblem, side: str) -> float:
+    """A lower (``side="lower"``) or upper (``"upper"``) bound of f over X x Y.
 
-    Half a bounding-box cell's diagonal: a point p of ``s`` lies that close
-    to some box-grid point g, and projection is nonexpansive and fixes p, so
-    the projection of g lies that close to p too.
+    Best-first bisection of the joint bounding box: the cell with the
+    weakest bound is split across its longest axis until ``_CELL_BUDGET``
+    cells have been scored by ``_cell_bound``.  The bound of each partition
+    is its weakest cell's, and the best over the partitions is returned.  A
+    non-finite f or gradient at a scored point raises ``ValueError``.
     """
-    if resolution < 2:
-        raise ValueError(f"grid resolution must be >= 2, got {resolution}")
-    lo, hi = _bounding_box(s)
-    return 0.5 * float(np.linalg.norm(hi - lo)) / (resolution - 1)
-
-
-def grid_extremum(problem: MinimaxProblem, resolution: int) -> GridExtremum:
-    """Grid min/max of f over X x Y with a one-cell Lipschitz error pad.
-
-    Desk-scale only: the pairs of bounding-box grid points,
-    ``resolution ** (dim_x + dim_y)``, are counted before any grid is built
-    and capped at 1e7.  NaN values are skipped, but a scan whose min or max
-    is not finite raises ``ValueError``.
-    """
-    total = resolution ** (problem.dim_x + problem.dim_y)
-    if total > 10**7:
-        raise ValueError(f"grid of {total} pairs exceeds the 1e7 desk-scale cap")
-    h = math.hypot(_covering_radius(problem.X, resolution),
-                   _covering_radius(problem.Y, resolution))
-    gx = _grid_points(problem.X, resolution)
-    gy = _grid_points(problem.Y, resolution)
-    lo, hi = math.inf, -math.inf
-    ny, pairs = len(gy), len(gx) * len(gy)
-    # flat pair index i * ny + j names (gx[i], gy[j]); NaN values are skipped
-    for start in range(0, pairs, VALUE_CHUNK):
-        idx = np.arange(start, min(start + VALUE_CHUNK, pairs))
-        v = problem.values(gx[idx // ny], gy[idx % ny])
-        v = v[~np.isnan(v)]
-        lo = min(lo, float(np.min(v, initial=math.inf)))
-        hi = max(hi, float(np.max(v, initial=-math.inf)))
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"grid scan of f has no finite extrema: min {lo}, max {hi}")
-    # crude gradient bound over the product set, anchored at one point
+    sign = {"lower": 1.0, "upper": -1.0}[side]
+    lo, hi = (np.concatenate(b) for b in zip(_bounding_box(problem.X),
+                                             _bounding_box(problem.Y)))
+    if not np.isfinite(hi - lo).all():
+        raise ValueError("a certified range of f needs compact feasible sets")
     d = problem.constants
-    x0, y0 = gx[0], gy[0]
-    g0 = math.hypot(float(np.linalg.norm(problem.grad_x(x0, y0))),
-                    float(np.linalg.norm(problem.grad_y(x0, y0))))
-    gbound = (g0 + (d.L_x + d.L_12) * problem.X.diameter()
-              + (d.L_y + d.L_21) * problem.Y.diameter())
-    return GridExtremum(f_lower=lo, f_upper=hi, pad=gbound * h)
+    L = float(np.linalg.norm([[d.L_x, d.L_21], [d.L_12, d.L_y]], 2))
+    # the bounding box holds all of X x Y, so it is never empty
+    heap = [(_cell_bound(problem, lo, hi, sign, L), 0, lo, hi)]
+    best, cells = heap[0][0], 1
+    while cells + 2 <= _CELL_BUDGET:
+        _, _, lo, hi = heapq.heappop(heap)
+        axis = int(np.argmax(hi - lo))
+        mid_hi, mid_lo = hi.copy(), lo.copy()
+        mid_hi[axis] = mid_lo[axis] = (lo[axis] + hi[axis]) / 2
+        for half in ((lo, mid_hi), (mid_lo, hi)):
+            b = _cell_bound(problem, *half, sign, L)
+            if b is not None:
+                cells += 1
+                heapq.heappush(heap, (b, cells, *half))
+        best = max(best, heap[0][0])
+    return sign * best
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +540,10 @@ class TheoryConstants:
     """Everything the iteration-complexity bound formulas consume."""
 
     regime: Regime
-    f_lower: float
-    f_upper: float
+    # the certified side of the range of f over X x Y: f_lower for NC-SC
+    # and NC-C, f_upper for SC-NC and C-NC; the other side is None
+    f_lower: float | None
+    f_upper: float | None
     sigma_x: float
     sigma_y: float
     sighat_x: float
@@ -579,7 +576,7 @@ class TheoryConstants:
 def _finite_sizes(problem):
     vals = (problem.X.diameter(), problem.Y.diameter(),
             problem.X.max_norm(), problem.Y.max_norm())
-    if any(geometry.is_unbounded(v) for v in vals):
+    if not all(map(math.isfinite, vals)):
         raise ValueError("complexity bounds require compact feasible sets")
     return vals
 
@@ -591,15 +588,15 @@ def _initial_potential(cfg, d, trace, j):
     return float(pot[j - 1])
 
 
-def theory_constants(problem: MinimaxProblem, cfg: RegimeConfig, trace: SolverTrace,
-                     resolution: int = 41) -> TheoryConstants:
+def theory_constants(problem: MinimaxProblem, cfg: RegimeConfig,
+                     trace: SolverTrace) -> TheoryConstants:
     """Assemble the bound constants for one configured run.
 
     The initial potential values are recomputed from the trace's recorded
     columns under ``cfg`` (the first potential uses the convention
-    y_0 = y_1, collapsing its delta term), the extremal f values from a
-    padded grid scan, which takes ``problem.values`` over every grid pair.
-    A config that fails a ``validate`` condition gets no bound.
+    y_0 = y_1, collapsing its delta term), and the one side of the range of
+    f that the regime's bound reads from ``_certified_range``.  A config
+    that fails a ``validate`` condition gets no bound.
     """
     _require_f_mixed(trace)
     d = problem.constants
@@ -607,7 +604,7 @@ def theory_constants(problem: MinimaxProblem, cfg: RegimeConfig, trace: SolverTr
     if modulus:
         raise InfeasibleConfigError(f"the {cfg.regime.value} bound needs {modulus} > 0")
     sigma_x, sigma_y, sighat_x, sighat_y = _finite_sizes(problem)
-    # a run with no bound is refused before it pays for the grid scan
+    # a run with no bound is refused before it pays for the certified range
     ratio = (d1_nc_sc(cfg, d) if isinstance(cfg, NcScConfig)
              else dhat1_sc_nc(cfg, d) if isinstance(cfg, ScNcConfig) else None)
     _require_positive_ratio(cfg.regime, ratio)
@@ -615,10 +612,10 @@ def theory_constants(problem: MinimaxProblem, cfg: RegimeConfig, trace: SolverTr
     if failed is not None:
         raise InfeasibleConfigError(f"the {cfg.regime.value} bound needs {failed.name}, which "
                                     f"fails: {failed.lhs:.6g} {failed.op} {failed.rhs:.6g}")
-    ext = grid_extremum(problem, resolution)
-    f_lower = ext.f_lower - ext.pad
-    f_upper = ext.f_upper + ext.pad
-    base = dict(regime=cfg.regime, f_lower=f_lower, f_upper=f_upper,
+    lower = isinstance(cfg, (NcScConfig, NcCConfig))
+    f_range = _certified_range(problem, "lower" if lower else "upper")
+    base = dict(regime=cfg.regime, f_lower=f_range if lower else None,
+                f_upper=None if lower else f_range,
                 sigma_x=sigma_x, sigma_y=sigma_y,
                 sighat_x=sighat_x, sighat_y=sighat_y)
 
@@ -626,12 +623,12 @@ def theory_constants(problem: MinimaxProblem, cfg: RegimeConfig, trace: SolverTr
         coeff = d.mu + 7 / (2 * cfg.rho) - cfg.rho * d.L_y**2 / 2 - 2 * d.L_y**2 / d.mu
         return TheoryConstants(**base, d1=ratio,
                                F1=float(trace.f[0]),
-                               F_lower=f_lower - coeff * sigma_y**2)
+                               F_lower=f_range - coeff * sigma_y**2)
     if isinstance(cfg, ScNcConfig):
         if len(trace) < 2:
             raise ValueError("need at least 2 iterations to evaluate the initial potential")
         Fhat1 = _initial_potential(cfg, d, trace, 1)
-        upper = f_upper - (d.theta / 2 - 3 / cfg.zeta) * sigma_x**2
+        upper = f_range - (d.theta / 2 - 3 / cfg.zeta) * sigma_x**2
         return TheoryConstants(**base, dhat1=ratio, Fhat1=Fhat1,
                                Fhat_upper=upper)
     if isinstance(cfg, NcCConfig):
@@ -640,7 +637,7 @@ def theory_constants(problem: MinimaxProblem, cfg: RegimeConfig, trace: SolverTr
         Ftilde3 = _initial_potential(cfg, d, trace, 3)
         db1 = dbar1_nc_c(cfg, d)
         t, rb, L12 = cfg.tau, cfg.rho_bar, d.L_12
-        d3 = (Ftilde3 - f_lower + 7 * sigma_y**2 / (2 * rb)
+        d3 = (Ftilde3 - f_range + 7 * sigma_y**2 / (2 * rb)
               + (6 + 3 / max(128 * (t - 2) * rb**2 * L12**2 * db1, 120 * math.sqrt(2)))
               * sighat_y**2 / rb)
         d4 = max(db1, 5 * math.sqrt(3) / (8 * (t - 2) * rb**2 * L12**2))
@@ -652,7 +649,7 @@ def theory_constants(problem: MinimaxProblem, cfg: RegimeConfig, trace: SolverTr
         Fcal2 = _initial_potential(cfg, d, trace, 2)
         Dh1 = Dhat1_c_nc(cfg, d)
         t, zb, L21 = cfg.tau, cfg.zeta_bar, d.L_21
-        dh3 = f_upper - Fcal2 + (17 / (5 * zb)) * sigma_x**2 + (31 / (5 * zb)) * sighat_x**2
+        dh3 = f_range - Fcal2 + (17 / (5 * zb)) * sigma_x**2 + (31 / (5 * zb)) * sighat_x**2
         dh4 = max(Dh1, 5 * math.sqrt(2) * (1 + 2 * d.L_12**2 * zb**2)
                   / (16 * (t - 2) * zb**2 * L21**2))
         return TheoryConstants(**base, tau=t, Dhat1=Dh1, dhat3=dh3, dhat4=dh4,

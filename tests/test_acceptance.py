@@ -35,11 +35,6 @@ def _monitor_run(problem, cfg, iters):
     return trace, lemma_monitor(trace, problem, cfg)
 
 
-def _grid_res(problem):
-    dims = problem.dim_x + problem.dim_y
-    return max(3, int(round(5e4 ** (1.0 / dims))))
-
-
 # ---------------------------------------------------------------------------
 # shared runs (reused by the bound criterion)
 
@@ -313,8 +308,7 @@ def test_criterion_08_theory_bounds_dominate():
             continue  # constants are conservative bounds, not exact
         key = (id(problem), id(cfg), id(trace))
         if key not in tc_cache:
-            tc_cache[key] = theory_constants(problem, cfg, trace,
-                                             resolution=_grid_res(problem))
+            tc_cache[key] = theory_constants(problem, cfg, trace)
         bound = compute_bound(tc_cache[key], eps)
         assert bound >= t_obs, (tag, problem.name, eps, bound, t_obs)
         ratios.append(bound / t_obs)
@@ -342,7 +336,7 @@ def test_criterion_09_gda_contrast():
     trace = run(boxed, cfg, eps=1e-3, max_iter=10**6,
                 init=(np.array([1.0]), np.array([1.0])))
     assert trace.reason == "gap_le_eps"
-    tc = theory_constants(boxed, cfg, trace, resolution=101)
+    tc = theory_constants(boxed, cfg, trace)
     bound = compute_bound(tc, 1e-3)
     assert trace.T_eps <= bound
     elapsed = time.time() - t0

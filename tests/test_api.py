@@ -10,10 +10,9 @@ PUBLIC_API = [
     "MonitorReport", "NcCConfig", "NcScConfig", "NumericFailureError",
     "Product", "Regime", "RegimeConfig", "RunSpec", "ScNcConfig", "Simplex",
     "SmoothnessData", "SolverTrace",
-    "SummaryRecord", "TheoryConstants", "UNBOUNDED", "UnsupportedRegimeError",
+    "SummaryRecord", "TheoryConstants", "UnsupportedRegimeError",
     "WholeSpace", "auto_configure", "compute_bound",
-    "finite_diff_check", "grid_extremum",
-    "is_unbounded", "lemma_monitor", "make_bilinear", "make_nc_sc_sine",
+    "finite_diff_check", "lemma_monitor", "make_bilinear", "make_nc_sc_sine",
     "make_quadratic", "make_robust_svm_toy", "make_sc_nc_sine",
     "parse_config", "parse_set",
     "random_quadratic", "rate_experiment", "rate_slope",

@@ -176,18 +176,27 @@ max_iter = 10
 
 def _bound_error_without_grid_scan(tmp_path, text):
     """The ``bound_error`` of the one run of ``text``, which must have left
-    its bound ``None`` without an error and without scanning a grid pair."""
+    its bound ``None`` without an error and without an oracle call beyond
+    those of the solver run itself."""
     spec = parse_config(text + "max_iter = 50\n")[0]
-    rows = []
+    calls = {"value": 0, "rows": 0, "grad_x": 0, "grad_y": 0}
 
-    def counted_rows(X, Y, value_rows=spec.problem.value_rows):
-        rows.append(len(X))
-        return value_rows(X, Y)
+    def counted(name, fn, size=lambda *args: 1):
+        def call(*args):
+            calls[name] += size(*args)
+            return fn(*args)
+        return call
 
-    spec.problem = dataclasses.replace(spec.problem, value_rows=counted_rows)
+    p = spec.problem
+    spec.problem = dataclasses.replace(
+        p, value=counted("value", p.value), grad_x=counted("grad_x", p.grad_x),
+        grad_y=counted("grad_y", p.grad_y),
+        value_rows=counted("rows", p.value_rows, lambda X, Y: len(X)))
+    run(spec.problem, spec.regime_cfg, spec.eps, spec.max_iter, spec.init)
+    solver_calls = dict(calls)
+    calls.update(dict.fromkeys(calls, 0))
     rec = run_suite([spec], out_dir=tmp_path)[0]
-    n = rec.iterations
-    assert sum(rows) == n + (n - 1)  # the f and f_mixed columns, no grid pair
+    assert calls == solver_calls and calls["grad_x"] > 0
     assert rec.error is None and rec.bound is None
     return rec.bound_error
 
@@ -377,12 +386,11 @@ class TestRunSuite:
         assert _bound_error_without_grid_scan(tmp_path, text) == (
             f"InfeasibleConfigError: the {condition}, which fails: 5 <= 1.17647")
 
-    @pytest.mark.parametrize("everywhere, bound_error", [
-        (True, "ValueError: grid scan of f has no finite extrema: min inf, max -inf"),
-        (False, "ArithmeticError: the nc_sc bound is NaN")], ids=["everywhere", "at-start"])
-    def test_nan_value_gives_no_bound(self, tmp_path, everywhere, bound_error):
-        # f is NaN on every pair, or only at the start point (0, 0), which
-        # makes F1 NaN while the grid scan skips that one pair
+    @pytest.mark.parametrize("everywhere", [True, False], ids=["everywhere", "at-start"])
+    def test_nan_value_gives_no_bound(self, tmp_path, everywhere):
+        # f is NaN on every pair, or only at the start point (0, 0): either
+        # way the trace's f column holds a NaN at iteration 1, a numeric
+        # failure of the run, so neither monitors nor a bound score it
         spec = parse_config("problem = quadratic(seed=7, nx=2, ny=2, regime=nc_sc)\n"
                             "max_iter = 200\n")[0]
         rows = spec.problem.value_rows
@@ -395,15 +403,24 @@ class TestRunSuite:
             spec.problem, value_rows=nan_rows,
             value=lambda x, y: float(nan_rows(x[None], y[None])[0]))
         rec = run_suite([spec], out_dir=tmp_path)[0]
-        assert rec.bound is None and rec.bound_ratio is None
-        assert rec.bound_error == bound_error
+        error = "NumericFailureError: non-finite value f(x_k, y_k) at iteration 1"
+        assert rec.error == error and rec.monitor_pass is None
+        assert rec.bound is None and rec.bound_ratio is None and rec.bound_error is None
 
         def no_bare_constant(name):
             raise AssertionError(f"summary.json holds a bare {name}")
 
         runs = json.loads((tmp_path / "summary.json").read_text(),
                           parse_constant=no_bare_constant)["runs"]
-        assert runs[0]["bound"] is None and runs[0]["bound_error"] == bound_error
+        assert runs[0]["error"] == error and runs[0]["bound"] is None
+
+    def test_eight_dimensional_run_gets_a_bound(self, tmp_path):
+        # 4 + 4 dimensions: past the size of any grid scan a desk can afford
+        text = ("problem = quadratic(seed=7, nx=4, ny=4, regime=nc_sc)\n"
+                "eps = 1e-3\nmax_iter = 5000\n")
+        rec = run_suite(parse_config(text), out_dir=tmp_path)[0]
+        assert rec.T_eps == 525 and rec.bound_error is None and rec.error is None
+        assert math.isfinite(rec.bound) and rec.bound >= rec.T_eps
 
     def test_bound_ratio_at_least_one(self, tmp_path):
         recs = run_suite(parse_config(SUITE), out_dir=tmp_path)
@@ -591,7 +608,13 @@ class TestCli:
         ("eps_grid = [1e-3, 1e-2, 1e-1]", "line 2"),
         ("eps_grid = [1e-1, 1e-2, 0]", "line 2"),
         ("solver = gda\nstep_x = nan", "line 3"),
-        ("seed = 1.7", "line 2")])
+        ("seed = 1.7", "line 2"),
+        ("X = box(lower=[nan], upper=[1])", "line 2"),
+        ("X = ball(center=[inf], radius=1)", "line 2"),
+        ("X = ball(center=[0], radius=nan)", "line 2"),
+        ("Y = simplex(dim=1, scale=inf)", "line 2"),
+        ("Y = simplex(dim=1.5)", "line 2"),
+        ("X = free(dim=1.9)", "line 2")])
     def test_bad_config_value_exit_4(self, tmp_path, capsys, lines, where):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("problem = quadratic(seed=7, nx=1, ny=1, regime=nc_sc)\n"
@@ -671,6 +694,23 @@ class TestCli:
         assert main(["check", str(cfg)]) == 0
         assert f"monitors=n/a (the {regime[:5]} inequalities need {modulus} > 0)" \
             in capsys.readouterr().out
+
+    def test_python_dash_m_agp(self, tmp_path, capsys):
+        # exits and prints as the console entry point, ``agp.bench.main``
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("problem = quadratic(seed=7, nx=1, ny=1, regime=nc_sc)\n"
+                       "eps = 1e-12\nmax_iter = 50\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "agp",
+                               "solve", str(cfg), "--out-dir", str(tmp_path / "o")],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True)
+        want = main(["solve", str(cfg), "--out-dir", str(tmp_path / "p")])
+        assert want == 2  # stopped at max_iter
+        assert proc.returncode == want, proc.stderr
+        assert proc.stdout == capsys.readouterr().out
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_console_entry_point(self, tmp_path):
         cfg = tmp_path / "c.cfg"

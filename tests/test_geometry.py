@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from agp.geometry import (Ball, Box, Product, Simplex, UNBOUNDED, WholeSpace,
-                          is_unbounded, parse_set)
+from agp.geometry import Ball, Box, Product, Simplex, WholeSpace, parse_set
 
 
 def simplex_project_bisection(v, scale):
@@ -126,9 +125,13 @@ class TestSizes:
         assert want == pytest.approx(math.sqrt(2))
 
     def test_whole_space_unbounded_marker(self):
-        assert is_unbounded(WholeSpace(3).diameter())
-        assert is_unbounded(WholeSpace(3).max_norm())
-        assert WholeSpace(3).diameter() is UNBOUNDED
+        # an unbounded set answers inf, and so does a product holding one
+        assert WholeSpace(3).diameter() == math.inf
+        assert WholeSpace(3).max_norm() == math.inf
+        half = Box([0.0, -1.0], [math.inf, 1.0])
+        assert half.diameter() == half.max_norm() == math.inf
+        s = Product((Ball([0.0], 1.0), WholeSpace(2)))
+        assert s.diameter() == s.max_norm() == math.inf
 
     def test_box_max_norm(self):
         assert Box([-1, -1], [1, 1]).max_norm() == pytest.approx(math.sqrt(2))
@@ -164,6 +167,35 @@ class TestValidation:
     def test_simplex_requires_positive_scale(self):
         with pytest.raises(ValueError):
             Simplex(3, scale=-1.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Box([math.nan, -1.0], [1.0, 1.0]),
+        lambda: Box([0.0], [math.nan]),
+        lambda: Ball([math.inf, 0.0, 0.0], 1.0),
+        lambda: Ball([math.nan], 1.0),
+        lambda: Ball([0.0], math.inf),
+        lambda: Ball([0.0], math.nan),
+        lambda: Simplex(2, scale=math.inf),
+        lambda: Simplex(2, scale=math.nan),
+    ], ids=["box-nan-lower", "box-nan-upper", "ball-inf-center", "ball-nan-center",
+            "ball-inf-radius", "ball-nan-radius", "simplex-inf-scale",
+            "simplex-nan-scale"])
+    def test_non_finite_parameters_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_infinite_box_bounds_allowed(self):
+        assert Box([-math.inf], [math.inf]).project(np.array([3.0]))[0] == 3.0
+
+    @pytest.mark.parametrize("text", ["simplex(dim=2.5)", "free(dim=2.9)",
+                                      "simplex(dim=inf)", "free(dim=nan)"])
+    def test_fractional_dim_rejected(self, text):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            parse_set(text)
+
+    @pytest.mark.parametrize("text, dim", [("simplex(dim=2.0)", 2), ("free(3)", 3)])
+    def test_integral_dim_accepted(self, text, dim):
+        assert parse_set(text).dim == dim
 
 
 class TestSerialization:

@@ -1,20 +1,21 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from agp.geometry import Ball, Box, Product, Simplex, WholeSpace
-from agp.objective import (VALUE_CHUNK, MinimaxProblem, Regime, make_bilinear,
-                           make_quadratic, random_quadratic)
+from agp.objective import (MinimaxProblem, Regime, SmoothnessData, make_bilinear,
+                           make_nc_sc_sine, make_quadratic, make_robust_svm_toy,
+                           make_sc_nc_sine, random_quadratic)
 from agp.schedules import (CNcConfig, InfeasibleConfigError, NcCConfig,
                            NcScConfig, ScNcConfig, auto_configure)
 from agp.solver import run, run_gda
-from agp.verify import (GridExtremum, InvalidTraceError, TheoryConstants,
-                        _covering_radius, _grid_points, compute_bound, d1_nc_sc,
-                        finite_diff_check, grid_extremum, lemma_monitor,
-                        rate_slope, theory_constants)
+from agp import verify
+from agp.verify import (InvalidTraceError, TheoryConstants, _bounding_box,
+                        _cell_bound, _certified_range, compute_bound, d1_nc_sc,
+                        finite_diff_check, lemma_monitor, rate_slope,
+                        theory_constants)
 
 from reference import saddle_oracle_quadratic, stationarity_gap
 
@@ -124,19 +125,59 @@ class TestSaddleOracle:
             assert g.norm <= 1e-8
 
 
+def ranges(p):
+    """The certified ``(lower, upper)`` range of f over X x Y."""
+    return _certified_range(p, "lower"), _certified_range(p, "upper")
+
+
+def joint_lipschitz(p):
+    d = p.constants
+    return float(np.linalg.norm([[d.L_x, d.L_21], [d.L_12, d.L_y]], 2))
+
+
+def recording(p):
+    """A copy of ``p`` whose ``value`` appends every point it is called at."""
+    seen = []
+
+    def value(x, y):
+        seen.append(np.concatenate([x, y]))
+        return p.value(x, y)
+
+    return dataclasses.replace(p, value=value), seen
+
+
+def quadratic_on(X, Y, seed=3):
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal((X.dim, X.dim))
+    T = rng.standard_normal((Y.dim, Y.dim))
+    return make_quadratic(S + S.T, rng.standard_normal((X.dim, Y.dim)), T + T.T,
+                          rng.standard_normal(X.dim), rng.standard_normal(Y.dim),
+                          X=X, Y=Y)
+
+
+def uniform_cell(lo, hi, n, z):
+    """The cell holding ``z`` when ``[lo, hi]`` is cut into n equal cells per axis."""
+    w = (hi - lo) / n
+    i = np.clip(np.floor((z - lo) / np.where(w > 0, w, 1.0)), 0, n - 1)
+    return lo + i * w, np.where(i == n - 1, hi, lo + (i + 1) * w)
+
+
 class TestGridExtremum:
+    """The certified range of f over X x Y, ``verify._certified_range``,
+    which took the place of the grid extremum scan."""
+
     def test_bilinear_corners(self):
         p = make_bilinear([[1.0]], X=Box([-1], [1]), Y=Box([-1], [1]))
-        ext = grid_extremum(p, 201)
-        assert ext.f_lower == pytest.approx(-1.0)
-        assert ext.f_upper == pytest.approx(1.0)
+        lo, hi = ranges(p)
+        assert -1.05 < lo <= -1.0
+        assert 1.0 <= hi < 1.05
 
     def test_quadratic_cross_checked_against_edge_candidates(self):
-        # f = x^2/2 + xy - y^2/2 on [-1,1]^2; compare the grid against an
+        # f = x^2/2 + xy - y^2/2 on [-1,1]^2; compare the range against an
         # edge-restricted 1-D minimization oracle
         p = make_quadratic([[1.0]], [[1.0]], [[1.0]],
                            X=Box([-1], [1]), Y=Box([-1], [1]))
-        ext = grid_extremum(p, 201)
+        lo, hi = ranges(p)
 
         def f(x, y):
             return 0.5 * x * x + x * y - 0.5 * y * y
@@ -146,47 +187,40 @@ class TestGridExtremum:
         # interior critical point of the saddle is (0,0) with f = 0
         want_min = min(edge_vals.min(), 0.0)
         want_max = max(edge_vals.max(), 0.0)
-        assert ext.f_lower == pytest.approx(want_min, abs=1e-3)
-        assert ext.f_upper == pytest.approx(want_max, abs=1e-3)
+        assert want_min - 0.05 < lo <= want_min
+        assert want_max <= hi < want_max + 0.05
 
     def test_constant_function(self):
-        p = make_bilinear([[1.0]], X=Box([-1], [1]), Y=Box([-1], [1]))
-        const = type(p)(dim_x=1, dim_y=1, X=p.X, Y=p.Y,
-                        value=lambda x, y: 3.25,
-                        grad_x=lambda x, y: np.zeros(1),
-                        grad_y=lambda x, y: np.zeros(1),
-                        constants=p.constants)
-        ext = grid_extremum(const, 51)
-        assert ext.f_lower == 3.25 and ext.f_upper == 3.25
+        # zero curvature and gradient: only the outward rounding remains
+        const = MinimaxProblem(dim_x=1, dim_y=1, X=Box([-1], [1]), Y=Box([-1], [1]),
+                               value=lambda x, y: 3.25,
+                               grad_x=lambda x, y: np.zeros(1),
+                               grad_y=lambda x, y: np.zeros(1),
+                               constants=SmoothnessData(0.0, 0.0, 0.0, 0.0))
+        lo, hi = ranges(const)
+        assert 3.25 - 1e-11 < lo < 3.25 < hi < 3.25 + 1e-11
 
     def test_unbounded_rejected(self):
         p = make_bilinear([[1.0]])
-        with pytest.raises(ValueError):
-            grid_extremum(p, 11)
+        with pytest.raises(ValueError, match="compact"):
+            _certified_range(p, "lower")
 
-    def test_grid_size_cap(self):
-        p = random_quadratic(0, 3, 3, Regime.NC_SC)
-        with pytest.raises(ValueError):
-            grid_extremum(p, 120)
+    @pytest.mark.parametrize("X", [None, Box([0.0], [math.inf])], ids=["free", "half-line"])
+    def test_one_unbounded_block_rejected(self, X):
+        p = make_bilinear([[1.0]], X=X, Y=Box([-1], [1]))
+        with pytest.raises(ValueError, match="compact"):
+            _certified_range(p, "lower")
 
-    def test_grid_size_cap_checked_before_building(self):
-        # 41^4 points per block: the cap must fire before any grid exists
-        p = random_quadratic(0, 4, 4, Regime.NC_SC)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError):
-                grid_extremum(p, 41)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * 2**20
-
-    def test_refinement_respects_pad(self):
+    def test_refinement_respects_pad(self, monkeypatch):
+        # more cells never loosen the range, and each range holds the finer one
         p = random_quadratic(1, 1, 1, Regime.NC_SC)
-        coarse = grid_extremum(p, 11)
-        fine = grid_extremum(p, 21)
-        assert fine.f_lower <= coarse.f_lower + coarse.pad
-        assert fine.f_upper >= coarse.f_upper - coarse.pad
+        got = []
+        for budget in (1, 3, 21, 201):
+            monkeypatch.setattr(verify, "_CELL_BUDGET", budget)
+            got.append(ranges(p))
+        lows, highs = zip(*got)
+        assert list(lows) == sorted(lows) and list(highs) == sorted(highs, reverse=True)
+        assert lows[0] < lows[-1] and highs[-1] < highs[0]
 
     @pytest.mark.parametrize("s, resolution", [
         (Box([-1.0, 0.0], [1.0, 3.0]), 5),
@@ -204,12 +238,24 @@ class TestGridExtremum:
             "simplex2-4", "disk-x-box-5", "disk-2", "simplex1-5",
             "simplex2-x-disk-5"])
     def test_covering_radius_bounds_nearest_grid_point(self, s, resolution):
+        # cut the bounding box of X = s into resolution^dim cells: every
+        # sampled point of X lies within r of the projected center its cell
+        # is scored at, so the cell is kept and its bound holds at the point
         rng = np.random.default_rng(5)
-        pts = np.array([s.sample(rng) for _ in range(1500)]
-                       + [boundary_sample(s, rng) for _ in range(1500)])
-        grid = _grid_points(s, resolution)
-        nearest = np.min(np.linalg.norm(pts[:, None, :] - grid[None, :, :], axis=2), axis=1)
-        assert nearest.max() <= _covering_radius(s, resolution) * (1 + 1e-12)
+        Y = Box([-1.0], [1.0])
+        p = quadratic_on(s, Y)
+        L = joint_lipschitz(p)
+        lo, hi = _bounding_box(s)
+        for z in [s.sample(rng) for _ in range(150)] + [boundary_sample(s, rng)
+                                                         for _ in range(150)]:
+            clo, chi = uniform_cell(lo, hi, resolution, z)
+            c = (clo + chi) / 2
+            r = 0.5 * np.linalg.norm(chi - clo)
+            assert np.linalg.norm(z - s.project(c)) <= r * (1 + 1e-12)
+            y = Y.sample(rng)
+            for sign in (1.0, -1.0):
+                b = _cell_bound(p, np.append(clo, -1.0), np.append(chi, 1.0), sign, L)
+                assert b is not None and b <= sign * p.value(z, y)
 
     @pytest.mark.parametrize("box, resolution", [
         (Box(-np.ones(3), np.ones(3)), 9),
@@ -217,63 +263,142 @@ class TestGridExtremum:
         (Box([0.3], [0.3]), 4),
     ], ids=["cube-9", "box3-17", "point-4"])
     def test_box_grid_is_the_plain_meshgrid(self, box, resolution):
-        axes = [np.linspace(lo, hi, resolution) for lo, hi in zip(box.lower, box.upper)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        want = np.stack([m.ravel() for m in mesh], axis=1)
-        assert np.array_equal(_grid_points(box, resolution), want)
+        # a box fills its bounding box: every cell of the plain meshgrid of
+        # cells is kept and scored at its own center
+        p, seen = recording(quadratic_on(box, Box([0.0], [0.0])))
+        L = joint_lipschitz(p)
+        edges = [np.linspace(lo, hi, resolution + 1) for lo, hi in zip(box.lower, box.upper)]
+        mesh = np.meshgrid(*[e[:-1] for e in edges], indexing="ij")
+        cells_lo = np.stack([m.ravel() for m in mesh], axis=1)
+        mesh = np.meshgrid(*[e[1:] for e in edges], indexing="ij")
+        cells_hi = np.stack([m.ravel() for m in mesh], axis=1)
+        for clo, chi in zip(cells_lo, cells_hi):
+            assert _cell_bound(p, np.append(clo, 0.0), np.append(chi, 0.0), 1.0, L) is not None
+        np.testing.assert_array_equal(np.array(seen)[:, :-1], (cells_lo + cells_hi) / 2)
 
     def test_box_pad_is_half_a_cell_diagonal(self):
-        # cell width 2/8 per axis: half its diagonal is sqrt(3)/8
-        cube = Box(-np.ones(3), np.ones(3))
-        assert _covering_radius(cube, 9) == pytest.approx(0.2165, abs=1e-4)
-        assert _covering_radius(cube, 9) == pytest.approx(math.sqrt(3) / 8, rel=1e-15)
-
-    def test_resolution_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            _covering_radius(Box([-1.0], [1.0]), 1)
-        p = make_bilinear([[1.0]], X=Box([-1], [1]), Y=Box([-1], [1]))
-        with pytest.raises(ValueError):
-            grid_extremum(p, 1)
+        # f = x_1 on the cube: zero curvature and a unit gradient, so a cell
+        # of width 2/8 per axis is padded by half its diagonal, sqrt(3)/8
+        p = make_quadratic(np.zeros((3, 3)), np.zeros((3, 1)), np.zeros((1, 1)),
+                           a=[1.0, 0.0, 0.0], X=Box(-np.ones(3), np.ones(3)),
+                           Y=Box([0.0], [0.0]))
+        assert joint_lipschitz(p) == 0.0
+        lo = np.array([-1.0, -1.0, -1.0, 0.0])
+        hi = np.array([-0.75, -0.75, -0.75, 0.0])
+        center = -0.875
+        assert _cell_bound(p, lo, hi, 1.0, 0.0) == pytest.approx(center - math.sqrt(3) / 8,
+                                                                  rel=1e-11)
+        assert -_cell_bound(p, lo, hi, -1.0, 0.0) == pytest.approx(center + math.sqrt(3) / 8,
+                                                                    rel=1e-11)
 
     def test_coarse_ball_grid_projects_the_corners(self):
-        # at resolution 2 the disk's box grid is the 4 corners of [-1, 1]^2,
-        # none in the disk; each is kept as its projection
+        # the corner cell [0.5, 1]^2 of the disk's box holds points of the
+        # disk and is scored at its center's projection onto the circle; the
+        # corner cell [0.75, 1]^2 holds none and is dropped unevaluated
         disk = Ball([0.0, 0.0], 1.0)
-        grid = _grid_points(disk, 2)
-        assert len(grid) == 4
-        np.testing.assert_allclose(np.abs(grid), math.sqrt(0.5), rtol=1e-15)
-        p = make_quadratic(np.eye(2), np.eye(2), np.eye(2), X=disk, Y=Box([-1, -1], [1, 1]))
-        ext = grid_extremum(p, 2)
-        assert all(math.isfinite(v) for v in (ext.f_lower, ext.f_upper, ext.pad))
+        p, seen = recording(quadratic_on(disk, Box([0.0], [0.0])))
+        L = joint_lipschitz(p)
+        corner = np.array([1.0, 1.0, 0.0])
+        assert _cell_bound(p, np.array([0.5, 0.5, 0.0]), corner, 1.0, L) is not None
+        np.testing.assert_allclose(seen[0][:2], math.sqrt(0.5), rtol=1e-15)
+        assert _cell_bound(p, np.array([0.75, 0.75, 0.0]), corner, 1.0, L) is None
+        assert len(seen) == 1
 
-    @pytest.mark.parametrize("X, Y, resolution", [
-        # the 17^3 box grid alone is larger than one chunk
-        (Box([-1.0, 0.0, -2.0], [1.0, 3.0, 0.5]), Simplex(1), 17),
-        (Ball([0.2, -0.1], 1.5), Ball([0.0, 0.0, 0.0], 1.0), 9),
-        (Simplex(3), Simplex(2, 2.0), 11),
+    @pytest.mark.parametrize("X, Y", [
+        (Box([-1.0, 0.0, -2.0], [1.0, 3.0, 0.5]), Simplex(1)),
+        (Ball([0.2, -0.1], 1.5), Ball([0.0, 0.0, 0.0], 1.0)),
+        (Simplex(3), Simplex(2, 2.0)),
         (Product((Ball([0.0, 0.0], 1.0), Box([0.0], [2.0]))),
-         Box([-1.0, -1.0], [1.0, 1.0]), 9),
+         Box([-1.0, -1.0], [1.0, 1.0])),
     ], ids=["box", "ball", "simplex", "disk-x-box"])
     @pytest.mark.parametrize("nans", [False, True], ids=["finite", "nan"])
-    def test_batched_scan_matches_scalar_loop(self, X, Y, resolution, nans):
-        rng = np.random.default_rng(3)
-        S = rng.standard_normal((X.dim, X.dim))
-        T = rng.standard_normal((Y.dim, Y.dim))
-        p = make_quadratic(S + S.T, rng.standard_normal((X.dim, Y.dim)), T + T.T,
-                           rng.standard_normal(X.dim), rng.standard_normal(Y.dim),
-                           X=X, Y=Y)
-        if nans:  # NaN wherever x_1 + y_1 > 0.5; both scans skip those pairs
+    def test_batched_scan_matches_scalar_loop(self, X, Y, nans):
+        # the range reads the scalar oracles only, so a problem with and
+        # without value_rows gets the same range; a NaN refuses it
+        p = quadratic_on(X, Y)
+        if nans:  # NaN wherever x_1 + y_1 > -0.5
             rows = p.value_rows
 
             def nan_rows(Xs, Ys):
-                return np.where(Xs[:, 0] + Ys[:, 0] > 0.5, np.nan, rows(Xs, Ys))
+                return np.where(Xs[:, 0] + Ys[:, 0] > -0.5, np.nan, rows(Xs, Ys))
 
             p = dataclasses.replace(
                 p, value_rows=nan_rows,
                 value=lambda x, y: float(nan_rows(x[None], y[None])[0]))
-        batched = grid_extremum(p, resolution)
-        assert math.isfinite(batched.f_lower) and math.isfinite(batched.f_upper)
-        assert batched == grid_extremum(dataclasses.replace(p, value_rows=None), resolution)
+        scalar = dataclasses.replace(p, value_rows=None)
+        for side in ("lower", "upper"):
+            if nans:
+                for q in (p, scalar):
+                    with pytest.raises(ValueError, match="not finite"):
+                        _certified_range(q, side)
+            else:
+                assert math.isfinite(_certified_range(p, side))
+                assert _certified_range(p, side) == _certified_range(scalar, side)
+
+    def test_nan_gradient_refuses_the_range(self):
+        p = random_quadratic(1, 2, 2, Regime.NC_SC)
+        p = dataclasses.replace(p, grad_y=lambda x, y: np.full(2, np.nan))
+        with pytest.raises(ValueError, match="not finite"):
+            _certified_range(p, "lower")
+
+
+def zoo_on(kind, X, Y):
+    """A zoo instance of ``kind`` on the sets X and Y."""
+    rng = np.random.default_rng(11)
+    if kind == "quadratic":
+        return quadratic_on(X, Y)
+    if kind == "bilinear":
+        return make_bilinear(rng.standard_normal((X.dim, Y.dim)), X=X, Y=Y)
+    if kind == "nc_sc_sine":
+        return make_nc_sc_sine(X.dim, Y.dim, 0.4 * rng.standard_normal((X.dim, Y.dim)),
+                               1.0, X, Y)
+    if kind == "sc_nc_sine":
+        return make_sc_nc_sine(X.dim, Y.dim, 0.4 * rng.standard_normal((X.dim, Y.dim)),
+                               0.8, X, Y)
+    feats = rng.standard_normal((6, X.dim - 1))
+    labels = np.where(feats[:, 0] > 0, 1.0, -1.0)
+    return make_robust_svm_toy(list(zip(feats, labels)), X, Y)
+
+
+SET_KINDS = {
+    "box": lambda d: Box(-0.5 - np.arange(d) / 4, 1.0 + np.arange(d) / 2),
+    "ball": lambda d: Ball(0.3 * np.ones(d), 1.2),
+    "simplex": lambda d: Simplex(d, 1.5),
+    "product": lambda d: Product((Ball(np.zeros(d - 1), 1.0), Box([-1.0], [0.5]))),
+}
+
+
+class TestCertifiedRange:
+    @pytest.mark.parametrize("budget", [1, 201, 2001])
+    @pytest.mark.parametrize("set_kind", list(SET_KINDS))
+    @pytest.mark.parametrize("kind", ["quadratic", "bilinear", "nc_sc_sine",
+                                      "sc_nc_sine", "robust_svm"])
+    def test_range_holds_on_dense_samples(self, monkeypatch, kind, set_kind, budget):
+        dx, dy = {"nc_sc_sine": (3, 2), "sc_nc_sine": (2, 3), "robust_svm": (3, 3)}.get(
+            kind, (2, 2))
+        p = zoo_on(kind, SET_KINDS[set_kind](dx), SET_KINDS[set_kind](dy))
+        monkeypatch.setattr(verify, "_CELL_BUDGET", budget)
+        lo, hi = ranges(p)
+        rng = np.random.default_rng(budget)
+        n = 1500
+        xs = np.array([p.X.sample(rng) for _ in range(n)]
+                      + [boundary_sample(p.X, rng) for _ in range(n)])
+        ys = np.array([p.Y.sample(rng) for _ in range(n)]
+                      + [boundary_sample(p.Y, rng) for _ in range(n)])
+        values = p.values(xs, ys)
+        assert lo <= values.min() and values.max() <= hi
+
+    def test_corner_minimum_at_2001_cells(self, monkeypatch):
+        # the box corners hold the minimum here, and at 2001 cells the best
+        # cell shrinks onto one: without the outward rounding its bound sat
+        # one ulp above the exact corner value
+        p = random_quadratic(13, 2, 2, Regime.C_NC)
+        monkeypatch.setattr(verify, "_CELL_BUDGET", 2001)
+        corners = np.array(np.meshgrid(*[[-1.0, 1.0]] * 4, indexing="ij")).reshape(4, -1).T
+        values = p.values(corners[:, :2], corners[:, 2:])
+        lo = _certified_range(p, "lower")
+        assert lo <= values.min()
+        assert values.min() - lo < 1e-9
 
 
 class TestComputeBound:
@@ -299,7 +424,7 @@ class TestComputeBound:
         cfg = auto_configure(p.constants, Regime.NC_SC)
         tr = run(p, cfg, eps=1e-6, max_iter=100000,
                  init=(np.array([1.0]), np.array([1.0])))
-        tc = theory_constants(p, cfg, tr, resolution=201)
+        tc = theory_constants(p, cfg, tr)
         # independent recomputation of every sub-constant
         eta, rho, mu, Ly, L12 = cfg.eta, cfg.rho, 1.0, 1.0, 1.0
         num = min(eta / 2 - rho * L12**2 / 2 - 2 * L12**2 / (rho * mu**2),
@@ -328,7 +453,7 @@ class TestComputeBound:
         cfg = NcCConfig(eta_bar=0.5, rho_bar=1.0, tau=3.0)
         tr = run(p, cfg, eps=1e-3, max_iter=100000,
                  init=(np.array([1.0]), np.array([1.0])))
-        tc = theory_constants(p, cfg, tr, resolution=101)
+        tc = theory_constants(p, cfg, tr)
         eps = 1e-3
         first = (64 * 1.0 * 1.0 * 1.0 * tc.d3 * tc.d4 / eps**2 + 2) ** 2
         second = 1.0 / (1.0 * eps**4) + 1
@@ -343,7 +468,7 @@ class TestComputeBound:
         cfg = auto_configure(p.constants, Regime.NC_SC)
         tr = run(p, cfg, eps=1e-6, max_iter=100000)
         assert tr.reason == "gap_le_eps"
-        tc = theory_constants(p, cfg, tr, resolution=11)
+        tc = theory_constants(p, cfg, tr)
         assert compute_bound(tc, 1e-6) >= tr.T_eps
 
 
@@ -454,7 +579,7 @@ class TestLemmaMonitor:
         with pytest.raises(InvalidTraceError):
             lemma_monitor(tr, p, cfg)
         with pytest.raises(InvalidTraceError):
-            theory_constants(p, cfg, tr, resolution=5)
+            theory_constants(p, cfg, tr)
 
 
 class TestMissingModulus:
@@ -473,7 +598,7 @@ class TestMissingModulus:
         with pytest.raises(InvalidTraceError):
             lemma_monitor(tr, p, cfg)
         with pytest.raises(InfeasibleConfigError):
-            theory_constants(p, cfg, tr, resolution=11)
+            theory_constants(p, cfg, tr)
 
 
 class TestOracleCallBudget:
@@ -487,9 +612,10 @@ class TestOracleCallBudget:
         calls.update(value=0, rows=0, chunk=0, grad=0)
         lemma_monitor(tr, p, cfg)
         assert calls == {"value": 0, "rows": 0, "chunk": 0, "grad": 0}
-        theory_constants(p, cfg, tr, resolution=5)
-        pairs = len(_grid_points(p.X, 5)) * len(_grid_points(p.Y, 5))
-        assert calls == {"value": 0, "rows": pairs, "chunk": pairs, "grad": 2}
+        theory_constants(p, cfg, tr)
+        # one value and two gradient calls per scored cell; no box cell is dropped
+        cells = verify._CELL_BUDGET
+        assert calls == {"value": cells, "rows": 0, "chunk": 0, "grad": 2 * cells}
 
     @pytest.mark.parametrize("regime", list(Regime))
     def test_scalar_fallback(self, regime):
@@ -501,16 +627,9 @@ class TestOracleCallBudget:
         calls.update(value=0, grad=0)
         lemma_monitor(tr, p, cfg)
         assert calls == {"value": 0, "rows": 0, "chunk": 0, "grad": 0}
-        theory_constants(p, cfg, tr, resolution=5)
-        pairs = len(_grid_points(p.X, 5)) * len(_grid_points(p.Y, 5))
-        assert calls == {"value": pairs, "rows": 0, "chunk": 0, "grad": 2}
-
-    def test_grid_scan_chunks(self):
-        # 9^3 * 9^2 = 59049 pairs: 15 chunks, none above VALUE_CHUNK rows
-        p, calls = counting(random_quadratic(4, 3, 2, Regime.NC_SC))
-        grid_extremum(p, 9)
-        assert (calls["value"], calls["rows"]) == (0, 9**5)
-        assert calls["chunk"] == VALUE_CHUNK
+        theory_constants(p, cfg, tr)
+        cells = verify._CELL_BUDGET
+        assert calls == {"value": cells, "rows": 0, "chunk": 0, "grad": 2 * cells}
 
     def test_gda_run(self):
         p, calls = counting(random_quadratic(4, 2, 2, Regime.NC_SC))
@@ -535,7 +654,26 @@ class TestTheoryConstants:
         p = random_quadratic(3, 2, 2, Regime.NC_SC)
         cfg = auto_configure(p.constants, Regime.NC_SC)
         tr = run(p, cfg, eps=1e-6, max_iter=5000)
-        tc = theory_constants(p, cfg, tr, resolution=21)
+        tc = theory_constants(p, cfg, tr)
         assert tc.sigma_y == pytest.approx(p.Y.diameter())
         assert tc.sighat_y == pytest.approx(p.Y.max_norm())
         assert math.isfinite(tc.F1)
+
+    @pytest.mark.parametrize("regime, side", [
+        (Regime.NC_SC, "lower"), (Regime.NC_C, "lower"),
+        (Regime.SC_NC, "upper"), (Regime.C_NC, "upper")])
+    def test_only_the_side_the_bound_reads(self, regime, side):
+        p = random_quadratic(5, 2, 2, regime)
+        cfg = auto_configure(p.constants, regime)
+        tc = theory_constants(p, cfg, run(p, cfg, eps=1e-6, max_iter=200))
+        assert getattr(tc, f"f_{side}") == _certified_range(p, side)
+        assert getattr(tc, "f_upper" if side == "lower" else "f_lower") is None
+
+    def test_half_infinite_box_refused_before_any_oracle_call(self):
+        p = make_bilinear([[1.0]], X=Box([0.0], [math.inf]), Y=Box([-1.0], [1.0]))
+        cfg = NcCConfig(eta_bar=0.5, rho_bar=1.0, tau=3.0)
+        tr = run(p, cfg, eps=1e-3, max_iter=50, init=(np.array([1.0]), np.array([1.0])))
+        p, calls = counting(p)
+        with pytest.raises(ValueError, match="compact feasible sets"):
+            theory_constants(p, cfg, tr)
+        assert calls == {"value": 0, "rows": 0, "chunk": 0, "grad": 0}
