@@ -43,5 +43,5 @@ p = make_bilinear([[1.0]], X=Box([-1], [1]), Y=Box([-1], [1]))
 cfg = NcCConfig(eta_bar=0.5, rho_bar=1.0, tau=3.0)  # L_y = 0: pick by hand
 tr = run(p, cfg, eps=1e-3, max_iter=100_000, init=(one(1), one(1)))
 print(f"stopped: {tr.reason}, T(1e-3) = {tr.T_eps}, "
-      f"endpoint = ({tr.xs[-1][0]:.2e}, {tr.ys[-1][0]:.2e})")
+      f"endpoint = ({tr.x[0]:.2e}, {tr.y[0]:.2e})")
 print(lemma_monitor(tr, p, cfg))

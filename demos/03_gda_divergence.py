@@ -14,7 +14,7 @@ x0, y0 = np.array([1.0]), np.array([0.0])
 
 free = make_bilinear([[1.0]])
 tr = run_gda(free, 0.1, 0.1, eps=1e-15, max_iter=201, init=(x0, y0))
-norms = np.hypot(np.linalg.norm(tr.xs, axis=1), np.linalg.norm(tr.ys, axis=1))
+norms = np.sqrt(tr.norms.xn2 + tr.norms.yn2)  # ||(x_k, y_k)||, row by row
 print("simultaneous steps, unconstrained bilinear:")
 for k in (1, 50, 100, 200):
     print(f"  k = {k:3d}   ||(x, y)|| = {norms[k - 1]:.4f}")
@@ -26,4 +26,4 @@ cfg = NcCConfig(eta_bar=0.5, rho_bar=1.0, tau=3.0)
 tr = run(boxed, cfg, eps=1e-3, max_iter=100_000,
          init=(np.array([1.0]), np.array([1.0])))
 print(f"\nalternating update, boxed bilinear: gap <= 1e-3 at T = {tr.T_eps}")
-print(f"  endpoint ({tr.xs[-1][0]:.2e}, {tr.ys[-1][0]:.2e}), saddle is (0, 0)")
+print(f"  endpoint ({tr.x[0]:.2e}, {tr.y[0]:.2e}), saddle is (0, 0)")

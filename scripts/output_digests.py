@@ -10,6 +10,9 @@ of the checkout this script sits in, so every root sees the same input:
 
 - every workload runs ``rate_experiment`` on each of its ``agp`` specs: one
   line per spec for its table, slope and ``partial`` flag;
+- every workload also runs ``run`` on each of its ``agp`` specs: one line
+  per spec over ``repr`` of its ``lemma_monitor`` report and of its
+  ``theory_constants``, or the error text where one raises;
 - a ``suite`` workload also runs through ``run_suite`` serially: one line
   per CSV trace, and one for ``summary.json`` with its ``wall_time_s``
   fields dropped, the only fields that vary between runs;
@@ -78,6 +81,26 @@ def rate_digests(agp, text):
         yield f"rate{spec.index:03d}", digest(json.dumps(table).encode())
 
 
+def _repr_or_error(fn, *args) -> str:
+    try:
+        return repr(fn(*args))
+    except Exception as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def verify_digests(agp, text):
+    """``(item, digest)`` over the monitor report and the bound constants of
+    each ``agp`` spec's run."""
+    for spec in agp.parse_config(text):
+        if spec.solver != "agp":
+            continue
+        trace = agp.run(spec.problem, spec.regime_cfg, spec.eps, spec.max_iter, spec.init)
+        args = (spec.problem, spec.regime_cfg)
+        data = "\n".join((_repr_or_error(agp.lemma_monitor, trace, *args),
+                          _repr_or_error(agp.theory_constants, *args, trace)))
+        yield f"verify{spec.index:03d}", digest(data.encode())
+
+
 def cli_digests(agp, text, tmp):
     """``(item, digest)`` of each CLI command and parallelism: one sha256
     over the exit code, the stdout and the sorted files of the output
@@ -112,6 +135,7 @@ def main(argv=None) -> int:
             for seed in SEEDS:
                 text = config_text(name, seed)
                 items = list(rate_digests(agp, text))
+                items += verify_digests(agp, text)
                 if kind == "suite":
                     items += suite_digests(agp, text, Path(tmp) / name / str(seed))
                 if seed == 0:

@@ -48,8 +48,9 @@ import numpy as np
 
 from ._expr import _CallValue, parse_value
 from .geometry import Ball, Box, Product, parse_set
-from .objective import (MinimaxProblem, Regime, make_bilinear, make_nc_sc_sine,
-                        make_robust_svm_toy, make_sc_nc_sine, random_quadratic)
+from .objective import (VALUE_CHUNK, MinimaxProblem, Regime, make_bilinear,
+                        make_nc_sc_sine, make_robust_svm_toy, make_sc_nc_sine,
+                        random_quadratic)
 from .schedules import (DEFAULT_TAU, CNcConfig, NcCConfig, NcScConfig, RegimeConfig,
                         ScNcConfig, UnsupportedRegimeError, auto_configure, validate)
 from .solver import SolverTrace, run, run_gda
@@ -94,6 +95,7 @@ class RunSpec:
     label: str
     problem: MinimaxProblem
     problem_text: str
+    seed: int = 0  # the seed the problem was built with, after any --seed
     solver: str = "agp"
     regime_cfg: RegimeConfig | None = None
     step_x: float | None = None
@@ -111,10 +113,14 @@ class SummaryRecord:
     solver: str
     regime: str | None
     problem: str
+    seed: int
+    eps: float
+    max_iter: int
     reason: str | None
     T_eps: int | None
     final_gap: float | None
     iterations: int
+    floored_any: bool | None
     wall_time_s: float
     monitor_pass: bool | None
     bound: float | None
@@ -299,8 +305,9 @@ def _build_spec(index: int, merged: dict) -> RunSpec:
     label = merged["label"][0] if "label" in merged else \
         f"{index:03d}-{_slug(problem.name)}-{solver}"
     return RunSpec(index=index, label=label, problem=problem, problem_text=ptext,
-                   solver=solver, regime_cfg=regime_cfg, step_x=step_x, step_y=step_y,
-                   eps=eps, max_iter=max_iter, init=init, eps_grid=eps_grid)
+                   seed=kw.get("seed", 0), solver=solver, regime_cfg=regime_cfg,
+                   step_x=step_x, step_y=step_y, eps=eps, max_iter=max_iter, init=init,
+                   eps_grid=eps_grid)
 
 
 def _slug(name):
@@ -397,10 +404,12 @@ _CSV_ROW = "%d" + ",%.17g" * (len(CSV_COLUMNS) - 1) + "\n"
 
 def write_trace_csv(trace: SolverTrace, path) -> None:
     """One row per iteration, reals at 17 significant digits."""
-    cols = [getattr(trace, name).tolist() for name in CSV_COLUMNS]
+    cols = [getattr(trace, name) for name in CSV_COLUMNS]
     with open(path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.writelines(_CSV_ROW % row for row in zip(*cols))
+        for s in range(0, len(trace), VALUE_CHUNK):
+            chunk = [col[s:s + VALUE_CHUNK].tolist() for col in cols]
+            fh.writelines(_CSV_ROW % row for row in zip(*chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +421,9 @@ def _execute(spec: RunSpec, out: Path | None) -> SummaryRecord:
     t0 = time.perf_counter()
     rec = SummaryRecord(run_id=spec.index, label=spec.label, solver=spec.solver,
                         regime=spec.regime_cfg.regime.value if spec.regime_cfg else None,
-                        problem=spec.problem_text, reason=None, T_eps=None,
-                        final_gap=None, iterations=0, wall_time_s=0.0,
+                        problem=spec.problem_text, seed=spec.seed, eps=spec.eps,
+                        max_iter=spec.max_iter, reason=None, T_eps=None,
+                        final_gap=None, iterations=0, floored_any=None, wall_time_s=0.0,
                         monitor_pass=None, bound=None, bound_ratio=None)
     try:
         if spec.solver == "agp":
@@ -429,6 +439,7 @@ def _execute(spec: RunSpec, out: Path | None) -> SummaryRecord:
     rec.T_eps = trace.T_eps
     rec.final_gap = trace.final_gap
     rec.iterations = trace.iterations
+    rec.floored_any = trace.floored_any
     if spec.solver == "agp":
         # a monitor or bound that raises fails this run only; its trace is kept
         errors = []

@@ -20,27 +20,28 @@ records the regularized gap norm, the same mapping with the gradients of
 f~ = f + (b_k/2)||x||^2 - (c_k/2)||y||^2, which the NC-C and C-NC monitors
 read.
 
-The loop records the iterates in row buffers that grow in place and are
-trimmed to the trace's length, so a trace owns exactly its rows.  After
-the loop, one batched pass of ``problem.values`` gives the f(x_k, y_k)
-column, and an alternating trace also records f(x_{k+1}, y_k)
-(``SolverTrace.f_mixed``); a non-finite entry in either raises
-``NumericFailureError``.  Its potential and monitor-slack columns are
-array functions of those records, computed by the verification module.
+The loop keeps one block of ``VALUE_CHUNK`` iterates, not their history,
+and folds each block into per-row columns that grow in place: f(x_k, y_k),
+the step lengths, the squared norms of the iterates and steps
+(``SolverTrace.norms``) and, on an alternating trace, f(x_{k+1}, y_k)
+(``SolverTrace.f_mixed``); a non-finite f or f_mixed raises
+``NumericFailureError``.  The potential and monitor-slack columns are array
+functions of those columns, computed by the verification module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .objective import MinimaxProblem, Regime
+from .objective import VALUE_CHUNK, MinimaxProblem, Regime
 from .schedules import RegimeConfig, _step_floats
-from .verify import _row_diffs, trace_columns
+from .verify import trace_columns
 
 __all__ = [
+    "IterateNorms",
     "SolverTrace",
     "NumericFailureError",
     "run",
@@ -65,6 +66,25 @@ class NumericFailureError(RuntimeError):
 # traces
 
 
+@dataclass(frozen=True)
+class IterateNorms:
+    """All that the potentials and monitors read of a trace's iterates:
+    ``xn2[k-1] = ||x_k||^2`` and ``dx2[k-1] = ||x_k - x_{k-1}||^2`` (x_0 = x_1),
+    likewise for y, by ``np.vecdot`` (the bits of a per-row ``a @ a``), which
+    the potentials read, and by ``einsum`` in the ``_e`` fields, which the
+    inequalities read; the two forms can differ in the last bit.
+    """
+
+    xn2: np.ndarray
+    yn2: np.ndarray
+    dx2: np.ndarray
+    dy2: np.ndarray
+    xn2_e: np.ndarray
+    yn2_e: np.ndarray
+    dx2_e: np.ndarray
+    dy2_e: np.ndarray
+
+
 @dataclass
 class SolverTrace:
     """Per-iteration records of one solver run; immutable by convention."""
@@ -81,8 +101,9 @@ class SolverTrace:
     dy_norm: np.ndarray
     potential: np.ndarray
     monitor_slack: np.ndarray
-    xs: np.ndarray
-    ys: np.ndarray
+    x: np.ndarray  # the last iterate, x_n
+    y: np.ndarray
+    norms: IterateNorms
     reason: str
     T_eps: int | None
     eps: float
@@ -132,8 +153,8 @@ def run(problem: MinimaxProblem, cfg: RegimeConfig, eps: float, max_iter: int,
     """Iterate until the raw stationarity gap drops to eps or max_iter hits.
 
     Deterministic in (problem, cfg, eps, max_iter, init).  The returned
-    trace carries the full iterate history, so the monitors can be run on
-    it afterwards.
+    trace carries the per-row values and iterate norms that the monitors
+    and the bound constants read afterwards, and the last iterate.
     """
     return _iterate(problem, cfg, None, eps, max_iter, init)
 
@@ -152,6 +173,8 @@ def run_gda(problem: MinimaxProblem, step_x: float, step_y: float, eps: float,
 
 # trace columns recorded per iteration, in the order of a row of the buffer
 _COLUMNS = ("gap_norm", "reg_gap_norm", "beta", "gamma", "b", "c")
+# columns folded from the iterate blocks, and f_mixed on an alternating trace
+_FOLDED = ("f", "dx_norm", "dy_norm", *(f.name for f in fields(IterateNorms)))
 
 
 def _iterate(problem, cfg, steps, eps, max_iter, init) -> SolverTrace:
@@ -180,24 +203,28 @@ def _iterate(problem, cfg, steps, eps, max_iter, init) -> SolverTrace:
     # ndarray.dot is the dot of @, with less call overhead
     zx, zy = np.zeros(problem.dim_x), np.zeros(problem.dim_y)
 
-    # The row buffers start at 1024 rows and grow by a quarter in place, so
-    # past 1024 rows they hold at most 1.25 times the rows recorded; max_iter
-    # only caps them.  The loop keeps no view of them.
+    # The row buffers and folded columns start at 1024 rows and grow by a
+    # quarter in place, so past 1024 rows they hold at most 1.25 times the
+    # rows recorded; max_iter only caps them.  The loop keeps no view of them.
     cap = min(max_iter, 1024)
     rows = np.empty((cap, len(_COLUMNS)))
-    xs = np.empty((cap, problem.dim_x))
-    ys = np.empty((cap, problem.dim_y))
+    folded = {name: np.empty(cap) for name in _FOLDED + ("f_mixed",) * (cfg is not None)}
+    # row n of the trace sits in row n - s + 1 of the block buffers, whose
+    # row 0 holds row s - 1, the last row of the block before (x_0 = x_1)
+    xb = np.empty((min(max_iter, VALUE_CHUNK) + 1, problem.dim_x))
+    yb = np.empty((len(xb), problem.dim_y))
+    xb[0], yb[0] = x, y
     T_eps = None
     reason = "max_iter"
     floored_any = False
-    n = 0
+    n = s = 0
     # an infinite gradient entry makes the check's zeros . g an invalid
     # inf * 0; the check reports it, so numpy need not warn as well
     with np.errstate(invalid="ignore"):
         for k in range(1, max_iter + 1):
             if n == cap:
                 cap = min(max_iter, cap + cap // 4)
-                _resize_rows((rows, xs, ys), cap)
+                _resize_rows((rows, *folded.values()), cap)
             if growing:
                 beta, gamma, b, c, floored = _step_floats(cfg, data, k)
                 floored_any = floored_any or floored
@@ -221,9 +248,12 @@ def _iterate(problem, cfg, steps, eps, max_iter, init) -> SolverTrace:
                 gy = gamma * (y - project_y(y + (gyf - c * y) / gamma))
             reg_gap = math.sqrt(gx.dot(gx) + gy.dot(gy)) if b != 0.0 or c != 0.0 else gap
             rows[n] = (gap, reg_gap, beta, gamma, b, c)
-            xs[n] = x
-            ys[n] = y
+            xb[n - s + 1], yb[n - s + 1] = x, y
             n += 1
+            if n - s == VALUE_CHUNK:
+                _fold(problem, xb, yb, s, n, folded)
+                xb[0], yb[0] = xb[-1], yb[-1]
+                s = n
             if gap <= eps:
                 T_eps = k
                 reason = "gap_le_eps"
@@ -238,9 +268,11 @@ def _iterate(problem, cfg, steps, eps, max_iter, init) -> SolverTrace:
                     raise NumericFailureError(k, "y")
                 x, y = px, project_y(y + (gy_new - c * y) / gamma)
 
-    _resize_rows((rows, xs, ys), n)
-    return _assemble_trace(problem, cfg, rows, xs, ys, reason, T_eps, eps,
-                           "agp" if cfg is not None else "gda", floored_any)
+    if n > s:
+        _fold(problem, xb, yb, s, n, folded)
+    del xb, yb
+    _resize_rows((rows, *folded.values()), n)
+    return _assemble_trace(problem, cfg, rows, folded, x, y, reason, T_eps, eps, floored_any)
 
 
 def _resize_rows(buffers, n):
@@ -251,11 +283,33 @@ def _resize_rows(buffers, n):
     alive across the call.
     """
     for buf in buffers:
-        buf.resize((n, buf.shape[1]), refcheck=False)
+        buf.resize((n, *buf.shape[1:]), refcheck=False)
 
 
-def _row_norm(d):
-    return np.linalg.norm(d, axis=1)
+def _fold(problem, xb, yb, s, e, folded):
+    """Fold trace rows s..e-1, held in ``xb[1:]``/``yb[1:]`` after row s-1,
+    into entries s..e-1 of the ``folded`` columns; entry r of a step or
+    mixed column pairs row r with row r-1.  Every formula maps each row on
+    its own, so each entry has the bits of one pass over the whole history.
+    """
+    m = e - s
+    x, y = xb[1:m + 1], yb[1:m + 1]
+    folded["f"][s:e] = problem.values(x, y)
+    if "f_mixed" in folded:
+        i = 0 if s else 1  # row 0 pairs with no row before it
+        folded["f_mixed"][s + i:e] = problem.values(x[i:], yb[i:m])
+    _fold_squares(folded, "xn2", x, s)
+    _fold_squares(folded, "yn2", y, s)
+    for name, buf in (("dx", xb), ("dy", yb)):
+        steps = np.diff(buf[:m + 1], axis=0)  # one block's steps at a time
+        folded[name + "_norm"][s:e] = np.linalg.norm(steps, axis=1)
+        _fold_squares(folded, name + "2", steps, s)
+
+
+def _fold_squares(folded, name, a, s):
+    """Squared row norms of ``a`` into entries s.. of ``name`` and its twin."""
+    folded[name][s:s + len(a)] = np.vecdot(a, a)
+    folded[name + "_e"][s:s + len(a)] = np.einsum("ij,ij->i", a, a)
 
 
 def _require_finite(values, name):
@@ -264,28 +318,26 @@ def _require_finite(values, name):
         raise NumericFailureError(int(bad[0]) + 1, name)
 
 
-def _assemble_trace(problem, cfg, rows, xs, ys, reason, T_eps, eps, algo,
+def _assemble_trace(problem, cfg, rows, folded, x, y, reason, T_eps, eps,
                     floored_any) -> SolverTrace:
     n = len(rows)
     cols = {name: rows[:, i].copy() for i, name in enumerate(_COLUMNS)}
-    cols["f"] = problem.values(xs, ys)
+    cols.update((name, folded.pop(name)) for name in ("f", "dx_norm", "dy_norm"))
+    cols["dx_norm"][0] = cols["dy_norm"][0] = np.nan
     _require_finite(cols["f"], "f")
-    dx = np.full(n, np.nan)
-    dy = np.full(n, np.nan)
-    dx[1:] = _row_diffs(xs, _row_norm)
-    dy[1:] = _row_diffs(ys, _row_norm)
-    f_mixed = None
+    f_mixed = folded.pop("f_mixed", None)
+    norms = IterateNorms(**folded)
     potential = np.full(n, np.nan)
     slack = np.full(n, np.nan)
     if cfg is not None:
-        f_mixed = problem.values(xs[1:], ys[:-1])
+        f_mixed = f_mixed[1:].copy()
         _require_finite(f_mixed, "f_mixed")
         potential, slack = trace_columns(
-            cfg, problem.constants, xs, ys, cols["f"], f_mixed, cols["gap_norm"],
+            cfg, problem.constants, norms, cols["f"], f_mixed, cols["gap_norm"],
             cols["reg_gap_norm"], cols["beta"], cols["gamma"])
     return SolverTrace(
-        k=np.arange(1, n + 1), dx_norm=dx, dy_norm=dy, potential=potential,
-        monitor_slack=slack, xs=xs, ys=ys, reason=reason, T_eps=T_eps, eps=eps,
-        algo=algo, regime=cfg.regime if cfg is not None else None,
-        floored_any=floored_any, f_mixed=f_mixed, **cols,
+        k=np.arange(1, n + 1), potential=potential, monitor_slack=slack, x=x, y=y,
+        reason=reason, T_eps=T_eps, eps=eps, algo="agp" if cfg is not None else "gda",
+        regime=cfg.regime if cfg is not None else None, floored_any=floored_any,
+        f_mixed=f_mixed, norms=norms, **cols,
     )

@@ -13,7 +13,8 @@ the first index k0 where that condition holds; the k^(1/4) schedules reach
 it at k0 = 9.
 
 The monitors and the Lyapunov potentials are array functions of the
-trace's recorded columns: the iterates, f(x_k, y_k) and f(x_{k+1}, y_k).
+trace's recorded columns: the squared norms of the iterates and of their
+steps, f(x_k, y_k) and f(x_{k+1}, y_k).
 They make no oracle calls.  The bound constants call the oracles only for
 their certified bound of f over a compact X x Y, from best-first bisection
 of the joint bounding box with a fixed budget of cells.
@@ -23,18 +24,18 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import geometry
-from .objective import VALUE_CHUNK, MinimaxProblem, Regime
+from .objective import MinimaxProblem, Regime
 from .schedules import (CNcConfig, NcCConfig, NcScConfig, RegimeConfig,
                         ScNcConfig, InfeasibleConfigError, _decay_k0, validate)
 
 if TYPE_CHECKING:
-    from .solver import SolverTrace
+    from .solver import IterateNorms, SolverTrace
 
 __all__ = [
     "MonitorEntry",
@@ -160,28 +161,6 @@ def Dhat1_c_nc(cfg: CNcConfig, data) -> float:
 # per-trace inequality evaluation
 
 
-def _row_diffs(a, row_fn):
-    """``row_fn(np.diff(a, axis=0))`` over chunks of ``VALUE_CHUNK`` rows.
-
-    Each chunk overlaps the next by one row, so no difference array of the
-    whole trace exists; ``row_fn`` must map each row on its own, and then
-    every entry has the bits of the whole-array formula.
-    """
-    out = np.empty(max(len(a) - 1, 0))
-    for s in range(0, len(out), VALUE_CHUNK):
-        out[s:s + VALUE_CHUNK] = row_fn(np.diff(a[s:s + VALUE_CHUNK + 1], axis=0))
-    return out
-
-
-def _einsum_sq(d):
-    return np.einsum("ij,ij->i", d, d)
-
-
-def _row_sq(a):
-    # vecdot matches a per-row ``a @ a`` bit for bit; einsum does not
-    return np.vecdot(a, a)
-
-
 def _missing_modulus(cfg, d) -> str | None:
     """``"mu"`` for an NC-SC config without mu > 0, ``"theta"`` for an SC-NC
     one without theta > 0, else None: their potentials divide by it."""
@@ -192,17 +171,18 @@ def _missing_modulus(cfg, d) -> str | None:
     return None
 
 
-def potentials(cfg: RegimeConfig, d, xs, ys, f, fmix) -> np.ndarray:
+def potentials(cfg: RegimeConfig, d, norms: IterateNorms, f, fmix) -> np.ndarray:
     """Lyapunov potential of every trace row under ``cfg``.
 
-    ``xs[k-1] = x_k``, ``f[k-1] = f(x_k, y_k)``, ``fmix[k-1] = f(x_{k+1}, y_k)``
-    and ``d`` the smoothness data.  Entry j-1 is the j-th potential: NC-SC and
-    NC-C add iterate terms to ``f[j-1]``, SC-NC and C-NC to ``fmix[j-1]``.
+    ``norms`` holds the squared iterate and step norms of the rows,
+    ``f[k-1] = f(x_k, y_k)``, ``fmix[k-1] = f(x_{k+1}, y_k)`` and ``d`` is the
+    smoothness data.  Entry j-1 is the j-th potential: NC-SC and NC-C add
+    iterate terms to ``f[j-1]``, SC-NC and C-NC to ``fmix[j-1]``.
     NaN while the referenced iterates or schedule values do not exist yet
     (the first 1-2 rows, or the missing lookahead x_{j+1} on the last row),
     and everywhere for an NC-SC (SC-NC) config without mu > 0 (theta > 0).
     """
-    n = len(xs)
+    n = len(f)
     pot = np.full(n, np.nan)
     if _missing_modulus(cfg, d):
         return pot
@@ -210,25 +190,25 @@ def potentials(cfg: RegimeConfig, d, xs, ys, f, fmix) -> np.ndarray:
         rho, mu, Ly = cfg.rho, d.mu, d.L_y
         coeff = mu + 7.0 / (2 * rho) - rho * Ly**2 / 2 - 2 * Ly**2 / mu
         s = 2.0 / (rho**2 * mu)
-        pot[1:] = f[1:] + (s - coeff) * _row_diffs(ys, _row_sq)
+        pot[1:] = f[1:] + (s - coeff) * norms.dy2[1:]
     elif isinstance(cfg, NcCConfig):  # j = 3..n
         rb = cfg.rho_bar
         c = np.array([cfg.c(k) for k in range(1, n + 1)])
         cj, cjm1, cjm2 = c[2:], c[1:-1], c[:-2]
-        dy2 = _row_diffs(ys, _row_sq)[1:]
-        yn2 = _row_sq(ys)[2:]
+        dy2 = norms.dy2[2:]
+        yn2 = norms.yn2[2:]
         s = (4.0 / (rb**2 * cj)) * dy2 - (4.0 / rb) * (cjm2 / cjm1 - 1.0) * yn2
         pot[2:] = f[2:] + s - 7.0 / (2 * rb) * dy2 - 0.5 * cjm1 * yn2
     elif isinstance(cfg, ScNcConfig):  # j = 1..n-1
         z, th = cfg.zeta, d.theta
-        dx2 = _row_diffs(xs, _row_sq)
+        dx2 = norms.dx2[1:]
         pot[:-1] = fmix - (2.0 / (z**2 * th)) * dx2 - (th / 2 - 3.0 / z) * dx2
     elif isinstance(cfg, CNcConfig):  # j = 2..n-1
         zb = cfg.zeta_bar
         q = np.array([cfg.q(k) for k in range(1, n)])
         qj, qjm1 = q[1:], q[:-1]
-        dx2 = _row_diffs(xs, _row_sq)[1:]
-        xn2 = _row_sq(xs)[2:]
+        dx2 = norms.dx2[2:]
+        xn2 = norms.xn2[2:]
         s = -(4.0 / (zb**2 * qj)) * dx2 - (4.0 / zb) * (1.0 - qjm1 / qj) * xn2
         pot[1:-1] = fmix[1:] + s + 17.0 / (5 * zb) * dx2 + 0.5 * qjm1 * xn2
     else:
@@ -236,21 +216,19 @@ def potentials(cfg: RegimeConfig, d, xs, ys, f, fmix) -> np.ndarray:
     return pot
 
 
-def _inequalities(cfg, d, xs, ys, f, fmix, gap, rgap, beta, gamma, pot):
+def _inequalities(cfg, d, norms, f, fmix, gap, rgap, beta, gamma, pot):
     """All per-iteration inequalities for the config's regime.
 
     Yields (id, ks, lhs, rhs, sense) with 1-based iteration indices ks.
-    ``d`` is the smoothness data, ``fmix[k-1] = f(x_{k+1}, y_k)``,
-    ``pot[j-1]`` the j-th potential value.
+    ``d`` is the smoothness data, ``norms`` the rows' ``IterateNorms``,
+    ``fmix[k-1] = f(x_{k+1}, y_k)``, ``pot[j-1]`` the j-th potential value.
     """
     modulus = _missing_modulus(cfg, d)
     if modulus:
         raise InvalidTraceError(f"the {cfg.regime.value} inequalities need {modulus} > 0")
-    n = len(xs)
-    dx2 = _row_diffs(xs, _einsum_sq)  # dx2[k-1] = ||x_{k+1}-x_k||^2, k = 1..n-1
-    dy2 = _row_diffs(ys, _einsum_sq)
-    xn2 = np.einsum("ij,ij->i", xs, xs)
-    yn2 = np.einsum("ij,ij->i", ys, ys)
+    n = len(f)
+    dx2, dy2 = norms.dx2_e[1:], norms.dy2_e[1:]  # dx2[k-1] = ||x_{k+1}-x_k||^2
+    xn2, yn2 = norms.xn2_e, norms.yn2_e
     out = []
 
     if isinstance(cfg, NcScConfig):
@@ -368,14 +346,12 @@ def lemma_monitor(trace: SolverTrace, problem: MinimaxProblem, cfg: RegimeConfig
     if trace.regime is not None and trace.regime is not cfg.regime:
         raise InvalidTraceError(
             f"trace was produced under {trace.regime}, config is {cfg.regime}")
-    if trace.xs is None or len(trace.xs) != len(trace.k):
-        raise InvalidTraceError("trace is missing its iterate history")
     _require_f_mixed(trace)
     # recompute potentials under the supplied config rather than trusting the
     # trace, so monitoring with different constants stays honest
     d = problem.constants
-    pot = potentials(cfg, d, trace.xs, trace.ys, trace.f, trace.f_mixed)
-    items = _inequalities(cfg, d, trace.xs, trace.ys, trace.f, trace.f_mixed,
+    pot = potentials(cfg, d, trace.norms, trace.f, trace.f_mixed)
+    items = _inequalities(cfg, d, trace.norms, trace.f, trace.f_mixed,
                           trace.gap_norm, trace.reg_gap_norm,
                           trace.beta, trace.gamma, pot)
     return MonitorReport(tuple(_entry(eid, ks, lhs, rhs, sense)
@@ -390,7 +366,7 @@ _HEADLINE = {
 }
 
 
-def trace_columns(cfg, d, xs, ys, f, fmix, gap, rgap, beta, gamma):
+def trace_columns(cfg, d, norms, f, fmix, gap, rgap, beta, gamma):
     """The potential and monitor-slack columns of an alternating trace.
 
     The slack is the signed per-iteration margin of the regime's headline
@@ -398,13 +374,13 @@ def trace_columns(cfg, d, xs, ys, f, fmix, gap, rgap, beta, gamma):
     admissible index range (everywhere when the NC-SC/SC-NC ratio d1 is not
     positive).
     """
-    pot = potentials(cfg, d, xs, ys, f, fmix)
-    slack = np.full(len(xs), np.nan)
+    pot = potentials(cfg, d, norms, f, fmix)
+    slack = np.full(len(f), np.nan)
     if cfg.regime is Regime.NC_SC and not d1_nc_sc(cfg, d) > 0:
         return pot, slack
     if cfg.regime is Regime.SC_NC and not dhat1_sc_nc(cfg, d) > 0:
         return pot, slack
-    for eid, ks, lhs, rhs, sense in _inequalities(cfg, d, xs, ys, f, fmix, gap, rgap,
+    for eid, ks, lhs, rhs, sense in _inequalities(cfg, d, norms, f, fmix, gap, rgap,
                                                   beta, gamma, pot):
         if eid == _HEADLINE[cfg.regime]:
             slack[ks - 1] = rhs - lhs if sense == "le" else lhs - rhs
@@ -584,7 +560,8 @@ def _finite_sizes(problem):
 def _initial_potential(cfg, d, trace, j):
     """The j-th potential of ``trace`` under ``cfg``, from its first j+1 rows."""
     m = j + 1
-    pot = potentials(cfg, d, trace.xs[:m], trace.ys[:m], trace.f[:m], trace.f_mixed[:j])
+    norms = replace(trace.norms, **{name: a[:m] for name, a in vars(trace.norms).items()})
+    pot = potentials(cfg, d, norms, trace.f[:m], trace.f_mixed[:j])
     return float(pot[j - 1])
 
 

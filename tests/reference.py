@@ -3,11 +3,14 @@
 The solver computes its step parameters and its stationarity gap inline;
 these are second, one-call-at-a-time copies of both.  The saddle oracle
 solves the quadratic testbed's first-order system directly, and
-``read_trace_csv`` inverts ``agp.bench.write_trace_csv``.
+``read_trace_csv`` inverts ``agp.bench.write_trace_csv``.  A trace keeps no
+iterate history: ``record_iterates`` records the iterates a run visits, and
+``iterate_norms`` reduces them by one formula over the whole history.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,6 +20,7 @@ import numpy as np
 from agp.bench import CSV_COLUMNS
 from agp.objective import MinimaxProblem, SmoothnessData
 from agp.schedules import RegimeConfig, _step_floats
+from agp.solver import IterateNorms
 
 
 @dataclass(frozen=True)
@@ -92,3 +96,49 @@ def read_trace_csv(path) -> dict:
         out[name] = (np.array([int(v) for v in col], dtype=int) if name == "k"
                      else np.array([float(v) for v in col]))
     return out
+
+
+@dataclass
+class RecordedIterates:
+    """The points ``(x, y)`` a problem's ``grad_x`` was called at, in order."""
+
+    points: list = field(default_factory=list)
+
+    @property
+    def xs(self) -> np.ndarray:
+        return np.array([x for x, _ in self.points])
+
+    @property
+    def ys(self) -> np.ndarray:
+        return np.array([y for _, y in self.points])
+
+
+def record_iterates(problem: MinimaxProblem):
+    """``(copy, rec)``: a copy of ``problem`` whose ``grad_x`` records each
+    point it is called at in ``rec``, a ``RecordedIterates``.
+
+    ``run`` and ``run_gda`` call ``grad_x`` exactly once per trace row, at
+    (x_k, y_k), so right after a run ``rec.xs``/``rec.ys`` hold the iterates
+    of its rows.  Other callers of ``grad_x``, such as the bound constants,
+    record their points too.
+    """
+    rec = RecordedIterates()
+    grad_x = problem.grad_x
+
+    def recording(x, y):
+        rec.points.append((np.array(x, dtype=float), np.array(y, dtype=float)))
+        return grad_x(x, y)
+
+    return dataclasses.replace(problem, grad_x=recording), rec
+
+
+def iterate_norms(xs, ys) -> IterateNorms:
+    """The ``IterateNorms`` of iterates xs/ys, each by one formula over the
+    whole history (steps from the convention x_0 = x_1)."""
+    cols = {}
+    for v, a in (("x", xs), ("y", ys)):
+        steps = np.diff(a, axis=0, prepend=a[:1])
+        for name, b in ((f"{v}n2", a), (f"d{v}2", steps)):
+            cols[name] = np.vecdot(b, b)
+            cols[name + "_e"] = np.einsum("ij,ij->i", b, b)
+    return IterateNorms(**cols)

@@ -21,7 +21,7 @@ from agp.verify import (compute_bound, finite_diff_check, lemma_monitor,
                         rate_slope, theory_constants)
 from agp.bench import parse_config, rate_experiment, run_suite, write_trace_csv
 
-from reference import read_trace_csv, saddle_oracle_quadratic
+from reference import read_trace_csv, record_iterates, saddle_oracle_quadratic
 
 TINY = 1e-300  # effectively "never stop early" for fixed-length monitor runs
 
@@ -236,8 +236,8 @@ def test_criterion_06_saddle_accuracy():
         cfg = auto_configure(problem.constants, Regime.NC_SC)
         trace = run(problem, cfg, eps=1e-6, max_iter=300000)
         assert trace.reason == "gap_le_eps", problem.name
-        assert np.linalg.norm(trace.xs[-1] - xstar) <= 1e-5
-        assert np.linalg.norm(trace.ys[-1] - ystar) <= 1e-5
+        assert np.linalg.norm(trace.x - xstar) <= 1e-5
+        assert np.linalg.norm(trace.y - ystar) <= 1e-5
         checked += 1
     elapsed = time.time() - t0
     assert elapsed < 10.0, f"saddle suite took {elapsed:.1f}s"
@@ -321,11 +321,12 @@ def test_criterion_08_theory_bounds_dominate():
 def test_criterion_09_gda_contrast():
     t0 = time.time()
     # simultaneous steps on the unconstrained bilinear game spiral outward
-    free = make_bilinear([[1.0]])
+    free, it = record_iterates(make_bilinear([[1.0]]))
     tr = run_gda(free, 0.1, 0.1, eps=1e-15, max_iter=201,
                  init=(np.array([1.0]), np.array([0.0])))
-    n0 = math.hypot(np.linalg.norm(tr.xs[0]), np.linalg.norm(tr.ys[0]))
-    n200 = math.hypot(np.linalg.norm(tr.xs[200]), np.linalg.norm(tr.ys[200]))
+    xs, ys = it.xs, it.ys
+    n0 = math.hypot(np.linalg.norm(xs[0]), np.linalg.norm(ys[0]))
+    n200 = math.hypot(np.linalg.norm(xs[200]), np.linalg.norm(ys[200]))
     assert tr.k[-1] == 201
     assert n200 > n0
 

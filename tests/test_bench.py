@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from agp.bench import (ConfigError, main, parse_config, rate_experiment,
+from agp.bench import (ConfigError, RunSpec, main, parse_config, rate_experiment,
                        run_suite, write_trace_csv)
-from agp.objective import Regime, make_bilinear, random_quadratic
+from agp.geometry import Box
+from agp.objective import Regime, make_bilinear, make_quadratic, random_quadratic
 from agp.schedules import NcCConfig, NcScConfig, auto_configure
 from agp.solver import run
 
@@ -670,6 +671,39 @@ class TestCli:
         seed5 = csv("seed5", "problem = quadratic(seed=5, nx=1, ny=1, regime=nc_sc)\n")
         assert csv("flag", text, "--seed", "5") == seed5
         assert csv("keys", text) != seed5
+
+    def test_summary_records_the_effective_settings(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed = 3\neps = 1e-2\nmax_iter = 200\n\n"
+                       "problem = quadratic(seed=7, nx=1, ny=1, regime=nc_sc)\n\n"
+                       "problem = bilinear(dim=1)\nsolver = gda\nmax_iter = 50\n")
+
+        def runs(name, *flags):
+            main(["solve", str(cfg), "--out-dir", str(tmp_path / name), *flags])
+            return json.loads((tmp_path / name / "summary.json").read_text())["runs"]
+
+        keys = ("seed", "eps", "max_iter", "floored_any")
+        assert [tuple(r[k] for k in keys) for r in runs("keys")] == [
+            (3, 1e-2, 200, False), (3, 1e-2, 50, False)]
+        flagged = runs("flags", "--seed", "5", "--eps", "1e-4", "--max-iter", "300")
+        assert [tuple(r[k] for k in keys) for r in flagged] == [(5, 1e-4, 300, False)] * 2
+        # the CSV is that of the seed the record names
+        seed5 = tmp_path / "seed5.cfg"
+        seed5.write_text("problem = quadratic(seed=5, nx=1, ny=1, regime=nc_sc)\n"
+                         "eps = 1e-4\nmax_iter = 300\n")
+        main(["solve", str(seed5), "--out-dir", str(tmp_path / "seed5")])
+        assert ((tmp_path / "flags" / "run000.csv").read_bytes()
+                == (tmp_path / "seed5" / "run000.csv").read_bytes())
+
+    def test_summary_records_a_floored_step(self, tmp_path):
+        # decoupled and concave in y: the NC-C beta_k falls to the floor 1.01 L_x
+        box = Box([-1.0], [1.0])
+        spec = RunSpec(index=0, label="decoupled", problem_text="decoupled", max_iter=20,
+                       problem=make_quadratic([[1.0]], [[0.0]], [[0.0]], X=box, Y=box),
+                       regime_cfg=NcCConfig(eta_bar=0.5, rho_bar=1.0, tau=3.0))
+        rec, = run_suite([spec], out_dir=tmp_path)
+        assert rec.error is None and rec.floored_any is True
+        assert json.loads((tmp_path / "summary.json").read_text())["runs"][0]["floored_any"]
 
     @pytest.mark.parametrize("regime, modulus", [("nc_sc(eta=2, rho=0.5)", "mu"),
                                                   ("sc_nc(zeta=0.5, nu=2)", "theta")],

@@ -8,15 +8,16 @@ import pytest
 
 from agp import verify
 from agp.geometry import Ball, Box, Product, WholeSpace
-from agp.objective import Regime, make_bilinear, make_quadratic, random_quadratic
+from agp.objective import (VALUE_CHUNK, Regime, make_bilinear, make_quadratic,
+                           random_quadratic)
 from agp.schedules import (CNcConfig, InfeasibleConfigError, NcCConfig,
                            NcScConfig, ScNcConfig, auto_configure)
 from agp.solver import NumericFailureError, run, run_gda
 from agp.verify import potentials
 
 from conftest import zoo_instances
-from reference import (GapVector, StepParams, params_at, saddle_oracle_quadratic,
-                       stationarity_gap)
+from reference import (GapVector, StepParams, iterate_norms, params_at,
+                       record_iterates, saddle_oracle_quadratic, stationarity_gap)
 
 
 def quad_1d():
@@ -40,8 +41,10 @@ def solve(p, cfg_or_steps, eps, max_iter, init="project-origin"):
 
 
 def two_iterates(p, cfg_or_steps, x0, y0):
-    """The first two iterates of a 1-d problem from (x0, y0)."""
-    return solve(p, cfg_or_steps, 1e-15, 2, (np.array([x0]), np.array([y0])))
+    """The trace and recorded iterates of the first two iterations of a 1-d
+    problem from (x0, y0)."""
+    p, it = record_iterates(p)
+    return solve(p, cfg_or_steps, 1e-15, 2, (np.array([x0]), np.array([y0]))), it
 
 
 def reference_iterates(p, cfg_or_steps, x0, y0, n):
@@ -79,47 +82,47 @@ class TestAgpStep:
 
     def test_fixed_point_at_zero_gradient(self):
         p = make_quadratic([[1.0]], [[1.0]], [[1.0]], X=Box([-1], [1]), Y=Box([-1], [1]))
-        tr = two_iterates(p, HAND_CFG, 0.0, 0.0)
+        tr, it = two_iterates(p, HAND_CFG, 0.0, 0.0)
         assert tr.T_eps == 1 and len(tr) == 1
-        np.testing.assert_array_equal(tr.xs, [[0.0]])
-        np.testing.assert_array_equal(tr.ys, [[0.0]])
+        np.testing.assert_array_equal(it.xs, [[0.0]])
+        np.testing.assert_array_equal(it.ys, [[0.0]])
 
     def test_hand_executed_updates(self):
         # x+ = 1 - (1/2)(x + y) = 0; y+ = 1 + (1/2)(x+ - y) = 0.5
-        tr = two_iterates(quad_1d(), HAND_CFG, 1.0, 1.0)
-        np.testing.assert_allclose(tr.xs, [[1.0], [0.0]])
-        np.testing.assert_allclose(tr.ys, [[1.0], [0.5]])
+        _, it = two_iterates(quad_1d(), HAND_CFG, 1.0, 1.0)
+        np.testing.assert_allclose(it.xs, [[1.0], [0.0]])
+        np.testing.assert_allclose(it.ys, [[1.0], [0.5]])
 
     def test_projection_clamps_x(self):
         p = make_quadratic([[1.0]], [[1.0]], [[1.0]], X=Box([0.5], [2.0]),
                            Y=WholeSpace(1))
-        tr = two_iterates(p, HAND_CFG, 1.0, 1.0)
-        np.testing.assert_allclose(tr.xs[1], [0.5])
+        _, it = two_iterates(p, HAND_CFG, 1.0, 1.0)
+        np.testing.assert_allclose(it.xs[1], [0.5])
 
 
 class TestGdaStep:
     """The first simultaneous step of run_gda, against hand-executed updates."""
 
     def test_bilinear_norm_grows(self):
-        tr = two_iterates(make_bilinear([[1.0]]), (0.1, 0.1), 1.0, 0.0)
-        np.testing.assert_allclose(tr.xs[1], [1.0])
-        np.testing.assert_allclose(tr.ys[1], [0.1])
-        assert np.hypot(tr.xs[1][0], tr.ys[1][0]) ** 2 == pytest.approx(1.01)
+        _, it = two_iterates(make_bilinear([[1.0]]), (0.1, 0.1), 1.0, 0.0)
+        np.testing.assert_allclose(it.xs[1], [1.0])
+        np.testing.assert_allclose(it.ys[1], [0.1])
+        assert np.hypot(it.xs[1][0], it.ys[1][0]) ** 2 == pytest.approx(1.01)
 
     def test_contrast_with_alternating_update(self):
         # same start, same steps: y+ differs (1.0 vs 0.5) because the
         # simultaneous step uses the stale x
-        sim = two_iterates(quad_1d(), (0.5, 0.5), 1.0, 1.0)
-        alt = two_iterates(quad_1d(), HAND_CFG, 1.0, 1.0)
+        _, sim = two_iterates(quad_1d(), (0.5, 0.5), 1.0, 1.0)
+        _, alt = two_iterates(quad_1d(), HAND_CFG, 1.0, 1.0)
         np.testing.assert_allclose(sim.xs[1], [0.0])
         np.testing.assert_allclose(sim.ys[1], [1.0])
         np.testing.assert_allclose(alt.ys[1], [0.5])
 
     def test_fixed_point(self):
-        tr = two_iterates(quad_1d(), (0.5, 0.5), 0.0, 0.0)
+        tr, it = two_iterates(quad_1d(), (0.5, 0.5), 0.0, 0.0)
         assert tr.T_eps == 1 and len(tr) == 1
-        np.testing.assert_array_equal(tr.xs, [[0.0]])
-        np.testing.assert_array_equal(tr.ys, [[0.0]])
+        np.testing.assert_array_equal(it.xs, [[0.0]])
+        np.testing.assert_array_equal(it.ys, [[0.0]])
 
     def test_positive_steps_required(self):
         with pytest.raises(ValueError):
@@ -197,13 +200,14 @@ class TestRegularizedGap:
 
     @pytest.mark.parametrize("seed, regime", [(3, Regime.NC_C), (4, Regime.C_NC)])
     def test_trace_column_matches_reference(self, seed, regime):
-        p = random_quadratic(seed, 2, 2, regime)
+        p, it = record_iterates(random_quadratic(seed, 2, 2, regime))
         cfg = auto_configure(p.constants, regime)
         tr = run(p, cfg, eps=1e-12, max_iter=60)
         assert np.all(tr.b + tr.c > 0)
+        xs, ys = it.xs, it.ys
         for i in range(len(tr)):
             pk = params_at(cfg, p.constants, int(tr.k[i]))
-            g = regularized_gap_reference(p, tr.xs[i], tr.ys[i], pk)
+            g = regularized_gap_reference(p, xs[i], ys[i], pk)
             assert tr.reg_gap_norm[i] == pytest.approx(g.norm, rel=1e-12)
 
 
@@ -211,7 +215,7 @@ def potential_column(cfg, p, xs, ys):
     """The potentials of iterates xs/ys, from the values a trace records."""
     f = np.array([p.value(x, y) for x, y in zip(xs, ys)])
     fmix = np.array([p.value(xs[i + 1], ys[i]) for i in range(len(xs) - 1)])
-    return potentials(cfg, p.constants, xs, ys, f, fmix)
+    return potentials(cfg, p.constants, iterate_norms(xs, ys), f, fmix)
 
 
 def constant_problem(value):
@@ -280,10 +284,11 @@ class TestPotentialValue:
 
     @pytest.mark.parametrize("regime", list(Regime))
     def test_trace_column_matches_per_row_reference(self, regime):
-        p = random_quadratic(6, 3, 2, regime)
+        p, it = record_iterates(random_quadratic(6, 3, 2, regime))
         cfg = auto_configure(p.constants, regime)
         tr = run(p, cfg, eps=1e-14, max_iter=40)
-        want = [reference_potential(cfg, p, tr.xs, tr.ys, j) for j in range(1, len(tr) + 1)]
+        xs, ys = it.xs, it.ys
+        want = [reference_potential(cfg, p, xs, ys, j) for j in range(1, len(tr) + 1)]
         np.testing.assert_array_equal(tr.potential, want)
 
 
@@ -324,8 +329,8 @@ class TestRun:
         tr = run(p, cfg, eps=1e-6, max_iter=100000, init=(np.array([1.0]), np.array([1.0])))
         assert tr.reason == "gap_le_eps"
         xstar, ystar = saddle_oracle_quadratic([[1.0]], [[1.0]], [[1.0]], [0.3], [-0.2])
-        assert abs(tr.xs[-1][0] - xstar[0]) <= 1e-5
-        assert abs(tr.ys[-1][0] - ystar[0]) <= 1e-5
+        assert abs(tr.x[0] - xstar[0]) <= 1e-5
+        assert abs(tr.y[0] - ystar[0]) <= 1e-5
 
     def test_start_at_saddle_T1(self):
         p = quad_1d()
@@ -353,51 +358,59 @@ class TestRun:
     def test_determinism_bit_identical(self):
         p = random_quadratic(8, 3, 2, Regime.NC_SC)
         cfg = auto_configure(p.constants, Regime.NC_SC)
-        a = run(p, cfg, eps=1e-8, max_iter=3000)
-        b = run(p, cfg, eps=1e-8, max_iter=3000)
-        np.testing.assert_array_equal(a.xs, b.xs)
+        (pa, it_a), (pb, it_b) = record_iterates(p), record_iterates(p)
+        a = run(pa, cfg, eps=1e-8, max_iter=3000)
+        b = run(pb, cfg, eps=1e-8, max_iter=3000)
+        np.testing.assert_array_equal(it_a.xs, it_b.xs)
         np.testing.assert_array_equal(a.gap_norm, b.gap_norm)
         np.testing.assert_array_equal(a.potential, b.potential)
 
     def test_feasibility_of_all_iterates(self):
-        p = random_quadratic(5, 2, 2, Regime.NC_SC)
+        p, it = record_iterates(random_quadratic(5, 2, 2, Regime.NC_SC))
         cfg = auto_configure(p.constants, Regime.NC_SC)
         tr = run(p, cfg, eps=1e-10, max_iter=2000)
+        xs, ys = it.xs, it.ys
+        assert len(xs) == len(tr)
         for i in range(len(tr)):
-            assert p.X.contains(tr.xs[i], tol=1e-10)
-            assert p.Y.contains(tr.ys[i], tol=1e-10)
+            assert p.X.contains(xs[i], tol=1e-10)
+            assert p.Y.contains(ys[i], tol=1e-10)
 
     def test_gap_uses_current_iteration_scaling(self):
-        p = make_bilinear([[1.0]], X=Box([-1], [1]), Y=Box([-1], [1]))
+        p, it = record_iterates(make_bilinear([[1.0]], X=Box([-1], [1]), Y=Box([-1], [1])))
         cfg = NcCConfig(eta_bar=0.5, rho_bar=1.0, tau=3.0)
         tr = run(p, cfg, eps=1e-12, max_iter=50,
                  init=(np.array([1.0]), np.array([1.0])))
+        xs, ys = it.xs, it.ys
         for i in (0, 5, 20):
             k = int(tr.k[i])
             pk = params_at(cfg, p.constants, k)
-            g = stationarity_gap(p, tr.xs[i], tr.ys[i], pk.beta, pk.gamma)
+            g = stationarity_gap(p, xs[i], ys[i], pk.beta, pk.gamma)
             assert tr.gap_norm[i] == pytest.approx(g.norm, rel=1e-12)
 
     def test_descent_inequality_every_iteration(self):
         # f(x_{k+1}, y_k) - f(x_k, y_k) <= -(eta/2)||dx||^2
-        p = random_quadratic(17, 3, 2, Regime.NC_SC)
+        p, it = record_iterates(random_quadratic(17, 3, 2, Regime.NC_SC))
         cfg = auto_configure(p.constants, Regime.NC_SC)
         tr = run(p, cfg, eps=1e-12, max_iter=2000)
+        xs, ys = it.xs, it.ys
+        assert len(xs) == len(tr)
         eta = cfg.eta
         for i in range(len(tr) - 1):
-            lhs = p.value(tr.xs[i + 1], tr.ys[i]) - p.value(tr.xs[i], tr.ys[i])
-            dx2 = float(np.sum((tr.xs[i + 1] - tr.xs[i]) ** 2))
+            lhs = p.value(xs[i + 1], ys[i]) - p.value(xs[i], ys[i])
+            dx2 = float(np.sum((xs[i + 1] - xs[i]) ** 2))
             assert lhs <= -eta / 2 * dx2 + 1e-9
 
     def test_ascent_inequality_every_iteration(self):
         # f(x_{k+1}, y_{k+1}) - f(x_{k+1}, y_k) >= (nu/2)||dy||^2
-        p = random_quadratic(19, 2, 2, Regime.SC_NC)
+        p, it = record_iterates(random_quadratic(19, 2, 2, Regime.SC_NC))
         cfg = auto_configure(p.constants, Regime.SC_NC)
         tr = run(p, cfg, eps=1e-12, max_iter=2000)
+        xs, ys = it.xs, it.ys
+        assert len(xs) == len(tr)
         nu = cfg.nu
         for i in range(len(tr) - 1):
-            lhs = p.value(tr.xs[i + 1], tr.ys[i + 1]) - p.value(tr.xs[i + 1], tr.ys[i])
-            dy2 = float(np.sum((tr.ys[i + 1] - tr.ys[i]) ** 2))
+            lhs = p.value(xs[i + 1], ys[i + 1]) - p.value(xs[i + 1], ys[i])
+            dy2 = float(np.sum((ys[i + 1] - ys[i]) ** 2))
             assert lhs >= nu / 2 * dy2 - 1e-9
 
     def test_first_hit_monotone(self):
@@ -417,11 +430,12 @@ class TestRun:
 
 class TestRunGda:
     def test_divergence_on_bilinear(self):
-        p = make_bilinear([[1.0]])
-        tr = run_gda(p, 0.1, 0.1, eps=1e-15, max_iter=201,
-                     init=(np.array([1.0]), np.array([0.0])))
-        n0 = math.hypot(np.linalg.norm(tr.xs[0]), np.linalg.norm(tr.ys[0]))
-        n_last = math.hypot(np.linalg.norm(tr.xs[200]), np.linalg.norm(tr.ys[200]))
+        p, it = record_iterates(make_bilinear([[1.0]]))
+        run_gda(p, 0.1, 0.1, eps=1e-15, max_iter=201,
+                init=(np.array([1.0]), np.array([0.0])))
+        xs, ys = it.xs, it.ys
+        n0 = math.hypot(np.linalg.norm(xs[0]), np.linalg.norm(ys[0]))
+        n_last = math.hypot(np.linalg.norm(xs[200]), np.linalg.norm(ys[200]))
         assert n_last > n0
 
     def test_gap_scaling_matches_steps(self):
@@ -578,10 +592,12 @@ class TestWrappersShareRule:
 
     @staticmethod
     def replay(p, cfg_or_steps):
-        tr = solve(p, cfg_or_steps, 1e-12, 60)
-        xs, ys = reference_iterates(p, cfg_or_steps, tr.xs[0], tr.ys[0], len(tr))
-        np.testing.assert_array_equal(xs, tr.xs)
-        np.testing.assert_array_equal(ys, tr.ys)
+        recording, it = record_iterates(p)
+        tr = solve(recording, cfg_or_steps, 1e-12, 60)
+        got_xs, got_ys = it.xs, it.ys
+        xs, ys = reference_iterates(p, cfg_or_steps, got_xs[0], got_ys[0], len(tr))
+        np.testing.assert_array_equal(xs, got_xs)
+        np.testing.assert_array_equal(ys, got_ys)
         return tr
 
     @pytest.mark.parametrize("seed, regime", [(3, Regime.NC_C), (4, Regime.C_NC),
@@ -615,8 +631,8 @@ def traced_run(*args, **kwargs):
 
 
 class TestTraceMemory:
-    """A trace costs its payload: no second copy of the iterates, no n x d
-    diff temporaries, no buffer beyond the recorded rows."""
+    """A trace costs its per-row columns: no iterate history, no n x d
+    temporaries, no buffer beyond the recorded rows."""
 
     def test_peak_within_payload_bound(self):
         # stops by eps at 21,286 rows, so the grown buffers must be trimmed
@@ -625,15 +641,19 @@ class TestTraceMemory:
         tr, peak, held = traced_run(p, cfg, eps=1e-3, max_iter=10**6)
         n = len(tr)
         assert tr.reason == "gap_le_eps" and 15_000 < n < 30_000
-        assert tr.xs.shape == (n, p.dim_x) and tr.ys.shape == (n, p.dim_y)
-        payload = tr.xs.nbytes + tr.ys.nbytes
-        assert peak <= 1.5 * payload
-        # The trace's own arrays are 1.1x the iterates at 64 x 64: 13 per-row
-        # columns (104 B) against 1,024 B of iterates.  An iterate array that
-        # is a view of a larger buffer holds more than its nbytes.
-        owned = sum(v.nbytes for v in vars(tr).values() if isinstance(v, np.ndarray))
-        assert owned <= 1.11 * payload
-        assert held <= owned + 0.01 * payload
+        # what an n x (dim_x + dim_y) iterate history would take
+        history = n * (p.dim_x + p.dim_y) * 8
+        # The peak is set while a full block is folded: the two blocks of
+        # VALUE_CHUNK iterates (19 % of the history here), the temporaries
+        # of one value_rows call on a block (as much again) and the columns
+        # grown so far (15 %).
+        assert peak < 0.6 * history
+        # The trace's own arrays are 21 per-row columns (168 B) against
+        # 1,024 B of iterates per row at 64 x 64, and the last iterate.
+        arrays = [*vars(tr).values(), *vars(tr.norms).values()]
+        owned = sum(v.nbytes for v in arrays if isinstance(v, np.ndarray))
+        assert owned <= 0.17 * history
+        assert held <= owned + 0.01 * history
 
     def test_no_rows_reserved_up_front(self):
         p = random_quadratic(7, 2, 2, Regime.NC_SC)
@@ -643,52 +663,77 @@ class TestTraceMemory:
         assert peak < 2 * 2**20
 
 
+def assert_columns_match_iterates(p, cfg_or_steps, tr, xs, ys):
+    """Every column and reduction of ``tr`` has the bits of its whole-array
+    formula on the recorded iterates xs/ys, which replay the update rule
+    bit for bit, and the trace owns each of its arrays."""
+    n = len(tr)
+    assert xs.shape == (n, p.dim_x) and ys.shape == (n, p.dim_y)
+    ref_xs, ref_ys = reference_iterates(p, cfg_or_steps, xs[0], ys[0], n)
+    np.testing.assert_array_equal(xs, ref_xs)
+    np.testing.assert_array_equal(ys, ref_ys)
+    np.testing.assert_array_equal(tr.x, xs[-1])
+    np.testing.assert_array_equal(tr.y, ys[-1])
+    f = p.value_rows(xs, ys)
+    assert np.array_equal(tr.f, f)
+    for got, a in ((tr.dx_norm, xs), (tr.dy_norm, ys)):
+        whole = np.full(n, np.nan)
+        whole[1:] = np.linalg.norm(np.diff(a, axis=0), axis=1)
+        assert np.array_equal(got, whole, equal_nan=True)
+    norms = iterate_norms(xs, ys)
+    for name, want in vars(norms).items():
+        assert np.array_equal(getattr(tr.norms, name), want), name
+    if isinstance(cfg_or_steps, tuple):
+        assert tr.f_mixed is None
+    else:
+        fmix = p.value_rows(xs[1:], ys[:-1])
+        assert np.array_equal(tr.f_mixed, fmix)
+        pot, slack = verify.trace_columns(cfg_or_steps, p.constants, norms, f, fmix,
+                                          tr.gap_norm, tr.reg_gap_norm, tr.beta, tr.gamma)
+        assert np.array_equal(tr.potential, pot, equal_nan=True)
+        assert np.array_equal(tr.monitor_slack, slack, equal_nan=True)
+    # no array is a view of a larger buffer
+    arrays = [*vars(tr).values(), *vars(tr.norms).values()]
+    assert all(a.flags.owndata for a in arrays if isinstance(a, np.ndarray))
+
+
 # f = x^2/1000 - y^2/2 on the whole plane: under HAND_CFG the x-step is
 # x <- 0.999 x, so the gap falls strictly and never reaches 0
 SLOW_1D = make_quadratic([[0.002]], [[0.0]], [[1.0]])
 
 
 class TestGrowthBoundaries:
-    """Trace lengths on both sides of each growth step of the row buffers
+    """Trace lengths on both sides of each growth step of the column buffers
     (1024 rows, then a quarter more: 1280, 1600)."""
 
     @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 1279, 1280, 1281, 1599,
                                    1600, 1601])
     def test_iterates_match_reference(self, n):
         init = (np.array([1.0]), np.array([1.0]))
-        capped = run(SLOW_1D, HAND_CFG, eps=1e-300, max_iter=n, init=init)
+        (pc, capped_it), (ps, stopped_it) = record_iterates(SLOW_1D), record_iterates(SLOW_1D)
+        capped = run(pc, HAND_CFG, eps=1e-300, max_iter=n, init=init)
         # the same rows, stopped by eps from buffers that outgrew them
-        stopped = run(SLOW_1D, HAND_CFG, eps=capped.gap_norm[-1], max_iter=10**6,
-                      init=init)
-        xs, ys = reference_iterates(SLOW_1D, HAND_CFG, init[0], init[1], n)
-        for tr in (capped, stopped):
-            assert len(tr) == n and tr.xs.shape == (n, 1) and tr.ys.shape == (n, 1)
-            assert tr.xs.flags.owndata and tr.ys.flags.owndata
-            np.testing.assert_array_equal(tr.xs, xs)
-            np.testing.assert_array_equal(tr.ys, ys)
+        stopped = run(ps, HAND_CFG, eps=capped.gap_norm[-1], max_iter=10**6, init=init)
+        for tr, it in ((capped, capped_it), (stopped, stopped_it)):
+            assert len(tr) == n
+            assert_columns_match_iterates(SLOW_1D, HAND_CFG, tr, it.xs, it.ys)
 
 
 class TestChunkBoundaries:
-    """The row-chunked diff norms equal the whole-array formulas bit for bit."""
+    """Trace lengths n = VALUE_CHUNK + extra on both sides of each fold of
+    the iterate blocks, and of one and two rows, in every regime and GDA."""
 
-    @pytest.mark.parametrize("regime", list(Regime))
-    @pytest.mark.parametrize("extra", [0, 1, 2])
-    def test_columns_match_whole_array_formulas(self, monkeypatch, regime, extra):
-        n = verify.VALUE_CHUNK + extra
-        p = random_quadratic(5, 3, 3, regime)
-        cfg = auto_configure(p.constants, regime)
-        tr = run(p, cfg, eps=1e-300, max_iter=n)
+    @pytest.mark.parametrize("algo", [*Regime, "gda"])
+    @pytest.mark.parametrize("extra", [1 - VALUE_CHUNK, 2 - VALUE_CHUNK, -1, 0, 1, 2,
+                                       VALUE_CHUNK + 1])
+    def test_columns_match_whole_array_formulas(self, algo, extra):
+        n = VALUE_CHUNK + extra
+        regime = Regime.NC_SC if algo == "gda" else algo
+        # at seed 3 no run reaches an exactly zero gap within these lengths
+        p = random_quadratic(3, 3, 3, regime)
+        cfg_or_steps = (0.05, 0.2) if algo == "gda" else auto_configure(p.constants, regime)
+        recording, it = record_iterates(p)
+        tr = solve(recording, cfg_or_steps, 1e-300, n)
         assert len(tr) == n
-        whole = np.full(n, np.nan)
-        whole[1:] = np.linalg.norm(np.diff(tr.xs, axis=0), axis=1)
-        assert np.array_equal(tr.dx_norm, whole, equal_nan=True)
-        whole[1:] = np.linalg.norm(np.diff(tr.ys, axis=0), axis=1)
-        assert np.array_equal(tr.dy_norm, whole, equal_nan=True)
-        # one chunk covers the whole trace: the whole-array formulas
-        monkeypatch.setattr(verify, "VALUE_CHUNK", 10 * n)
-        pot, slack = verify.trace_columns(
-            cfg, p.constants, tr.xs, tr.ys, tr.f, tr.f_mixed, tr.gap_norm,
-            tr.reg_gap_norm, tr.beta, tr.gamma)
-        assert not np.all(np.isnan(tr.potential))
-        assert np.array_equal(tr.potential, pot, equal_nan=True)
-        assert np.array_equal(tr.monitor_slack, slack, equal_nan=True)
+        assert n < 3 or algo == "gda" or not np.all(np.isnan(tr.potential))
+        assert_columns_match_iterates(p, cfg_or_steps, tr, it.xs, it.ys)
