@@ -45,6 +45,13 @@ def _check_dim(s: "ConstraintSet", v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _check_rows(s: "ConstraintSet", V: np.ndarray) -> np.ndarray:
+    V = np.asarray(V, dtype=float)
+    if V.ndim != 2 or V.shape[1] != s.dim:
+        raise ValueError(f"dimension mismatch: set has dim {s.dim}, rows have shape {V.shape}")
+    return V
+
+
 def _check_tol(tol: float) -> None:
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
@@ -57,6 +64,15 @@ class ConstraintSet:
 
     def project(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def project_rows(self, V: np.ndarray) -> np.ndarray:
+        """``project`` of each row of an ``(n, dim)`` array, with the bits of
+        ``project`` on every row; variants without a batched form loop."""
+        V = _check_rows(self, V)
+        out = np.empty(V.shape)
+        for i, v in enumerate(V):
+            out[i] = self.project(v)
+        return out
 
     def contains(self, v: np.ndarray, tol: float = 0.0) -> bool:
         """Membership up to a slack ``tol >= 0``; any other ``tol`` raises."""
@@ -83,6 +99,9 @@ class WholeSpace(ConstraintSet):
 
     def project(self, v):
         return np.array(_check_dim(self, v), dtype=float)
+
+    def project_rows(self, V):
+        return np.array(_check_rows(self, V), dtype=float)
 
     def contains(self, v, tol=0.0):
         _check_dim(self, v)
@@ -121,6 +140,10 @@ class Box(ConstraintSet):
     def project(self, v):
         v = _check_dim(self, v)
         return np.minimum(np.maximum(v, self.lower), self.upper)
+
+    def project_rows(self, V):
+        V = _check_rows(self, V)
+        return np.minimum(np.maximum(V, self.lower), self.upper)
 
     def contains(self, v, tol=0.0):
         v = _check_dim(self, v)

@@ -16,7 +16,11 @@ only enters instance generation.
 Every zoo constructor writes f once, as a row function over ``(n, dim)``
 arrays built from ``np.matvec``, ``np.vecdot`` and row sums; its scalar
 ``value`` is the one-row case.  These forms give each row the same bits
-whatever the number of rows, so batched and scalar evaluation agree.
+whatever the number of rows, so batched and scalar evaluation agree.  The
+quadratic, bilinear and svm constructors also set ``grad_y_rows``, the row
+form of ``grad_y`` that agrees with it bit for bit, which the solver's
+deferred gap rows read; the sines leave it unset, so their rows loop over
+``grad_y`` and keep its bits whatever a batched transcendental does.
 """
 
 from __future__ import annotations
@@ -90,7 +94,9 @@ class MinimaxProblem:
     ``value`` on every row, bit for bit.  ``values`` uses it and falls back
     to a loop over ``value`` when it is None.  Replacing ``value`` alone (for
     instance with ``dataclasses.replace``) leaves the old ``value_rows`` in
-    use; replace both, or set ``value_rows=None``.
+    use; replace both, or set ``value_rows=None``.  ``grad_y_rows`` is the
+    same for ``grad_y``: it maps the arrays to the ``(n, dim_y)`` gradients,
+    ``grads_y`` uses it, and it goes stale the same way.
     """
 
     dim_x: int
@@ -104,24 +110,39 @@ class MinimaxProblem:
     tags: frozenset = frozenset()
     name: str = ""
     value_rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    grad_y_rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.X.dim != self.dim_x or self.Y.dim != self.dim_y:
             raise ValueError("feasible-set dimensions do not match the problem")
 
-    def values(self, X, Y) -> np.ndarray:
-        """f at the row pairs ``(X[i], Y[i])``, in chunks of ``VALUE_CHUNK`` rows."""
+    def _check_rows(self, X, Y):
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
         n = len(X)
         if X.shape != (n, self.dim_x) or Y.shape != (n, self.dim_y):
-            raise ValueError("values needs (n, dim_x) and (n, dim_y) arrays")
+            raise ValueError("row oracles need (n, dim_x) and (n, dim_y) arrays")
+        return X, Y, n
+
+    def values(self, X, Y) -> np.ndarray:
+        """f at the row pairs ``(X[i], Y[i])``, in chunks of ``VALUE_CHUNK`` rows."""
+        X, Y, n = self._check_rows(X, Y)
         if self.value_rows is None:
             return np.fromiter((self.value(x, y) for x, y in zip(X, Y)), float, n)
         out = np.empty(n)
         for s in range(0, n, VALUE_CHUNK):
             out[s:s + VALUE_CHUNK] = self.value_rows(X[s:s + VALUE_CHUNK],
                                                      Y[s:s + VALUE_CHUNK])
+        return out
+
+    def grads_y(self, X, Y) -> np.ndarray:
+        """grad_y at the row pairs ``(X[i], Y[i])``, as an ``(n, dim_y)`` array."""
+        X, Y, n = self._check_rows(X, Y)
+        if self.grad_y_rows is not None:
+            return self.grad_y_rows(X, Y)
+        out = np.empty((n, self.dim_y))
+        for i in range(n):
+            out[i] = self.grad_y(X[i], Y[i])
         return out
 
     def check_point(self, x, y):
@@ -203,17 +224,23 @@ def make_quadratic(A, B, C, a=None, c_lin=None, X=None, Y=None, name="quadratic"
                 + np.vecdot(X, np.matvec(B, Y)) - np.vecdot(0.5 * Y, np.matvec(C, Y))
                 - np.vecdot(c_lin, Y))
 
+    # ndarray.dot has the bits of @, with less call overhead
+    Bt = B.T
+
     def grad_x(x, y):
-        return A @ x + a + B @ y
+        return A.dot(x) + a + B.dot(y)
 
     def grad_y(x, y):
-        return B.T @ x - C @ y - c_lin
+        return Bt.dot(x) - C.dot(y) - c_lin
+
+    def grad_y_rows(X, Y):
+        return np.matvec(Bt, X) - np.matvec(C, Y) - c_lin
 
     return MinimaxProblem(
         dim_x=nx, dim_y=ny, X=X, Y=Y,
         value=_one_row(rows), grad_x=grad_x, grad_y=grad_y,
         constants=SmoothnessData(L_x=L_x, L_y=L_y, L_12=L_c, L_21=L_c, mu=mu, theta=theta),
-        tags=frozenset(tags), name=name, value_rows=rows,
+        tags=frozenset(tags), name=name, value_rows=rows, grad_y_rows=grad_y_rows,
     )
 
 
@@ -352,6 +379,13 @@ def make_robust_svm_toy(data, X: Ball, Y: Product, name="robust_svm") -> Minimax
         g[m] = float(xw @ yu + xb)
         return g
 
+    def grad_y_rows(X, Y):
+        XW = X[:, :m]
+        G = np.empty((len(X), dim))
+        G[:, :m] = Y[:, m:] * XW
+        G[:, m] = np.vecdot(XW, Y[:, :m]) + X[:, m]
+        return G
+
     # Hessian-block bounds: hinge curvature <= 1/width on the augmented Gram;
     # y-block Hessian has norm ||x_w|| <= max ||x|| over X; the cross block
     # [[y_v I, 0], [y_u', 1]] has norm <= sqrt(||y||^2 + 1).
@@ -363,6 +397,7 @@ def make_robust_svm_toy(data, X: Ball, Y: Product, name="robust_svm") -> Minimax
     return MinimaxProblem(
         dim_x=dim, dim_y=dim, X=X, Y=Y,
         value=_one_row(rows), grad_x=grad_x, grad_y=grad_y, value_rows=rows,
+        grad_y_rows=grad_y_rows,
         constants=SmoothnessData(L_x=L_x, L_y=L_y, L_12=L_cross, L_21=L_cross),
         tags=frozenset({Regime.C_NC}), name=name,
     )

@@ -20,6 +20,16 @@ records the regularized gap norm, the same mapping with the gradients of
 f~ = f + (b_k/2)||x||^2 - (c_k/2)||y||^2, which the NC-C and C-NC monitors
 read.
 
+Each row computes the x-half ||gap_x||^2 inline.  Rounding and sqrt are
+monotone, so a row whose sqrt(||gap_x||^2) exceeds eps cannot stop: its
+y-half waits, and ``_fill_gaps`` adds it at the next fold or at the end,
+from ``grads_y`` and ``project_rows`` over the block's stored iterates.  A
+row that may stop adds its own y-half at once, through the same
+``_y_half``, so ``T_eps`` is that of the row-by-row gap.  An exception in
+the loop (not an interrupt) first completes the waiting rows, so a
+non-finite grad_y(x_j, y_j) is reported at iteration j ahead of anything
+raised at a later row.
+
 The loop keeps one block of ``VALUE_CHUNK`` iterates, not their history,
 and folds each block into per-row columns that grow in place: f(x_k, y_k),
 the step lengths, the squared norms of the iterates and steps
@@ -210,10 +220,14 @@ def _iterate(problem, cfg, steps, eps, max_iter, init) -> SolverTrace:
     rows = np.empty((cap, len(_COLUMNS)))
     folded = {name: np.empty(cap) for name in _FOLDED + ("f_mixed",) * (cfg is not None)}
     # row n of the trace sits in row n - s + 1 of the block buffers, whose
-    # row 0 holds row s - 1, the last row of the block before (x_0 = x_1)
+    # row 0 holds row s - 1, the last row of the block before (x_0 = x_1);
+    # GDA's step takes grad_y(x_k, y_k), so its block keeps those for the gaps
     xb = np.empty((min(max_iter, VALUE_CHUNK) + 1, problem.dim_x))
     yb = np.empty((len(xb), problem.dim_y))
+    gb = np.empty_like(yb) if cfg is None else None
     xb[0], yb[0] = x, y
+    # whether each row of the block still waits for the y-half of its gap
+    pending = np.ones(len(xb), dtype=bool)
     T_eps = None
     reason = "max_iter"
     floored_any = False
@@ -221,58 +235,131 @@ def _iterate(problem, cfg, steps, eps, max_iter, init) -> SolverTrace:
     # an infinite gradient entry makes the check's zeros . g an invalid
     # inf * 0; the check reports it, so numpy need not warn as well
     with np.errstate(invalid="ignore"):
-        for k in range(1, max_iter + 1):
-            if n == cap:
-                cap = min(max_iter, cap + cap // 4)
-                _resize_rows((rows, *folded.values()), cap)
-            if growing:
-                beta, gamma, b, c, floored = _step_floats(cfg, data, k)
-                floored_any = floored_any or floored
-            gxf = grad_x(x, y)
-            gyf = grad_y(x, y)
-            if zx.dot(gxf) + zy.dot(gyf) != 0.0:
-                raise NumericFailureError(k, "x" if not np.all(np.isfinite(gxf)) else "y")
-            # The raw gap.  A regularized block whose coefficient is 0 is the raw
-            # block: x - (g + 0*x)/beta has the bits of x - g/beta, and
-            # y + (g - 0*y)/gamma differs from y + g/gamma at most in the sign of
-            # a zero, which the norm ignores.  The regularized x projection is
-            # the alternating x-step.
-            px = project_x(x - gxf / beta)
-            gx = beta * (x - px)
-            gy = gamma * (y - project_y(y + gyf / gamma))
-            gap = math.sqrt(gx.dot(gx) + gy.dot(gy))
-            if b != 0.0:
-                px = project_x(x - (gxf + b * x) / beta)
+        try:
+            for k in range(1, max_iter + 1):
+                if n == cap:
+                    cap = min(max_iter, cap + cap // 4)
+                    _resize_rows((rows, *folded.values()), cap)
+                if growing:
+                    beta, gamma, b, c, floored = _step_floats(cfg, data, k)
+                    floored_any = floored_any or floored
+                gxf = grad_x(x, y)
+                if cfg is None:
+                    gyf = grad_y(x, y)
+                    if zx.dot(gxf) + zy.dot(gyf) != 0.0:
+                        raise NumericFailureError(
+                            k, "x" if not np.all(np.isfinite(gxf)) else "y")
+                    gb[n - s + 1] = gyf
+                elif zx.dot(gxf) != 0.0:
+                    raise NumericFailureError(k, "x")
+                # The x-half of the raw gap, then of the regularized gap.  A
+                # regularized block whose coefficient is 0 is the raw block:
+                # x - (g + 0*x)/beta has the bits of x - g/beta, and
+                # y + (g - 0*y)/gamma differs from y + g/gamma at most in the
+                # sign of a zero, which the norm ignores.  The regularized x
+                # projection is the alternating x-step.
+                px = project_x(x - gxf / beta)
                 gx = beta * (x - px)
-            if c != 0.0:
-                gy = gamma * (y - project_y(y + (gyf - c * y) / gamma))
-            reg_gap = math.sqrt(gx.dot(gx) + gy.dot(gy)) if b != 0.0 or c != 0.0 else gap
-            rows[n] = (gap, reg_gap, beta, gamma, b, c)
-            xb[n - s + 1], yb[n - s + 1] = x, y
-            n += 1
-            if n - s == VALUE_CHUNK:
-                _fold(problem, xb, yb, s, n, folded)
-                xb[0], yb[0] = xb[-1], yb[-1]
-                s = n
-            if gap <= eps:
-                T_eps = k
-                reason = "gap_le_eps"
-                break
-            if k == max_iter:
-                break
-            if cfg is None:
-                x, y = project_x(x - step_x * gxf), project_y(y + step_y * gyf)
-            else:
-                gy_new = grad_y(px, y)
-                if zy.dot(gy_new) != 0.0:
-                    raise NumericFailureError(k, "y")
-                x, y = px, project_y(y + (gy_new - c * y) / gamma)
+                ax = axr = gx.dot(gx)
+                if b != 0.0:
+                    px = project_x(x - (gxf + b * x) / beta)
+                    gx = beta * (x - px)
+                    axr = gx.dot(gx)
+                # Rounding and sqrt are monotone, so the gap fl(sqrt(ax + ay))
+                # is at least fl(sqrt(ax)): a row whose x-half exceeds eps
+                # cannot stop, and _fill_gaps adds its y-half later.  A row
+                # that may stop adds its own now.
+                stop = math.sqrt(ax) <= eps
+                if stop:
+                    if cfg is not None:
+                        gyf = grad_y(x, y)
+                        if zy.dot(gyf) != 0.0:
+                            raise NumericFailureError(k, "y")
+                    ay = _y_half(project_y, y, gyf, gamma)
+                    ayr = _y_half(project_y, y, gyf - c * y, gamma) if c != 0.0 else ay
+                    ax, axr = math.sqrt(ax + ay), math.sqrt(axr + ayr)  # the gaps
+                    stop = ax <= eps
+                    pending[n - s + 1] = False
+                rows[n] = (ax, axr, beta, gamma, b, c)
+                xb[n - s + 1], yb[n - s + 1] = x, y
+                n += 1
+                if n - s == VALUE_CHUNK:
+                    _fill_gaps(problem, rows, xb, yb, gb, pending, s, n)
+                    _fold(problem, xb, yb, s, n, folded)
+                    xb[0], yb[0] = xb[-1], yb[-1]
+                    pending[:] = True
+                    s = n
+                if stop:
+                    T_eps = k
+                    reason = "gap_le_eps"
+                    break
+                if k == max_iter:
+                    break
+                if cfg is None:
+                    x, y = project_x(x - step_x * gxf), project_y(y + step_y * gyf)
+                else:
+                    gy_new = grad_y(px, y)
+                    if zy.dot(gy_new) != 0.0:
+                        raise NumericFailureError(k, "y")
+                    x, y = px, project_y(y + (gy_new - c * y) / gamma)
+        except Exception:
+            # the pending rows first: a non-finite y-half among them reports
+            # ahead of anything raised at a later row.  An interrupt skips this.
+            _fill_gaps(problem, rows, xb, yb, gb, pending, s, n)
+            raise
+        _fill_gaps(problem, rows, xb, yb, gb, pending, s, n)
 
     if n > s:
         _fold(problem, xb, yb, s, n, folded)
-    del xb, yb
+    del xb, yb, gb, pending
     _resize_rows((rows, *folded.values()), n)
     return _assemble_trace(problem, cfg, rows, folded, x, y, reason, T_eps, eps, floored_any)
+
+
+# rows per batch of _fill_gaps; bounds the temporaries of one batch
+_GAP_ROWS = 512
+
+
+def _fill_gaps(problem, rows, xb, yb, gb, pending, s, n):
+    """Complete the gap norms of the pending rows among trace rows s..n-1,
+    the block that starts at row s, whose gap columns hold the squared
+    x-halves.
+
+    The y-halves take ``grads_y`` of the rows (or GDA's stored ``gb``) and
+    ``_y_half`` with ``project_rows``, ``_GAP_ROWS`` rows at a time, so each
+    row gets the bits that ``_y_half`` gives a row which may stop.  A
+    non-finite gradient raises at its first row.  The rows stop pending
+    first, so a pass that raises is not run again.
+    """
+    todo = np.flatnonzero(pending[1:n - s + 1]) + 1  # block rows
+    pending[todo] = False
+    for a in range(0, len(todo), _GAP_ROWS):
+        i = todo[a:a + _GAP_ROWS]
+        Y = yb[i]
+        G = problem.grads_y(xb[i], Y) if gb is None else gb[i]
+        bad = np.flatnonzero(~np.isfinite(G).all(axis=1))
+        if bad.size:
+            raise NumericFailureError(s + int(i[bad[0]]), "y")
+        r = i + (s - 1)  # trace rows
+        gamma, c = rows[r, 3:4], rows[r, 5:6]
+        ay = _y_half(problem.Y.project_rows, Y, G, gamma)
+        rows[r, 0] = np.sqrt(rows[r, 0] + ay)
+        if np.any(c):
+            ay = _y_half(problem.Y.project_rows, Y, G - c * Y, gamma)
+        rows[r, 1] = np.sqrt(rows[r, 1] + ay)
+
+
+def _y_half(project, Y, G, gamma):
+    """||gamma * (Y - P(Y + G / gamma))||^2 of a point, or of each row with
+    ``project_rows``; the in-place steps keep the bits of that expression
+    with fewer temporaries."""
+    V = G / gamma
+    V += Y
+    D = project(V)
+    del V
+    np.subtract(Y, D, out=D)
+    D *= gamma
+    return np.vecdot(D, D)
 
 
 def _resize_rows(buffers, n):

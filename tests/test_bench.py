@@ -192,6 +192,7 @@ def _bound_error_without_grid_scan(tmp_path, text):
     spec.problem = dataclasses.replace(
         p, value=counted("value", p.value), grad_x=counted("grad_x", p.grad_x),
         grad_y=counted("grad_y", p.grad_y),
+        grad_y_rows=counted("grad_y", p.grad_y_rows, lambda X, Y: len(X)),
         value_rows=counted("rows", p.value_rows, lambda X, Y: len(X)))
     run(spec.problem, spec.regime_cfg, spec.eps, spec.max_iter, spec.init)
     solver_calls = dict(calls)

@@ -70,6 +70,29 @@ class TestProject:
         np.testing.assert_allclose(s.project([5.0, -3.0]), [1.0, 0.0])
 
 
+class TestProjectRows:
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_rows_match_project_bit_for_bit(self, dim, n):
+        rng = np.random.default_rng(10 * dim + n)
+        sets = [*all_variants(dim), WholeSpace(dim),
+                Box(np.full(dim, -np.inf), np.zeros(dim)),
+                Product((Ball(np.zeros(dim), 1.0), Box([-1.0], [1.0])))]
+        for s in sets:
+            V = 3 * rng.standard_normal((n, s.dim))
+            got = s.project_rows(V)
+            assert got.shape == (n, s.dim)
+            assert np.array_equal(got, np.array([s.project(v) for v in V]).reshape(n, s.dim))
+            assert got is not V
+
+    def test_shape_checked(self):
+        for s in [*all_variants(2), WholeSpace(2)]:
+            with pytest.raises(ValueError, match="dimension"):
+                s.project_rows(np.zeros(2))
+            with pytest.raises(ValueError, match="dimension"):
+                s.project_rows(np.zeros((3, 3)))
+
+
 class TestProjectionProperties:
     @pytest.mark.parametrize("dim", [2, 5, 10])
     def test_nonexpansive_idempotent_optimal(self, dim):

@@ -347,6 +347,33 @@ class TestRowOracle:
         want = [VALUE_CHUNK] * full + ([rest] if rest else [])
         assert chunks == (want if batched else [])
 
+    @pytest.mark.parametrize("n", [1, 7, 512, 4096])
+    @pytest.mark.parametrize("d", [1, 2, 3, 32, 64])
+    def test_grad_y_rows_match_grad_y_bit_for_bit(self, d, n):
+        rng = np.random.default_rng(1000 * d + n)
+        for name, p, _ in row_cases(d):
+            # the sines leave it unset: np.cos of a batch need not keep the
+            # bits of np.cos of each row on every platform
+            assert (p.grad_y_rows is None) == name.startswith("sine"), name
+            X = rng.uniform(-1.5, 1.5, (n, p.dim_x))
+            Y = rng.uniform(-1.5, 1.5, (n, p.dim_y))
+            want = np.array([p.grad_y(x, y) for x, y in zip(X, Y)])
+            if p.grad_y_rows is not None:
+                assert np.array_equal(p.grad_y_rows(X, Y), want), name
+            assert np.array_equal(p.grads_y(X, Y), want), name
+            looped = dataclasses.replace(p, grad_y_rows=None)
+            assert np.array_equal(looped.grads_y(X, Y), want), name
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["rows", "scalar"])
+    def test_grads_y_shapes(self, batched):
+        p = random_quadratic(0, 2, 3, Regime.NC_SC)
+        p = dataclasses.replace(p, grad_y_rows=p.grad_y_rows if batched else None)
+        assert p.grads_y(np.zeros((0, 2)), np.zeros((0, 3))).shape == (0, 3)
+        with pytest.raises(ValueError):
+            p.grads_y(np.zeros((4, 2)), np.zeros((5, 3)))
+        with pytest.raises(ValueError):
+            p.grads_y(np.zeros(2), np.zeros(3))
+
     def test_values_shape_checked(self):
         p = random_quadratic(0, 2, 3, Regime.NC_SC)
         with pytest.raises(ValueError):

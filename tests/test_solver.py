@@ -453,20 +453,34 @@ class TestRunGda:
             run_gda(quad_1d(), *steps, eps=1e-6, max_iter=10)
 
 
-def bad_on_call(grad, n, value=math.nan):
-    """grad, except that its n-th call returns ``value`` in every entry."""
-    calls = [0]
+def at_point(x0, y0):
+    """Whether (x, y) is the point (x0, y0)."""
+    return lambda x, y: np.array_equal(x, x0) and np.array_equal(y, y0)
 
-    def wrapped(x, y):
-        calls[0] += 1
+
+def bad_at(p, block, hit, value, looped=False):
+    """A copy of ``p`` whose block gradient is ``value`` in every entry at
+    the points where ``hit(x, y)`` holds, row by row in ``grad_y_rows`` too;
+    ``looped`` clears ``grad_y_rows`` instead, so ``grads_y`` loops."""
+    grad = getattr(p, "grad_" + block)
+
+    def bad(x, y):
         g = grad(x, y)
-        return np.full_like(g, value) if calls[0] == n else g
+        return np.full_like(g, value) if hit(x, y) else g
 
-    return wrapped
+    def bad_rows(X, Y):
+        G = p.grad_y_rows(X, Y)
+        G[[hit(x, y) for x, y in zip(X, Y)]] = value
+        return G
+
+    if block == "x":
+        return dataclasses.replace(p, grad_x=bad)
+    return dataclasses.replace(p, grad_y=bad, grad_y_rows=None if looped else bad_rows)
 
 
 def counting_sets(p):
-    """A copy of ``p`` whose X and Y count their ``project`` calls."""
+    """A copy of ``p`` whose X and Y count the vectors they project, one per
+    ``project`` call and one per row of a ``project_rows`` call."""
     calls = {"X": 0, "Y": 0}
 
     def counted(s, name):
@@ -476,49 +490,60 @@ def counting_sets(p):
             calls[name] += 1
             return s.project(v)
 
+        def project_rows(V):
+            calls[name] += len(V)
+            return s.project_rows(V)
+
         object.__setattr__(wrapped, "project", project)
+        object.__setattr__(wrapped, "project_rows", project_rows)
         return wrapped
 
     return dataclasses.replace(p, X=counted(p.X, "X"), Y=counted(p.Y, "Y")), calls
 
 
-# run takes grad_x once per iteration and grad_y twice: at (x_k, y_k) for the
-# gap, then at (x_{k+1}, y_k) for the step.  run_gda takes each once.
+# (algo, block, (i, j), k): the gradient of the block turns non-finite at the
+# point (x_i, y_j) of the clean run, and the run must report iteration k.
+# run takes grad_x at (x_k, y_k) and grad_y at (x_k, y_k) for the gap and at
+# (x_{k+1}, y_k) for the step; run_gda takes each at (x_k, y_k).  The ids
+# keep the names the cases had when they were keyed by call count.
 NONFINITE_CASES = [
-    ("agp", "x", 3, 3),
-    ("agp", "y", 4, 2),  # the second grad_y of iteration 2: at the fresh x_3
-    ("gda", "x", 3, 3),
-    ("gda", "y", 3, 3),
+    pytest.param("agp", "x", (3, 3), 3, id="agp-x-3-3"),
+    # the y-step of iteration 2, at the fresh x_3
+    pytest.param("agp", "y", (3, 2), 2, id="agp-y-4-2"),
+    # the gap of row 2, whose y-half the loop defers
+    pytest.param("agp", "y", (2, 2), 2, id="agp-y-gap-2"),
+    pytest.param("gda", "x", (3, 3), 3, id="gda-x-3-3"),
+    pytest.param("gda", "y", (3, 3), 3, id="gda-y-3-3"),
 ]
 
 
-def run_with_bad_gradient(algo, block, call, value):
+def run_with_bad_gradient(algo, block, point, value):
     p = quad_1d()
-    name = "grad_" + block
-    bad = dataclasses.replace(p, **{name: bad_on_call(getattr(p, name), call, value)})
     init = (np.array([1.0]), np.array([1.0]))
-    if algo == "agp":
-        cfg = auto_configure(p.constants, Regime.NC_SC)
-        return run(bad, cfg, eps=1e-12, max_iter=10, init=init)
-    return run_gda(bad, 0.1, 0.1, eps=1e-12, max_iter=10, init=init)
+    cfg_or_steps = auto_configure(p.constants, Regime.NC_SC) if algo == "agp" else (0.1, 0.1)
+    clean, it = record_iterates(p)
+    assert len(solve(clean, cfg_or_steps, 1e-12, 10, init)) == 10
+    i, j = point
+    bad = bad_at(p, block, at_point(it.xs[i - 1], it.ys[j - 1]), value)
+    return solve(bad, cfg_or_steps, 1e-12, 10, init)
 
 
 class TestLoopNonFinite:
-    @pytest.mark.parametrize("algo, block, call, k", NONFINITE_CASES)
-    def test_nan_gradient_reports_block_and_iteration(self, algo, block, call, k):
+    @pytest.mark.parametrize("algo, block, point, k", NONFINITE_CASES)
+    def test_nan_gradient_reports_block_and_iteration(self, algo, block, point, k):
         with pytest.raises(NumericFailureError) as ei:
-            run_with_bad_gradient(algo, block, call, math.nan)
+            run_with_bad_gradient(algo, block, point, math.nan)
         assert ei.value.block == block and ei.value.k == k
 
     # inf * 0 in the check is an invalid operation, which numpy must not
     # report: under warnings-as-errors it would replace the check's error
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["+inf", "-inf"])
-    @pytest.mark.parametrize("algo, block, call, k", NONFINITE_CASES)
-    def test_infinite_gradient_reports_block_and_iteration(self, algo, block, call, k,
+    @pytest.mark.parametrize("algo, block, point, k", NONFINITE_CASES)
+    def test_infinite_gradient_reports_block_and_iteration(self, algo, block, point, k,
                                                            value):
         with pytest.raises(NumericFailureError) as ei:
-            run_with_bad_gradient(algo, block, call, value)
+            run_with_bad_gradient(algo, block, point, value)
         assert ei.value.block == block and ei.value.k == k
 
     @pytest.mark.parametrize("entry", [1e300, 1.7e308])
@@ -529,7 +554,8 @@ class TestLoopNonFinite:
         box = Box(-np.ones(2), np.ones(2))
         p = make_quadratic(np.eye(2), np.eye(2), np.eye(2), X=box, Y=box)
         huge = np.full(2, entry)
-        p = dataclasses.replace(p, grad_x=lambda x, y: huge, grad_y=lambda x, y: -huge)
+        p = dataclasses.replace(p, grad_x=lambda x, y: huge, grad_y=lambda x, y: -huge,
+                                grad_y_rows=lambda X, Y: np.tile(-huge, (len(X), 1)))
         if algo == "agp":
             tr = run(p, auto_configure(p.constants, Regime.NC_SC), eps=1e-12, max_iter=5)
         else:
@@ -537,6 +563,133 @@ class TestLoopNonFinite:
         # the first step lands in the corner the gradients point to, where
         # the gap is 0, so the second gradient pair is checked as well
         assert tr.T_eps == 2 and np.all(np.isfinite(tr.gap_norm))
+
+
+class TestDeferredGap:
+    """Rows whose x-half exceeds eps cannot stop and get their gap norms from
+    a batched pass; the stops, the columns and the failures stay those of
+    the row-by-row formula."""
+
+    P = random_quadratic(7, 2, 2, Regime.NC_SC)
+    CFG = auto_configure(P.constants, Regime.NC_SC)
+
+    @classmethod
+    def solve(cls, p):
+        return run(p, cls.CFG, eps=1e-6, max_iter=10**5, init=(np.ones(2), np.ones(2)))
+
+    @classmethod
+    def clean_iterates(cls):
+        """The iterates of the clean run, which stops by eps at row 40 or later."""
+        recording, it = record_iterates(cls.P)
+        tr = cls.solve(recording)
+        assert tr.reason == "gap_le_eps" and tr.T_eps >= 40
+        return it
+
+    @pytest.mark.parametrize("looped", [False, True], ids=["rows", "looped"])
+    def test_deferred_nan_reported_before_later_value_error(self, looped):
+        it = self.clean_iterates()
+        j, k = 3, 30
+        bad = bad_at(self.P, "y", at_point(it.xs[j - 1], it.ys[j - 1]), math.nan, looped)
+        late = at_point(it.xs[k - 1], it.ys[k - 1])
+
+        def grad_x(x, y):
+            if late(x, y):
+                raise ValueError("grad_x refused")
+            return self.P.grad_x(x, y)
+
+        with pytest.raises(ValueError, match="refused"):
+            self.solve(dataclasses.replace(self.P, grad_x=grad_x))
+        with pytest.raises(NumericFailureError) as ei:
+            self.solve(dataclasses.replace(bad, grad_x=grad_x))
+        assert (ei.value.k, ei.value.block) == (j, "y")
+        assert isinstance(ei.value.__context__, ValueError)
+
+    def test_interrupt_is_not_replaced_by_a_deferred_failure(self):
+        # the same deferred NaN as above: completing the pending rows on an
+        # interrupt would raise it in place of the interrupt
+        it = self.clean_iterates()
+        j, k = 3, 30
+        bad = bad_at(self.P, "y", at_point(it.xs[j - 1], it.ys[j - 1]), math.nan)
+        late = at_point(it.xs[k - 1], it.ys[k - 1])
+
+        def grad_x(x, y):
+            if late(x, y):
+                raise KeyboardInterrupt
+            return self.P.grad_x(x, y)
+
+        with pytest.raises(KeyboardInterrupt) as ei:
+            self.solve(dataclasses.replace(bad, grad_x=grad_x))
+        assert ei.value.__context__ is None
+
+    @pytest.mark.parametrize("looped", [False, True], ids=["rows", "looped"])
+    def test_deferred_nan_reported_before_later_stop(self, looped):
+        it = self.clean_iterates()
+        j = 3
+        with pytest.raises(NumericFailureError) as ei:
+            self.solve(bad_at(self.P, "y", at_point(it.xs[j - 1], it.ys[j - 1]), math.nan,
+                              looped))
+        assert (ei.value.k, ei.value.block) == (j, "y")
+
+    def test_exact_stop_when_x_half_is_below_eps(self):
+        # f = x^2/2 - y^2/200 on the plane: under HAND_CFG x halves each
+        # step and y shrinks by 0.5 %, so from row 11 the x-half is below
+        # eps while the y-half keeps the gap above it until row 460 or so
+        p = make_quadratic([[1.0]], [[0.0]], [[0.01]])
+        eps = 1e-3
+        recording, it = record_iterates(p)
+        tr = run(recording, HAND_CFG, eps=eps, max_iter=10**4,
+                 init=(np.array([1.0]), np.array([1.0])))
+        gaps = [stationarity_gap(p, x, y, 2.0, 2.0) for x, y in zip(it.xs, it.ys)]
+        x_half = np.array([math.sqrt(float(g.gx @ g.gx)) for g in gaps])
+        norms = np.array([g.norm for g in gaps])
+        assert np.count_nonzero((x_half <= eps) & (norms > eps)) > 400
+        assert tr.T_eps == int(np.flatnonzero(norms <= eps)[0]) + 1 == len(tr)
+        assert np.array_equal(tr.gap_norm, norms)
+
+    @pytest.mark.parametrize("algo", [*Regime, "gda"])
+    def test_gap_columns_match_reference_bit_for_bit(self, algo):
+        # past the first fold and across the pass's 512-row batches
+        n = VALUE_CHUNK + 600
+        regime = Regime.NC_SC if algo == "gda" else algo
+        p = random_quadratic(3, 3, 3, regime)
+        cfg_or_steps = (0.05, 0.2) if algo == "gda" else auto_configure(p.constants, regime)
+        recording, it = record_iterates(p)
+        tr = solve(recording, cfg_or_steps, 1e-300, n)
+        assert len(tr) == n
+        self.assert_gap_columns(p, tr, it)
+
+    @pytest.mark.parametrize("algo", ["agp", "gda"])
+    def test_interleaved_rows_match_reference_bit_for_bit(self, algo):
+        # the bilinear game rotates: its x-half |y_k| dips below eps every
+        # so many rows while the gap, about the radius sqrt(2), stays above
+        # it, so rows that may stop and deferred rows interleave across a fold
+        p = make_bilinear([[1.0]])
+        eps = 0.5
+        cfg_or_steps = (0.01, 0.01) if algo == "gda" else HAND_CFG
+        recording, it = record_iterates(p)
+        tr = solve(recording, cfg_or_steps, eps, VALUE_CHUNK + 600,
+                   init=(np.array([1.0]), np.array([1.0])))
+        assert len(tr) == VALUE_CHUNK + 600 and tr.T_eps is None
+        gx = [stationarity_gap(p, x, y, beta, gamma).gx
+              for x, y, beta, gamma in zip(it.xs, it.ys, tr.beta, tr.gamma)]
+        may_stop = np.array([math.sqrt(float(g @ g)) <= eps for g in gx])
+        assert np.count_nonzero(may_stop[1:] != may_stop[:-1]) > 10
+        self.assert_gap_columns(p, tr, it)
+
+    def test_gap_columns_match_reference_on_ball_and_product(self):
+        p = zoo_instances()[-1]  # robust svm: X a ball, Y a ball x box product
+        assert isinstance(p.X, Ball) and isinstance(p.Y, Product)
+        recording, it = record_iterates(p)
+        tr = run(recording, auto_configure(p.constants, Regime.C_NC), 1e-300, 600)
+        self.assert_gap_columns(p, tr, it)
+
+    @staticmethod
+    def assert_gap_columns(p, tr, it):
+        for i, (x, y) in enumerate(zip(it.xs, it.ys)):
+            params = sp(tr.beta[i], tr.gamma[i], tr.b[i], tr.c[i])
+            assert tr.gap_norm[i] == stationarity_gap(p, x, y, params.beta,
+                                                      params.gamma).norm, i
+            assert tr.reg_gap_norm[i] == regularized_gap_reference(p, x, y, params).norm, i
 
 
 class TestRunInfeasible:
@@ -566,7 +719,8 @@ class TestRunInfeasible:
 class TestProjectionCount:
     # Per iteration: 1 per block for the raw gap, 1 for the regularized
     # block whose coefficient is nonzero, 1 for the y-step; the x-step reuses
-    # the gap's x projection.  GDA projects both blocks again for its step.
+    # the gap's x projection.  The gap's y projections of most rows go
+    # through project_rows, one vector per row.  GDA projects both blocks again for its step.
     # Plus 1 per set for the initial point, minus the step projections of
     # the last iteration, which takes no step.
     @pytest.mark.parametrize("regime, per_x, per_y", [
