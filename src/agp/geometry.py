@@ -1,7 +1,10 @@
 """Convex feasible sets with exact Euclidean projections.
 
 Variants: whole space, box, Euclidean ball, scaled probability simplex, and
-a block product of those (the problem zoo needs ball x interval).  Every
+a block product of those (the problem zoo needs ball x interval).
+``project_rows`` projects each row of an ``(n, dim)`` array with the bits of
+``project``: boxes, whole space and balls in one numpy call, products part
+by part over column slices; simplices loop over ``project``.  Every
 compact variant answers two size queries consumed by the complexity-bound
 calculators: ``diameter`` (max pairwise distance) and ``max_norm`` (max
 Euclidean norm over the set).  An unbounded set answers ``math.inf``.
@@ -180,11 +183,20 @@ class Ball(ConstraintSet):
     def project(self, v):
         v = _check_dim(self, v)
         d = v - self.center
-        n = float(np.linalg.norm(d))
+        n = math.sqrt(d.dot(d))  # the bits of np.linalg.norm of a 1-D vector
         if n <= self.radius:
             # includes v == center: the center itself is returned
             return v.copy()
         return self.center + d * (self.radius / n)
+
+    def project_rows(self, V):
+        V = _check_rows(self, V)
+        D = V - self.center
+        n = np.sqrt(np.vecdot(D, D))[:, None]
+        # a row at the center scales by r / 0 and a NaN or infinite row to
+        # NaN; as in project, np.where keeps the first row and the NaN
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(n <= self.radius, V, self.center + D * (self.radius / n))
 
     def contains(self, v, tol=0.0):
         v = _check_dim(self, v)
@@ -254,6 +266,8 @@ class Product(ConstraintSet):
 
     parts: tuple
     dim: int = field(init=False)
+    # (part, start, stop) of each part's columns
+    _slices: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         parts = tuple(self.parts)
@@ -262,25 +276,26 @@ class Product(ConstraintSet):
         for p in parts:
             if not isinstance(p, ConstraintSet):
                 raise ValueError("product parts must be constraint sets")
+        stops = np.cumsum([p.dim for p in parts]).tolist()
         object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "dim", sum(p.dim for p in parts))
-
-    def _blocks(self, v):
-        out = []
-        i = 0
-        for p in self.parts:
-            out.append((p, v[i : i + p.dim]))
-            i += p.dim
-        return out
+        object.__setattr__(self, "dim", stops[-1])
+        object.__setattr__(self, "_slices", tuple(zip(parts, [0, *stops], stops)))
 
     def project(self, v):
         v = _check_dim(self, v)
-        return np.concatenate([p.project(b) for p, b in self._blocks(v)])
+        return np.concatenate([p.project(v[a:b]) for p, a, b in self._slices])
+
+    def project_rows(self, V):
+        V = _check_rows(self, V)
+        out = np.empty(V.shape)
+        for p, a, b in self._slices:
+            out[:, a:b] = p.project_rows(V[:, a:b])
+        return out
 
     def contains(self, v, tol=0.0):
         v = _check_dim(self, v)
         _check_tol(tol)
-        return all(p.contains(b, tol) for p, b in self._blocks(v))
+        return all(p.contains(v[a:b], tol) for p, a, b in self._slices)
 
     def diameter(self):
         ds = [p.diameter() for p in self.parts]

@@ -326,9 +326,10 @@ def _hinge(t):
 
 
 def _hinge_d(t):
-    t = np.asarray(t, dtype=float)
-    w = _HINGE_WIDTH
-    return np.where(t <= 0, 0.0, np.where(t >= w, 1.0, t / w))
+    """Derivative of ``_hinge`` as a clip of t / width to [0, 1]: 0 for
+    t <= 0, 1 for t >= width and NaN for NaN, the bits of the case split
+    on every t but -0.0, which a margin 1 - v never is."""
+    return np.minimum(np.maximum(t / _HINGE_WIDTH, 0.0), 1.0)
 
 
 def make_robust_svm_toy(data, X: Ball, Y: Product, name="robust_svm") -> MinimaxProblem:
@@ -354,6 +355,7 @@ def make_robust_svm_toy(data, X: Ball, Y: Product, name="robust_svm") -> Minimax
         raise ValueError("X and Y must have dimension len(features)+1")
 
     aug = np.hstack([feats, np.ones((n, 1))])  # (a_i, 1) rows
+    neg_labels, feats_t = -labels, aug[:, :m].T
 
     def rows(X, Y):
         XW, XB = X[:, :m], X[:, m]
@@ -365,10 +367,11 @@ def make_robust_svm_toy(data, X: Ball, Y: Product, name="robust_svm") -> Minimax
         xw, xb = x[:m], x[m]
         yu, yv = y[:m], y[m]
         margins = 1.0 - labels * (feats @ xw + xb)
-        w = _hinge_d(margins) * (-labels)  # d hinge / d (x-affine part)
+        w = _hinge_d(margins)
+        w *= neg_labels  # d hinge / d (x-affine part)
         g = np.empty(dim)
-        g[:m] = yv * yu + (aug[:, :m].T @ w) / n
-        g[m] = yv + float(np.sum(w)) / n
+        g[:m] = yv * yu + (feats_t @ w) / n
+        g[m] = yv + float(w.sum()) / n
         return g
 
     def grad_y(x, y):

@@ -16,6 +16,10 @@ with the growing parts
     beta~_k  = rho~ L12^2 + 16 L12^2/(rho~ c_k^2) + 2 alpha_k - 2 eta~
     gamma~_k = zeta~ L21^2 + 8 tau L21^2/(zeta~ q_k^2) - 2 nu~
 
+The solver reads the tuple of each k from ``_steps(cfg, data)``, which
+computes the constants of these formulas once per run; ``nc_c_beta_bar``
+and ``c_nc_gamma_bar`` evaluate them at one k, for ``validate``.
+
 ``validate`` reports every inequality the convergence analysis imposes on a
 configuration, including the first index k0 at which the decay condition
 1/c_{k+1} - 1/c_k <= rho~/10 starts to hold (k0 = 9 for the k^(1/4)
@@ -124,44 +128,69 @@ def c_nc_gamma_bar(cfg: CNcConfig, data: SmoothnessData, k: int) -> float:
             - 2 * cfg.nu_bar)
 
 
-def _step_floats(cfg: RegimeConfig, data: SmoothnessData, k: int) -> tuple:
-    """``(beta, gamma, b, c, floored)`` of iteration k >= 1 as plain floats.
+def _steps(cfg: RegimeConfig, data: SmoothnessData):
+    """The map ``k -> (beta, gamma, b, c, floored)`` of iterations k >= 1,
+    as plain floats.
 
-    The solver reads k = 1 before its loop and each k of a growing schedule
-    (NC-C, C-NC) in it.  A config whose beta or gamma is not positive, NaN
-    included, is infeasible.
+    The solver builds it once per run and reads k = 1 before its loop and
+    each k of a growing schedule (NC-C, C-NC) in it.  The constants of the
+    growing formulas are computed here, once, in the operation order of
+    ``nc_c_beta_bar``/``c_nc_gamma_bar``, so each k has their bits.  A k
+    whose beta or gamma is not positive, NaN included, is infeasible.
     """
     if isinstance(cfg, NcScConfig):
-        if not (cfg.eta > 0 and 0 < cfg.rho < math.inf):
-            raise InfeasibleConfigError("needs eta > 0 and 0 < rho < inf")
-        return cfg.eta, 1.0 / cfg.rho, 0.0, 0.0, False
+        def step(k):
+            if not (cfg.eta > 0 and 0 < cfg.rho < math.inf):
+                raise InfeasibleConfigError("needs eta > 0 and 0 < rho < inf")
+            return cfg.eta, 1.0 / cfg.rho, 0.0, 0.0, False
+        return step
     if isinstance(cfg, ScNcConfig):
-        if not (0 < cfg.zeta < math.inf and cfg.nu > 0):
-            raise InfeasibleConfigError("needs 0 < zeta < inf and nu > 0")
-        return 1.0 / cfg.zeta, cfg.nu, 0.0, 0.0, False
+        def step(k):
+            if not (0 < cfg.zeta < math.inf and cfg.nu > 0):
+                raise InfeasibleConfigError("needs 0 < zeta < inf and nu > 0")
+            return 1.0 / cfg.zeta, cfg.nu, 0.0, 0.0, False
+        return step
     if isinstance(cfg, NcCConfig):
-        beta = cfg.eta_bar + nc_c_beta_bar(cfg, data, k)
-        floored = False
-        if data.L_12 == 0.0 and beta <= SAFETY * data.L_x:
-            # decoupled instance: the schedule formula presumes coupling
-            beta, floored = SAFETY * data.L_x, True
-        if not beta > 0:
-            raise InfeasibleConfigError(
-                "beta_k <= 0 in the nonconvex-concave schedule "
-                "(needs eta~ + beta~_k > 0; with L_12 = 0 the floor 1.01*L_x "
-                "also degenerates because L_x = 0)")
-        return beta, 1.0 / cfg.rho_bar, 0.0, cfg.c(k), floored
+        rho, eta, L12 = cfg.rho_bar, cfg.eta_bar, data.L_12
+        two_rho, gamma = 2.0 * rho, 1.0 / rho
+        head, grow, alpha_num = rho * L12**2, 16 * L12**2, (4 * cfg.tau - 8) * L12**2
+        tail = 2 * eta
+        floor = SAFETY * data.L_x if L12 == 0.0 else None
+
+        def step(k):
+            ck = 1.0 / (two_rho * k**0.25)  # cfg.c(k)
+            den = rho * ck**2
+            beta = eta + (head + grow / den + 2 * (alpha_num / den) - tail)
+            floored = False
+            if floor is not None and beta <= floor:
+                # decoupled instance: the schedule formula presumes coupling
+                beta, floored = floor, True
+            if not beta > 0:
+                raise InfeasibleConfigError(
+                    "beta_k <= 0 in the nonconvex-concave schedule "
+                    "(needs eta~ + beta~_k > 0; with L_12 = 0 the floor 1.01*L_x "
+                    "also degenerates because L_x = 0)")
+            return beta, gamma, 0.0, ck, floored
+        return step
     if isinstance(cfg, CNcConfig):
-        gamma = cfg.nu_bar + c_nc_gamma_bar(cfg, data, k)
-        floored = False
-        if data.L_21 == 0.0 and gamma <= SAFETY * data.L_y:
-            gamma, floored = SAFETY * data.L_y, True
-        if not gamma > 0:
-            raise InfeasibleConfigError(
-                "gamma_k <= 0 in the convex-nonconcave schedule "
-                "(needs nu~ + gamma~_k > 0; with L_21 = 0 the floor 1.01*L_y "
-                "also degenerates because L_y = 0)")
-        return 1.0 / cfg.zeta_bar, gamma, cfg.q(k), 0.0, floored
+        zeta, nu, L21 = cfg.zeta_bar, cfg.nu_bar, data.L_21
+        two_zeta, beta = 2.0 * zeta, 1.0 / zeta
+        head, grow, tail = zeta * L21**2, 8 * cfg.tau * L21**2, 2 * nu
+        floor = SAFETY * data.L_y if L21 == 0.0 else None
+
+        def step(k):
+            qk = 1.0 / (two_zeta * k**0.25)  # cfg.q(k)
+            gamma = nu + (head + grow / (zeta * qk**2) - tail)
+            floored = False
+            if floor is not None and gamma <= floor:
+                gamma, floored = floor, True
+            if not gamma > 0:
+                raise InfeasibleConfigError(
+                    "gamma_k <= 0 in the convex-nonconcave schedule "
+                    "(needs nu~ + gamma~_k > 0; with L_21 = 0 the floor 1.01*L_y "
+                    "also degenerates because L_y = 0)")
+            return beta, gamma, qk, 0.0, floored
+        return step
     raise TypeError(f"unknown regime config {cfg!r}")
 
 

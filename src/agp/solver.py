@@ -47,7 +47,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .objective import VALUE_CHUNK, MinimaxProblem, Regime
-from .schedules import RegimeConfig, _step_floats
+from .schedules import RegimeConfig, _steps
 from .verify import trace_columns
 
 __all__ = [
@@ -205,7 +205,8 @@ def _iterate(problem, cfg, steps, eps, max_iter, init) -> SolverTrace:
         step_x, step_y = steps
         beta, gamma, b, c = 1.0 / step_x, 1.0 / step_y, 0.0, 0.0
     else:
-        beta, gamma, b, c, _ = _step_floats(cfg, data, 1)
+        step_params = _steps(cfg, data)
+        beta, gamma, b, c, _ = step_params(1)
     growing = cfg is not None and cfg.regime in (Regime.NC_C, Regime.C_NC)
     grad_x, grad_y = problem.grad_x, problem.grad_y
     project_x, project_y = problem.X.project, problem.Y.project
@@ -241,7 +242,7 @@ def _iterate(problem, cfg, steps, eps, max_iter, init) -> SolverTrace:
                     cap = min(max_iter, cap + cap // 4)
                     _resize_rows((rows, *folded.values()), cap)
                 if growing:
-                    beta, gamma, b, c, floored = _step_floats(cfg, data, k)
+                    beta, gamma, b, c, floored = step_params(k)
                     floored_any = floored_any or floored
                 gxf = grad_x(x, y)
                 if cfg is None:
@@ -335,8 +336,11 @@ def _fill_gaps(problem, rows, xb, yb, gb, pending, s, n):
     pending[todo] = False
     for a in range(0, len(todo), _GAP_ROWS):
         i = todo[a:a + _GAP_ROWS]
-        Y = yb[i]
-        G = problem.grads_y(xb[i], Y) if gb is None else gb[i]
+        # one contiguous run of rows is read in place, not gathered into a
+        # copy; _y_half writes nothing into Y
+        j = i if i[-1] - i[0] >= len(i) else slice(i[0], i[-1] + 1)
+        Y = yb[j]
+        G = problem.grads_y(xb[j], Y) if gb is None else gb[j]
         bad = np.flatnonzero(~np.isfinite(G).all(axis=1))
         if bad.size:
             raise NumericFailureError(s + int(i[bad[0]]), "y")

@@ -1,7 +1,8 @@
 """Reference implementations the tests check the package against.
 
 The solver computes its step parameters and its stationarity gap inline;
-these are second, one-call-at-a-time copies of both.  The saddle oracle
+these are second, one-call-at-a-time copies of both, and the schedule and
+the svm's ``grad_x`` also have their unhoisted forms here.  The saddle oracle
 solves the quadratic testbed's first-order system directly, and
 ``read_trace_csv`` inverts ``agp.bench.write_trace_csv``.  A trace keeps no
 iterate history: ``record_iterates`` records the iterates a run visits, and
@@ -19,7 +20,9 @@ import numpy as np
 
 from agp.bench import CSV_COLUMNS
 from agp.objective import MinimaxProblem, SmoothnessData
-from agp.schedules import RegimeConfig, _step_floats
+from agp.objective import _HINGE_WIDTH
+from agp.schedules import (SAFETY, CNcConfig, NcCConfig, NcScConfig, RegimeConfig,
+                           ScNcConfig, _steps, c_nc_gamma_bar, nc_c_beta_bar)
 from agp.solver import IterateNorms
 
 
@@ -34,7 +37,57 @@ class StepParams:
 
 def params_at(cfg: RegimeConfig, data: SmoothnessData, k: int) -> StepParams:
     """Step parameters of iteration k >= 1, as the solver reads them."""
-    return StepParams(*_step_floats(cfg, data, k))
+    return StepParams(*_steps(cfg, data)(k))
+
+
+def steps_unhoisted(cfg: RegimeConfig, data: SmoothnessData, k: int) -> tuple:
+    """``(beta, gamma, b, c, floored)`` of iteration k, every constant of the
+    growing schedules recomputed at k by ``nc_c_beta_bar``/``c_nc_gamma_bar``
+    and ``cfg.c``/``cfg.q``; ``None`` where the step is infeasible."""
+    if isinstance(cfg, NcScConfig):
+        ok = cfg.eta > 0 and 0 < cfg.rho < math.inf
+        return (cfg.eta, 1.0 / cfg.rho, 0.0, 0.0, False) if ok else None
+    if isinstance(cfg, ScNcConfig):
+        ok = 0 < cfg.zeta < math.inf and cfg.nu > 0
+        return (1.0 / cfg.zeta, cfg.nu, 0.0, 0.0, False) if ok else None
+    if isinstance(cfg, NcCConfig):
+        beta = cfg.eta_bar + nc_c_beta_bar(cfg, data, k)
+        floored = data.L_12 == 0.0 and beta <= SAFETY * data.L_x
+        if floored:
+            beta = SAFETY * data.L_x
+        return (beta, 1.0 / cfg.rho_bar, 0.0, cfg.c(k), floored) if beta > 0 else None
+    assert isinstance(cfg, CNcConfig)
+    gamma = cfg.nu_bar + c_nc_gamma_bar(cfg, data, k)
+    floored = data.L_21 == 0.0 and gamma <= SAFETY * data.L_y
+    if floored:
+        gamma = SAFETY * data.L_y
+    return (1.0 / cfg.zeta_bar, gamma, cfg.q(k), 0.0, floored) if gamma > 0 else None
+
+
+def hinge_d(t):
+    """Derivative of the svm's smoothed hinge, case by case."""
+    t = np.asarray(t, dtype=float)
+    w = _HINGE_WIDTH
+    return np.where(t <= 0, 0.0, np.where(t >= w, 1.0, t / w))
+
+
+def svm_grad_x(feats, labels):
+    """``grad_x`` of ``make_robust_svm_toy`` on data (feats, labels), with
+    ``hinge_d`` and every operand formed inside the call."""
+    n, m = feats.shape
+    aug = np.hstack([feats, np.ones((n, 1))])
+
+    def grad_x(x, y):
+        xw, xb = x[:m], x[m]
+        yu, yv = y[:m], y[m]
+        margins = 1.0 - labels * (feats @ xw + xb)
+        w = hinge_d(margins) * (-labels)
+        g = np.empty(m + 1)
+        g[:m] = yv * yu + (aug[:, :m].T @ w) / n
+        g[m] = yv + float(np.sum(w)) / n
+        return g
+
+    return grad_x
 
 
 @dataclass(frozen=True)

@@ -85,8 +85,57 @@ class TestProjectRows:
             assert np.array_equal(got, np.array([s.project(v) for v in V]).reshape(n, s.dim))
             assert got is not V
 
+    @staticmethod
+    def per_row(s, V):
+        # an infinite entry scales to inf * 0 in project, a NaN
+        with np.errstate(invalid="ignore"):
+            return np.array([s.project(v) for v in V]).reshape(V.shape)
+
+    @pytest.mark.parametrize("dim", [1, 3, 64])
+    def test_ball_edge_rows(self, dim):
+        rng = np.random.default_rng(dim)
+        s = Ball(rng.standard_normal(dim), 1.5)
+        u = rng.standard_normal(dim)
+        u /= np.linalg.norm(u)
+        on, nan, inf = s.center.copy(), s.center.copy(), s.center.copy()
+        on[0] += s.radius
+        nan[-1], inf[0], inf[-1] = np.nan, np.inf, -np.inf
+        V = np.array([
+            s.center + 0.5 * u,             # strictly inside
+            on,                             # on the sphere
+            s.center,                       # the center: its scaled NaN is unused
+            s.center + 1.5000001 * u,       # just outside
+            s.center + 1e6 * u,             # far outside
+            nan, inf,
+        ])
+        with np.errstate(all="raise"):  # project_rows keeps its own warnings
+            got = s.project_rows(V)
+        assert np.array_equal(got, self.per_row(s, V), equal_nan=True)
+        assert np.array_equal(got[:3], V[:3])
+        assert np.isnan(got[5]).all() and np.isnan(got[6]).any()
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_products_of_balls_and_boxes(self, nested):
+        rng = np.random.default_rng(512 + nested)
+        ball2, box, ball3 = (Ball(rng.standard_normal(2), 0.8),
+                             Box([-1.0, 0.0], [1.0, np.inf]),
+                             Ball(np.zeros(3), 2.0))
+        s = (Product((Product((ball2, box)), ball3)) if nested
+             else Product((ball2, box, ball3)))
+        assert s.dim == 7
+        V = 3 * rng.standard_normal((512, 7))
+        V[10, :2] = ball2.center                      # a ball's center
+        V[11, 4:] = [2.0, 0.0, 0.0]                   # on ball3's sphere
+        V[12, 0] = V[13, 5] = np.nan                  # NaN in a ball block
+        V[14, 2], V[15, 4:6] = np.nan, (np.inf, -np.inf)
+        with np.errstate(all="raise"):
+            got = s.project_rows(V)
+        assert np.array_equal(got, self.per_row(s, V), equal_nan=True)
+        assert np.array_equal(s.project_rows(V[:0]), np.empty((0, 7)))
+
     def test_shape_checked(self):
-        for s in [*all_variants(2), WholeSpace(2)]:
+        for s in [*all_variants(2), WholeSpace(2),
+                  Product((Ball(np.zeros(1), 1.0), Box([0.0], [1.0])))]:
             with pytest.raises(ValueError, match="dimension"):
                 s.project_rows(np.zeros(2))
             with pytest.raises(ValueError, match="dimension"):

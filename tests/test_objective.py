@@ -4,10 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from agp.bench import parse_config
 from agp.geometry import Ball, Box, Product, WholeSpace
-from agp.objective import (VALUE_CHUNK, Regime, SmoothnessData, _hinge,
+from agp.objective import (VALUE_CHUNK, Regime, SmoothnessData, _hinge, _hinge_d,
                            make_bilinear, make_nc_sc_sine, make_quadratic,
                            make_robust_svm_toy, make_sc_nc_sine, random_quadratic)
+from agp.solver import run
+
+from reference import hinge_d, record_iterates, svm_grad_x
 
 
 def finite_diff_grad(f, point, other, which):
@@ -199,6 +203,72 @@ class TestRobustSvm:
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
             make_robust_svm_toy([], self.X, self.Y)
+
+
+def same_bits(a, b):
+    """Equal bits, any NaN matching any NaN in the same place."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+class TestSvmGradXBits:
+    """The svm's ``grad_x`` keeps the bits of its case-split form, with every
+    operand formed inside the call (``reference.svm_grad_x``)."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_along_suite_bounds_trajectory(self, seed):
+        # the svm block of the suite_bounds benchmark workload at this seed
+        (spec,) = parse_config(f"eps = 1e-3\nmax_iter = 5000\n\n"
+                               f"problem = svm(seed={1 + seed}, m=2, n=6)\n")
+        p, rec = record_iterates(spec.problem)
+        trace = run(p, spec.regime_cfg, spec.eps, spec.max_iter)
+        assert len(rec.points) == len(trace) >= 1000
+        # the data agp.bench draws for svm(seed, m=2, n=6)
+        rng = np.random.default_rng(1 + seed)
+        feats = rng.standard_normal((6, 2))
+        labels = np.where(feats[:, 0] + 0.1 * rng.standard_normal(6) >= 0, 1.0, -1.0)
+        ref = svm_grad_x(feats, labels)
+        for x, y in rec.points:
+            assert same_bits(spec.problem.grad_x(x, y), ref(x, y))
+        # the trajectories keep every margin above the width; points drawn
+        # from X and Y meet every case of the hinge derivative
+        X, Y = spec.problem.X, spec.problem.Y
+        margins = []
+        for _ in range(2000):
+            x, y = 3 * X.sample(rng), Y.sample(rng)
+            assert same_bits(spec.problem.grad_x(x, y), ref(x, y))
+            margins.append(1.0 - labels * (feats @ x[:2] + x[2]))
+        margins = np.concatenate(margins)
+        assert (margins <= 0).any() and (margins >= 0.1).any()
+        assert ((margins > 0) & (margins < 0.1)).any()
+
+    def test_edge_margins(self):
+        w = 0.1
+        t = np.array([0.0, w, *np.nextafter([0.0, 0.0, w, w], [-1, 1, -1, 1]),
+                      -np.inf, np.inf, np.nan, -1.0, 0.05, 2.0])
+        assert same_bits(_hinge_d(t), hinge_d(t))
+        assert _hinge_d(t)[:6].tolist() == [0.0, 1.0, 0.0, t[3] / w, t[4] / w, 1.0]
+        # a quarter of these round t * (1 / w) apart from t / w
+        t = np.random.default_rng(0).uniform(-0.05, 0.15, 4000)
+        assert same_bits(_hinge_d(t), hinge_d(t))
+
+    def test_edge_margins_through_grad_x(self):
+        # x = (1, 0) puts margin 1 - a at feature a: 0, the reachable values
+        # on either side of the width (1 - v is a multiple of 2^-53 there),
+        # and margins past both ends; x_w = inf makes -inf, +inf and 0 * inf
+        feats = np.array([[1.0], [0.9], [np.nextafter(0.9, 0.0)], [0.0], [-1.0]])
+        labels = np.ones(5)
+        p = make_robust_svm_toy(list(zip(feats, labels)), Ball(np.zeros(2), 1.0),
+                                Product((Ball(np.zeros(1), 1.0), Box([-1.0], [1.0]))))
+        ref = svm_grad_x(feats, labels)
+        y = np.array([0.3, -0.7])
+        with np.errstate(invalid="ignore"):
+            for x in ([1.0, 0.0], [np.inf, 0.0], [-np.inf, 0.0], [0.0, np.nan],
+                      [0.5, 0.5]):
+                x = np.array(x)
+                assert same_bits(p.grad_x(x, y), ref(x, y)), x
 
 
 class TestZooProperties:

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from agp.bench import parse_config
 from agp.objective import Regime, SmoothnessData, make_bilinear, random_quadratic
 from agp.schedules import (CNcConfig, InfeasibleConfigError, NcCConfig,
-                           NcScConfig, ScNcConfig, UnsupportedRegimeError,
+                           NcScConfig, ScNcConfig, UnsupportedRegimeError, _steps,
                            auto_configure, validate)
 
-from reference import params_at
+from reference import params_at, steps_unhoisted
 
 
 def data(L_x=1.0, L_y=1.0, L_12=1.0, L_21=1.0, mu=0.0, theta=0.0):
@@ -208,3 +209,88 @@ class TestStepParams:
     def test_tau_bound(self):
         with pytest.raises(ValueError):
             NcCConfig(eta_bar=0.5, rho_bar=1.0, tau=2.0)
+
+
+def workload_configs():
+    """``(cfg, data)`` of every regime config the benchmark workloads
+    (``benchmark/workloads.py``) build at seeds 0 to 3, each once."""
+    blocks = ["problem = bilinear(dim=1)\nregime = nc_c(rho_bar=1, eta_bar=0.5, tau=3)\n",
+              "problem = bilinear(dim=1)\nregime = c_nc(zeta_bar=1, nu_bar=0.5, tau=3)\n"]
+    for s in range(4):
+        blocks += [f"problem = {p}\n" for p in (
+            f"quadratic(seed={11 + s}, nx=2, ny=2, regime=nc_c)",
+            f"quadratic(seed={13 + s}, nx=2, ny=2, regime=c_nc)",
+            f"quadratic(seed={7 + s}, nx=2, ny=2, regime=nc_sc)",
+            f"quadratic(seed={3 + s}, nx=2, ny=2, regime=sc_nc)",
+            f"svm(seed={1 + s}, m=2, n=6)",
+            f"quadratic(seed={8 + s}, nx=32, ny=32, regime=sc_nc)",
+            f"quadratic(seed={9 + s}, nx=64, ny=64, regime=nc_sc)",
+            f"quadratic(seed={5 + s}, nx=1, ny=2, regime=nc_sc)",
+            f"quadratic(seed={3 + s}, nx=2, ny=1, regime=sc_nc)",
+            f"quadratic(seed={1 + s}, nx=1, ny=2, regime=nc_c)",
+            f"quadratic(seed={2 + s}, nx=2, ny=1, regime=c_nc)")]
+    specs = parse_config("\n".join(blocks))
+    return list({repr((sp.regime_cfg, sp.problem.constants)): (sp.regime_cfg, sp.problem.constants)
+                 for sp in specs}.values())
+
+
+# the decoupled floors: L_12 = 0 (resp. L_21 = 0) collapses the schedule to
+# -eta~ (resp. -nu~), below 1.01 L_x (resp. 1.01 L_y)
+FLOORED = [(NcCConfig(eta_bar=0.1, rho_bar=1.0, tau=3.0), data(L_x=2.0, L_12=0.0)),
+           (CNcConfig(nu_bar=0.1, zeta_bar=0.5, tau=2.5), data(L_y=3.0, L_21=0.0))]
+
+K_MAX = 200_000
+
+
+def as_bits(row):
+    return np.array(row, dtype=float).view(np.int64).tolist()
+
+
+class TestStepsHoisted:
+    """``_steps`` hoists the schedule's constants out of k; each k keeps the
+    bits of the unhoisted formulas."""
+
+    def test_workload_configs_bit_for_bit(self):
+        configs = workload_configs()
+        kinds = {type(cfg) for cfg, _ in configs}
+        assert kinds == {NcScConfig, NcCConfig, ScNcConfig, CNcConfig}
+        assert len(configs) >= 40
+        for cfg, d in configs + FLOORED:
+            # a constant schedule's tuple does not read k
+            growing = isinstance(cfg, (NcCConfig, CNcConfig))
+            ks = range(1, (K_MAX if growing else 2000) + 1)
+            want = [steps_unhoisted(cfg, d, k) for k in ks]
+            # a feasible tuple holds floats > 0, the literal 0.0 and a bool,
+            # so equality of the tuples is equality of their bits
+            assert list(map(_steps(cfg, d), ks)) == want, cfg
+
+    def test_floored_configs_floor(self):
+        for cfg, d in FLOORED:
+            beta, gamma, _, _, floored = _steps(cfg, d)(K_MAX)
+            assert floored
+            assert (beta if isinstance(cfg, NcCConfig) else gamma) == 1.01 * (
+                d.L_x if isinstance(cfg, NcCConfig) else d.L_y)
+
+    @pytest.mark.parametrize("cfg, d, match, last", [
+        # beta_k = 1 + 96 sqrt(k) - eta~ and gamma_k = 0.5 + 48 sqrt(k) - nu~
+        # turn positive at k = 1000
+        (NcCConfig(eta_bar=1.0 + 96 * math.sqrt(999.5), rho_bar=1.0, tau=3.0), data(),
+         "beta_k <= 0 in the nonconvex-concave schedule", 999),
+        (CNcConfig(nu_bar=0.5 + 48 * math.sqrt(999.5), zeta_bar=0.5, tau=3.0), data(),
+         "gamma_k <= 0 in the convex-nonconcave schedule", 999),
+        (NcCConfig(eta_bar=0.1, rho_bar=1.0, tau=3.0), data(L_x=0.0, L_12=0.0),
+         "beta_k <= 0 .* floor 1.01\\*L_x also degenerates", 2000),
+        (NcScConfig(eta=1.0, rho=0.0), data(), "needs eta > 0 and 0 < rho < inf", 2000),
+        (ScNcConfig(zeta=1.0, nu=-1.0), data(), "needs 0 < zeta < inf and nu > 0", 2000)])
+    def test_infeasible_at_the_same_k(self, cfg, d, match, last):
+        step = _steps(cfg, d)
+        raised = []
+        for k in range(1, 2001):
+            want = steps_unhoisted(cfg, d, k)
+            if want is None:
+                with pytest.raises(InfeasibleConfigError, match=match):
+                    step(k)
+                raised.append(k)
+            else:
+                assert as_bits(step(k)) == as_bits(want)
+        assert raised == list(range(1, last + 1))
