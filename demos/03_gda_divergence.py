@@ -14,7 +14,7 @@ x0, y0 = np.array([1.0]), np.array([0.0])
 
 free = make_bilinear([[1.0]])
 tr = run_gda(free, 0.1, 0.1, eps=1e-15, max_iter=201, init=(x0, y0))
-norms = np.sqrt(tr.norms.xn2 + tr.norms.yn2)  # ||(x_k, y_k)||, row by row
+norms = np.sqrt(tr.xn2 + tr.yn2)  # ||(x_k, y_k)||, row by row
 print("simultaneous steps, unconstrained bilinear:")
 for k in (1, 50, 100, 200):
     print(f"  k = {k:3d}   ||(x, y)|| = {norms[k - 1]:.4f}")

@@ -14,8 +14,10 @@ of the checkout this script sits in, so every root sees the same input:
   per spec over ``repr`` of its ``lemma_monitor`` report and of its
   ``theory_constants``, or the error text where one raises;
 - a ``suite`` workload also runs through ``run_suite`` serially: one line
-  per CSV trace, and one for ``summary.json`` with its ``wall_time_s``
-  fields dropped, the only fields that vary between runs;
+  per column of each CSV trace (``runNNN.csv:monitor_slack``, over the
+  column's header and values), so a diff names the column that moved, and
+  one for ``summary.json`` with its ``wall_time_s`` fields dropped, the
+  only fields that vary between runs;
 - at seed 0, every workload also runs through the ``solve``, ``rate``,
   ``check`` and ``compare`` subcommands of ``agp.bench.main`` at
   ``--parallelism`` 1 and 2: one line per command and setting over its exit
@@ -61,12 +63,20 @@ def timing_free_summary(path) -> bytes:
     return json.dumps(summary, indent=2).encode()
 
 
+def column_digests(path):
+    """``(item, digest)`` of each column of the CSV at ``path``: one sha256
+    over the column's header and its values, one per line."""
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    for column in zip(*rows):
+        yield f"{path.name}:{column[0]}", digest("\n".join(column).encode())
+
+
 def suite_digests(agp, text, out_dir):
-    """``(item, digest)`` of each CSV and of the timing-free summary."""
+    """``(item, digest)`` of each CSV column and of the timing-free summary."""
     agp.run_suite(agp.parse_config(text), parallelism=1, out_dir=out_dir,
                   config_echo=text)
     for csv in sorted(out_dir.glob("*.csv")):
-        yield csv.name, digest(csv.read_bytes())
+        yield from column_digests(csv)
     yield "summary.json", digest(timing_free_summary(out_dir / "summary.json"))
 
 

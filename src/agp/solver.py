@@ -32,17 +32,17 @@ raised at a later row.
 
 The loop keeps one block of ``VALUE_CHUNK`` iterates, not their history,
 and folds each block into per-row columns that grow in place: f(x_k, y_k),
-the step lengths, the squared norms of the iterates and steps
-(``SolverTrace.norms``) and, on an alternating trace, f(x_{k+1}, y_k)
-(``SolverTrace.f_mixed``); a non-finite f or f_mixed raises
+the step lengths, the squared norms of the iterates and steps (``xn2``,
+``yn2``, ``dx2``, ``dy2``, by ``np.vecdot``) and, on an alternating trace,
+f(x_{k+1}, y_k) (``f_mixed``); a non-finite f or f_mixed raises
 ``NumericFailureError``.  The potential and monitor-slack columns are array
-functions of those columns, computed by the verification module.
+functions of the trace's other columns, computed by the verification module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ from .schedules import RegimeConfig, _steps
 from .verify import trace_columns
 
 __all__ = [
-    "IterateNorms",
     "SolverTrace",
     "NumericFailureError",
     "run",
@@ -76,25 +75,6 @@ class NumericFailureError(RuntimeError):
 # traces
 
 
-@dataclass(frozen=True)
-class IterateNorms:
-    """All that the potentials and monitors read of a trace's iterates:
-    ``xn2[k-1] = ||x_k||^2`` and ``dx2[k-1] = ||x_k - x_{k-1}||^2`` (x_0 = x_1),
-    likewise for y, by ``np.vecdot`` (the bits of a per-row ``a @ a``), which
-    the potentials read, and by ``einsum`` in the ``_e`` fields, which the
-    inequalities read; the two forms can differ in the last bit.
-    """
-
-    xn2: np.ndarray
-    yn2: np.ndarray
-    dx2: np.ndarray
-    dy2: np.ndarray
-    xn2_e: np.ndarray
-    yn2_e: np.ndarray
-    dx2_e: np.ndarray
-    dy2_e: np.ndarray
-
-
 @dataclass
 class SolverTrace:
     """Per-iteration records of one solver run; immutable by convention."""
@@ -109,11 +89,17 @@ class SolverTrace:
     c: np.ndarray
     dx_norm: np.ndarray
     dy_norm: np.ndarray
+    # all the potentials and monitors read of the iterates, by np.vecdot (the
+    # bits of a per-row a @ a): xn2[k-1] = ||x_k||^2, dx2[k-1] = ||x_k - x_{k-1}||^2
+    # (x_0 = x_1), likewise for y
+    xn2: np.ndarray
+    yn2: np.ndarray
+    dx2: np.ndarray
+    dy2: np.ndarray
     potential: np.ndarray
     monitor_slack: np.ndarray
     x: np.ndarray  # the last iterate, x_n
     y: np.ndarray
-    norms: IterateNorms
     reason: str
     T_eps: int | None
     eps: float
@@ -184,7 +170,7 @@ def run_gda(problem: MinimaxProblem, step_x: float, step_y: float, eps: float,
 # trace columns recorded per iteration, in the order of a row of the buffer
 _COLUMNS = ("gap_norm", "reg_gap_norm", "beta", "gamma", "b", "c")
 # columns folded from the iterate blocks, and f_mixed on an alternating trace
-_FOLDED = ("f", "dx_norm", "dy_norm", *(f.name for f in fields(IterateNorms)))
+_FOLDED = ("f", "dx_norm", "dy_norm", "xn2", "yn2", "dx2", "dy2")
 
 
 def _iterate(problem, cfg, steps, eps, max_iter, init) -> SolverTrace:
@@ -389,18 +375,12 @@ def _fold(problem, xb, yb, s, e, folded):
     if "f_mixed" in folded:
         i = 0 if s else 1  # row 0 pairs with no row before it
         folded["f_mixed"][s + i:e] = problem.values(x[i:], yb[i:m])
-    _fold_squares(folded, "xn2", x, s)
-    _fold_squares(folded, "yn2", y, s)
+    folded["xn2"][s:e] = np.vecdot(x, x)
+    folded["yn2"][s:e] = np.vecdot(y, y)
     for name, buf in (("dx", xb), ("dy", yb)):
         steps = np.diff(buf[:m + 1], axis=0)  # one block's steps at a time
         folded[name + "_norm"][s:e] = np.linalg.norm(steps, axis=1)
-        _fold_squares(folded, name + "2", steps, s)
-
-
-def _fold_squares(folded, name, a, s):
-    """Squared row norms of ``a`` into entries s.. of ``name`` and its twin."""
-    folded[name][s:s + len(a)] = np.vecdot(a, a)
-    folded[name + "_e"][s:s + len(a)] = np.einsum("ij,ij->i", a, a)
+        folded[name + "2"][s:e] = np.vecdot(steps, steps)
 
 
 def _require_finite(values, name):
@@ -413,22 +393,19 @@ def _assemble_trace(problem, cfg, rows, folded, x, y, reason, T_eps, eps,
                     floored_any) -> SolverTrace:
     n = len(rows)
     cols = {name: rows[:, i].copy() for i, name in enumerate(_COLUMNS)}
-    cols.update((name, folded.pop(name)) for name in ("f", "dx_norm", "dy_norm"))
-    cols["dx_norm"][0] = cols["dy_norm"][0] = np.nan
-    _require_finite(cols["f"], "f")
+    folded["dx_norm"][0] = folded["dy_norm"][0] = np.nan
+    _require_finite(folded["f"], "f")
     f_mixed = folded.pop("f_mixed", None)
-    norms = IterateNorms(**folded)
-    potential = np.full(n, np.nan)
-    slack = np.full(n, np.nan)
     if cfg is not None:
         f_mixed = f_mixed[1:].copy()
         _require_finite(f_mixed, "f_mixed")
-        potential, slack = trace_columns(
-            cfg, problem.constants, norms, cols["f"], f_mixed, cols["gap_norm"],
-            cols["reg_gap_norm"], cols["beta"], cols["gamma"])
-    return SolverTrace(
-        k=np.arange(1, n + 1), potential=potential, monitor_slack=slack, x=x, y=y,
-        reason=reason, T_eps=T_eps, eps=eps, algo="agp" if cfg is not None else "gda",
+    trace = SolverTrace(
+        k=np.arange(1, n + 1), potential=np.full(n, np.nan),
+        monitor_slack=np.full(n, np.nan), x=x, y=y, reason=reason, T_eps=T_eps,
+        eps=eps, algo="agp" if cfg is not None else "gda",
         regime=cfg.regime if cfg is not None else None, floored_any=floored_any,
-        f_mixed=f_mixed, norms=norms, **cols,
+        f_mixed=f_mixed, **cols, **folded,
     )
+    if cfg is not None:
+        trace.potential, trace.monitor_slack = trace_columns(cfg, problem.constants, trace)
+    return trace

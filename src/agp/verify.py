@@ -12,9 +12,9 @@ condition 1/c_{k+1} - 1/c_k <= rho~/10 (resp. q, zeta~) only assert from
 the first index k0 where that condition holds; the k^(1/4) schedules reach
 it at k0 = 9.
 
-The monitors and the Lyapunov potentials are array functions of the
-trace's recorded columns: the squared norms of the iterates and of their
-steps, f(x_k, y_k) and f(x_{k+1}, y_k).
+The monitors and the Lyapunov potentials, the bound's initial one too, are
+array functions of the trace's columns: the squared norms of the iterates
+and of their steps, f(x_k, y_k), f(x_{k+1}, y_k), the gaps and the steps.
 They make no oracle calls.  The bound constants call the oracles only for
 their certified bound of f over a compact X x Y, from best-first bisection
 of the joint bounding box with a fixed budget of cells.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -35,7 +35,7 @@ from .schedules import (CNcConfig, NcCConfig, NcScConfig, RegimeConfig,
                         ScNcConfig, InfeasibleConfigError, _decay_k0, validate)
 
 if TYPE_CHECKING:
-    from .solver import IterateNorms, SolverTrace
+    from .solver import SolverTrace
 
 __all__ = [
     "MonitorEntry",
@@ -171,17 +171,18 @@ def _missing_modulus(cfg, d) -> str | None:
     return None
 
 
-def potentials(cfg: RegimeConfig, d, norms: IterateNorms, f, fmix) -> np.ndarray:
-    """Lyapunov potential of every trace row under ``cfg``.
+def potentials(cfg: RegimeConfig, d, trace: SolverTrace) -> np.ndarray:
+    """Lyapunov potential of every row of ``trace`` under ``cfg``.
 
-    ``norms`` holds the squared iterate and step norms of the rows,
-    ``f[k-1] = f(x_k, y_k)``, ``fmix[k-1] = f(x_{k+1}, y_k)`` and ``d`` is the
-    smoothness data.  Entry j-1 is the j-th potential: NC-SC and NC-C add
-    iterate terms to ``f[j-1]``, SC-NC and C-NC to ``fmix[j-1]``.
+    Reads its squared iterate and step norms, ``f[k-1] = f(x_k, y_k)`` and
+    ``f_mixed[k-1] = f(x_{k+1}, y_k)``; ``d`` is the smoothness data.  Entry
+    j-1 is the j-th potential, from rows up to j+1 only: NC-SC and NC-C add
+    iterate terms to ``f[j-1]``, SC-NC and C-NC to ``f_mixed[j-1]``.
     NaN while the referenced iterates or schedule values do not exist yet
     (the first 1-2 rows, or the missing lookahead x_{j+1} on the last row),
     and everywhere for an NC-SC (SC-NC) config without mu > 0 (theta > 0).
     """
+    f, fmix = trace.f, trace.f_mixed
     n = len(f)
     pot = np.full(n, np.nan)
     if _missing_modulus(cfg, d):
@@ -190,25 +191,25 @@ def potentials(cfg: RegimeConfig, d, norms: IterateNorms, f, fmix) -> np.ndarray
         rho, mu, Ly = cfg.rho, d.mu, d.L_y
         coeff = mu + 7.0 / (2 * rho) - rho * Ly**2 / 2 - 2 * Ly**2 / mu
         s = 2.0 / (rho**2 * mu)
-        pot[1:] = f[1:] + (s - coeff) * norms.dy2[1:]
+        pot[1:] = f[1:] + (s - coeff) * trace.dy2[1:]
     elif isinstance(cfg, NcCConfig):  # j = 3..n
         rb = cfg.rho_bar
         c = np.array([cfg.c(k) for k in range(1, n + 1)])
         cj, cjm1, cjm2 = c[2:], c[1:-1], c[:-2]
-        dy2 = norms.dy2[2:]
-        yn2 = norms.yn2[2:]
+        dy2 = trace.dy2[2:]
+        yn2 = trace.yn2[2:]
         s = (4.0 / (rb**2 * cj)) * dy2 - (4.0 / rb) * (cjm2 / cjm1 - 1.0) * yn2
         pot[2:] = f[2:] + s - 7.0 / (2 * rb) * dy2 - 0.5 * cjm1 * yn2
     elif isinstance(cfg, ScNcConfig):  # j = 1..n-1
         z, th = cfg.zeta, d.theta
-        dx2 = norms.dx2[1:]
+        dx2 = trace.dx2[1:]
         pot[:-1] = fmix - (2.0 / (z**2 * th)) * dx2 - (th / 2 - 3.0 / z) * dx2
     elif isinstance(cfg, CNcConfig):  # j = 2..n-1
         zb = cfg.zeta_bar
         q = np.array([cfg.q(k) for k in range(1, n)])
         qj, qjm1 = q[1:], q[:-1]
-        dx2 = norms.dx2[2:]
-        xn2 = norms.xn2[2:]
+        dx2 = trace.dx2[2:]
+        xn2 = trace.xn2[2:]
         s = -(4.0 / (zb**2 * qj)) * dx2 - (4.0 / zb) * (1.0 - qjm1 / qj) * xn2
         pot[1:-1] = fmix[1:] + s + 17.0 / (5 * zb) * dx2 + 0.5 * qjm1 * xn2
     else:
@@ -216,19 +217,20 @@ def potentials(cfg: RegimeConfig, d, norms: IterateNorms, f, fmix) -> np.ndarray
     return pot
 
 
-def _inequalities(cfg, d, norms, f, fmix, gap, rgap, beta, gamma, pot):
+def _inequalities(cfg, d, trace, pot):
     """All per-iteration inequalities for the config's regime.
 
     Yields (id, ks, lhs, rhs, sense) with 1-based iteration indices ks.
-    ``d`` is the smoothness data, ``norms`` the rows' ``IterateNorms``,
-    ``fmix[k-1] = f(x_{k+1}, y_k)``, ``pot[j-1]`` the j-th potential value.
+    ``d`` is the smoothness data, ``pot[j-1]`` the j-th potential value of
+    ``trace`` under ``cfg``.
     """
     modulus = _missing_modulus(cfg, d)
     if modulus:
         raise InvalidTraceError(f"the {cfg.regime.value} inequalities need {modulus} > 0")
+    f, fmix, gap, rgap = trace.f, trace.f_mixed, trace.gap_norm, trace.reg_gap_norm
     n = len(f)
-    dx2, dy2 = norms.dx2_e[1:], norms.dy2_e[1:]  # dx2[k-1] = ||x_{k+1}-x_k||^2
-    xn2, yn2 = norms.xn2_e, norms.yn2_e
+    dx2, dy2 = trace.dx2[1:], trace.dy2[1:]  # dx2[k-1] = ||x_{k+1}-x_k||^2
+    xn2, yn2 = trace.xn2, trace.yn2
     out = []
 
     if isinstance(cfg, NcScConfig):
@@ -254,7 +256,7 @@ def _inequalities(cfg, d, norms, f, fmix, gap, rgap, beta, gamma, pot):
     if isinstance(cfg, NcCConfig):
         rb, eb, L12 = cfg.rho_bar, cfg.eta_bar, d.L_12
         call = np.array([cfg.c(k) for k in range(1, n + 2)])  # call[k-1] = c_k
-        bbar = beta - eb  # actual beta~_k, respects any flooring
+        bbar = trace.beta - eb  # actual beta~_k, respects any flooring
         ks = np.arange(1, n)
         out.append(("x_descent", ks, fmix - f[:-1], -(eb + bbar[:-1] / 2) * dx2, "le"))
         ks = np.arange(2, n)
@@ -303,7 +305,7 @@ def _inequalities(cfg, d, norms, f, fmix, gap, rgap, beta, gamma, pot):
     if isinstance(cfg, CNcConfig):
         zb, nb, L21 = cfg.zeta_bar, cfg.nu_bar, d.L_21
         qall = np.array([cfg.q(k) for k in range(1, n + 2)])
-        gbar = gamma - nb
+        gbar = trace.gamma - nb
         ks = np.arange(1, n)
         out.append(("y_ascent", ks, f[1:] - fmix, (nb + gbar[:-1] / 2) * dy2, "ge"))
         ks = np.arange(2, n - 1)  # k = 2..n-2
@@ -350,10 +352,7 @@ def lemma_monitor(trace: SolverTrace, problem: MinimaxProblem, cfg: RegimeConfig
     # recompute potentials under the supplied config rather than trusting the
     # trace, so monitoring with different constants stays honest
     d = problem.constants
-    pot = potentials(cfg, d, trace.norms, trace.f, trace.f_mixed)
-    items = _inequalities(cfg, d, trace.norms, trace.f, trace.f_mixed,
-                          trace.gap_norm, trace.reg_gap_norm,
-                          trace.beta, trace.gamma, pot)
+    items = _inequalities(cfg, d, trace, potentials(cfg, d, trace))
     return MonitorReport(tuple(_entry(eid, ks, lhs, rhs, sense)
                                for eid, ks, lhs, rhs, sense in items))
 
@@ -366,22 +365,22 @@ _HEADLINE = {
 }
 
 
-def trace_columns(cfg, d, norms, f, fmix, gap, rgap, beta, gamma):
-    """The potential and monitor-slack columns of an alternating trace.
+def trace_columns(cfg, d, trace):
+    """The potential and monitor-slack columns of an alternating trace,
+    from its other columns.
 
     The slack is the signed per-iteration margin of the regime's headline
     inequality: positive means satisfied with room, NaN outside the
     admissible index range (everywhere when the NC-SC/SC-NC ratio d1 is not
     positive).
     """
-    pot = potentials(cfg, d, norms, f, fmix)
-    slack = np.full(len(f), np.nan)
+    pot = potentials(cfg, d, trace)
+    slack = np.full(len(trace.f), np.nan)
     if cfg.regime is Regime.NC_SC and not d1_nc_sc(cfg, d) > 0:
         return pot, slack
     if cfg.regime is Regime.SC_NC and not dhat1_sc_nc(cfg, d) > 0:
         return pot, slack
-    for eid, ks, lhs, rhs, sense in _inequalities(cfg, d, norms, f, fmix, gap, rgap,
-                                                  beta, gamma, pot):
+    for eid, ks, lhs, rhs, sense in _inequalities(cfg, d, trace, pot):
         if eid == _HEADLINE[cfg.regime]:
             slack[ks - 1] = rhs - lhs if sense == "le" else lhs - rhs
     return pot, slack
@@ -557,23 +556,15 @@ def _finite_sizes(problem):
     return vals
 
 
-def _initial_potential(cfg, d, trace, j):
-    """The j-th potential of ``trace`` under ``cfg``, from its first j+1 rows."""
-    m = j + 1
-    norms = replace(trace.norms, **{name: a[:m] for name, a in vars(trace.norms).items()})
-    pot = potentials(cfg, d, norms, trace.f[:m], trace.f_mixed[:j])
-    return float(pot[j - 1])
-
-
 def theory_constants(problem: MinimaxProblem, cfg: RegimeConfig,
                      trace: SolverTrace) -> TheoryConstants:
     """Assemble the bound constants for one configured run.
 
-    The initial potential values are recomputed from the trace's recorded
-    columns under ``cfg`` (the first potential uses the convention
-    y_0 = y_1, collapsing its delta term), and the one side of the range of
-    f that the regime's bound reads from ``_certified_range``.  A config
-    that fails a ``validate`` condition gets no bound.
+    The initial potential is the trace's ``potentials`` entry under ``cfg``
+    (F1 is f(x_1, y_1): the convention y_0 = y_1 collapses its delta term),
+    and the one side of the range of f that the regime's bound reads comes
+    from ``_certified_range``.  A config that fails a ``validate`` condition,
+    or a trace too short for the initial potential, gets no bound.
     """
     _require_f_mixed(trace)
     d = problem.constants
@@ -589,6 +580,9 @@ def theory_constants(problem: MinimaxProblem, cfg: RegimeConfig,
     if failed is not None:
         raise InfeasibleConfigError(f"the {cfg.regime.value} bound needs {failed.name}, which "
                                     f"fails: {failed.lhs:.6g} {failed.op} {failed.rhs:.6g}")
+    rows = {Regime.SC_NC: 2, Regime.NC_C: 3, Regime.C_NC: 3}.get(cfg.regime, 1)
+    if len(trace) < rows:
+        raise ValueError(f"need at least {rows} iterations to evaluate the initial potential")
     lower = isinstance(cfg, (NcScConfig, NcCConfig))
     f_range = _certified_range(problem, "lower" if lower else "upper")
     base = dict(regime=cfg.regime, f_lower=f_range if lower else None,
@@ -602,16 +596,12 @@ def theory_constants(problem: MinimaxProblem, cfg: RegimeConfig,
                                F1=float(trace.f[0]),
                                F_lower=f_range - coeff * sigma_y**2)
     if isinstance(cfg, ScNcConfig):
-        if len(trace) < 2:
-            raise ValueError("need at least 2 iterations to evaluate the initial potential")
-        Fhat1 = _initial_potential(cfg, d, trace, 1)
+        Fhat1 = float(potentials(cfg, d, trace)[0])
         upper = f_range - (d.theta / 2 - 3 / cfg.zeta) * sigma_x**2
         return TheoryConstants(**base, dhat1=ratio, Fhat1=Fhat1,
                                Fhat_upper=upper)
     if isinstance(cfg, NcCConfig):
-        if len(trace) < 3:
-            raise ValueError("need at least 3 iterations to evaluate the initial potential")
-        Ftilde3 = _initial_potential(cfg, d, trace, 3)
+        Ftilde3 = float(potentials(cfg, d, trace)[2])
         db1 = dbar1_nc_c(cfg, d)
         t, rb, L12 = cfg.tau, cfg.rho_bar, d.L_12
         d3 = (Ftilde3 - f_range + 7 * sigma_y**2 / (2 * rb)
@@ -621,9 +611,7 @@ def theory_constants(problem: MinimaxProblem, cfg: RegimeConfig,
         return TheoryConstants(**base, tau=t, dbar1=db1, d3=d3, d4=d4,
                                rho_bar=rb, L_12=L12, Ftilde3=Ftilde3)
     if isinstance(cfg, CNcConfig):
-        if len(trace) < 3:
-            raise ValueError("need at least 3 iterations to evaluate the initial potential")
-        Fcal2 = _initial_potential(cfg, d, trace, 2)
+        Fcal2 = float(potentials(cfg, d, trace)[1])
         Dh1 = Dhat1_c_nc(cfg, d)
         t, zb, L21 = cfg.tau, cfg.zeta_bar, d.L_21
         dh3 = f_range - Fcal2 + (17 / (5 * zb)) * sigma_x**2 + (31 / (5 * zb)) * sighat_x**2
@@ -644,26 +632,35 @@ def _require_positive_ratio(regime, ratio):
 
 
 def compute_bound(tc: TheoryConstants, eps: float) -> float:
-    """Literal iteration-count bound for reaching gap norm <= eps; a NaN
-    bound (say from a NaN f at the start point) raises ``ArithmeticError``."""
+    """Literal iteration-count bound for reaching gap norm <= eps.
+
+    No first hit comes before iteration 1, so a formula that is not a finite
+    number >= 1 (a NaN f at the start point, say, or an eps whose powers
+    underflow or overflow) raises ``ArithmeticError`` naming regime and eps.
+    """
     if not (eps > 0):
         raise ValueError("eps must be > 0")
-    if tc.regime is Regime.NC_SC:
-        _require_positive_ratio(tc.regime, tc.d1)
-        bound = (tc.F1 - tc.F_lower) / (tc.d1 * eps**2)
-    elif tc.regime is Regime.SC_NC:
-        _require_positive_ratio(tc.regime, tc.dhat1)
-        bound = (tc.Fhat_upper - tc.Fhat1) / (tc.dhat1 * eps**2)
-    elif tc.regime is Regime.NC_C:
-        first = (64 * tc.rho_bar * (tc.tau - 2) * tc.L_12**2 * tc.d3 * tc.d4 / eps**2 + 2) ** 2
-        bound = max(first, tc.sighat_y**4 / (tc.rho_bar**4 * eps**4) + 1)
-    elif tc.regime is Regime.C_NC:
-        first = (64 * tc.zeta_bar * (tc.tau - 2) * tc.L_21**2 * tc.dhat3 * tc.dhat4 / eps**2 + 1) ** 2
-        bound = max(first, tc.sighat_x**4 / (tc.zeta_bar**4 * eps**4) + 1)
-    else:
-        raise TypeError(f"unknown regime {tc.regime!r}")
-    if math.isnan(bound):
-        raise ArithmeticError(f"the {tc.regime.value} bound is NaN")
+    try:
+        if tc.regime is Regime.NC_SC:
+            _require_positive_ratio(tc.regime, tc.d1)
+            bound = (tc.F1 - tc.F_lower) / (tc.d1 * eps**2)
+        elif tc.regime is Regime.SC_NC:
+            _require_positive_ratio(tc.regime, tc.dhat1)
+            bound = (tc.Fhat_upper - tc.Fhat1) / (tc.dhat1 * eps**2)
+        elif tc.regime is Regime.NC_C:
+            first = (64 * tc.rho_bar * (tc.tau - 2) * tc.L_12**2 * tc.d3 * tc.d4 / eps**2 + 2) ** 2
+            bound = max(first, tc.sighat_y**4 / (tc.rho_bar**4 * eps**4) + 1)
+        elif tc.regime is Regime.C_NC:
+            first = (64 * tc.zeta_bar * (tc.tau - 2) * tc.L_21**2 * tc.dhat3 * tc.dhat4 / eps**2 + 1) ** 2
+            bound = max(first, tc.sighat_x**4 / (tc.zeta_bar**4 * eps**4) + 1)
+        else:
+            raise TypeError(f"unknown regime {tc.regime!r}")
+    except (ZeroDivisionError, OverflowError) as e:
+        raise ArithmeticError(f"the {tc.regime.value} bound at eps = {eps!r} is out of "
+                              f"float range: {e}") from None
+    if not (math.isfinite(bound) and bound >= 1):
+        raise ArithmeticError(f"the {tc.regime.value} bound at eps = {eps!r} is {bound!r}, "
+                              "not a finite number >= 1")
     return bound
 
 

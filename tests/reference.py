@@ -23,7 +23,6 @@ from agp.objective import MinimaxProblem, SmoothnessData
 from agp.objective import _HINGE_WIDTH
 from agp.schedules import (SAFETY, CNcConfig, NcCConfig, NcScConfig, RegimeConfig,
                            ScNcConfig, _steps, c_nc_gamma_bar, nc_c_beta_bar)
-from agp.solver import IterateNorms
 
 
 @dataclass(frozen=True)
@@ -185,13 +184,12 @@ def record_iterates(problem: MinimaxProblem):
     return dataclasses.replace(problem, grad_x=recording), rec
 
 
-def iterate_norms(xs, ys) -> IterateNorms:
-    """The ``IterateNorms`` of iterates xs/ys, each by one formula over the
-    whole history (steps from the convention x_0 = x_1)."""
+def iterate_norms(xs, ys) -> dict:
+    """The squared-norm columns ``xn2``, ``yn2``, ``dx2``, ``dy2`` of a trace
+    over iterates xs/ys, each by one formula over the whole history (steps
+    from the convention x_0 = x_1)."""
     cols = {}
     for v, a in (("x", xs), ("y", ys)):
         steps = np.diff(a, axis=0, prepend=a[:1])
-        for name, b in ((f"{v}n2", a), (f"d{v}2", steps)):
-            cols[name] = np.vecdot(b, b)
-            cols[name + "_e"] = np.einsum("ij,ij->i", b, b)
-    return IterateNorms(**cols)
+        cols[f"{v}n2"], cols[f"d{v}2"] = np.vecdot(a, a), np.vecdot(steps, steps)
+    return cols

@@ -475,6 +475,20 @@ class TestCli:
         code = main(["solve", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert code == 0
 
+    def test_bound_below_one_is_null(self, tmp_path):
+        # at eps = 1e9 the start point stops the run at T_eps = 1, where the
+        # nc_sc formula reads 4.4e-12: no first hit comes before iteration 1
+        cfg = tmp_path / "loose.cfg"
+        cfg.write_text("problem = quadratic(seed=7, nx=2, ny=2, regime=nc_sc)\n")
+        out = tmp_path / "out"
+        assert main(["solve", str(cfg), "--eps", "1e9", "--out-dir", str(out)]) == 0
+        rec = json.loads((out / "summary.json").read_text())["runs"][0]
+        assert rec["T_eps"] == 1 and rec["error"] is None
+        assert rec["bound"] is None and rec["bound_ratio"] is None
+        assert rec["bound_error"] == ("ArithmeticError: the nc_sc bound at eps = "
+                                      "1000000000.0 is 4.404273493202485e-12, not a "
+                                      "finite number >= 1")
+
     def test_solve_max_iter_exit_2(self, tmp_path):
         cfg = tmp_path / "slow.cfg"
         cfg.write_text("problem = quadratic(seed=7, nx=1, ny=1, regime=nc_sc)\n"

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -215,7 +216,8 @@ def potential_column(cfg, p, xs, ys):
     """The potentials of iterates xs/ys, from the values a trace records."""
     f = np.array([p.value(x, y) for x, y in zip(xs, ys)])
     fmix = np.array([p.value(xs[i + 1], ys[i]) for i in range(len(xs) - 1)])
-    return potentials(cfg, p.constants, iterate_norms(xs, ys), f, fmix)
+    trace = types.SimpleNamespace(f=f, f_mixed=fmix, **iterate_norms(xs, ys))
+    return potentials(cfg, p.constants, trace)
 
 
 def constant_problem(value):
@@ -771,6 +773,15 @@ class TestWrappersShareRule:
         self.replay(random_quadratic(5, 2, 2, Regime.NC_SC), (0.05, 0.2))
 
 
+def held_arrays(obj):
+    """Every array ``obj`` holds, also inside a dataclass it holds."""
+    for v in vars(obj).values():
+        if isinstance(v, np.ndarray):
+            yield v
+        elif dataclasses.is_dataclass(v):
+            yield from held_arrays(v)
+
+
 def traced_run(*args, **kwargs):
     """``run`` under tracemalloc: (trace, peak, held) in bytes over the baseline."""
     tracemalloc.start()
@@ -802,11 +813,10 @@ class TestTraceMemory:
         # of one value_rows call on a block (as much again) and the columns
         # grown so far (15 %).
         assert peak < 0.6 * history
-        # The trace's own arrays are 21 per-row columns (168 B) against
+        # The trace's own arrays are 17 per-row columns (136 B) against
         # 1,024 B of iterates per row at 64 x 64, and the last iterate.
-        arrays = [*vars(tr).values(), *vars(tr.norms).values()]
-        owned = sum(v.nbytes for v in arrays if isinstance(v, np.ndarray))
-        assert owned <= 0.17 * history
+        owned = sum(a.nbytes for a in held_arrays(tr))
+        assert owned <= 0.14 * history
         assert held <= owned + 0.01 * history
 
     def test_no_rows_reserved_up_front(self):
@@ -835,20 +845,19 @@ def assert_columns_match_iterates(p, cfg_or_steps, tr, xs, ys):
         whole[1:] = np.linalg.norm(np.diff(a, axis=0), axis=1)
         assert np.array_equal(got, whole, equal_nan=True)
     norms = iterate_norms(xs, ys)
-    for name, want in vars(norms).items():
-        assert np.array_equal(getattr(tr.norms, name), want), name
+    for name, want in norms.items():
+        assert np.array_equal(getattr(tr, name), want), name
     if isinstance(cfg_or_steps, tuple):
         assert tr.f_mixed is None
     else:
         fmix = p.value_rows(xs[1:], ys[:-1])
         assert np.array_equal(tr.f_mixed, fmix)
-        pot, slack = verify.trace_columns(cfg_or_steps, p.constants, norms, f, fmix,
-                                          tr.gap_norm, tr.reg_gap_norm, tr.beta, tr.gamma)
+        pot, slack = verify.trace_columns(
+            cfg_or_steps, p.constants, dataclasses.replace(tr, f=f, f_mixed=fmix, **norms))
         assert np.array_equal(tr.potential, pot, equal_nan=True)
         assert np.array_equal(tr.monitor_slack, slack, equal_nan=True)
     # no array is a view of a larger buffer
-    arrays = [*vars(tr).values(), *vars(tr.norms).values()]
-    assert all(a.flags.owndata for a in arrays if isinstance(a, np.ndarray))
+    assert all(a.flags.owndata for a in held_arrays(tr))
 
 
 # f = x^2/1000 - y^2/2 on the whole plane: under HAND_CFG the x-step is

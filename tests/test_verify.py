@@ -448,6 +448,31 @@ class TestComputeBound:
         with pytest.raises(InfeasibleConfigError):
             compute_bound(tc, 0.1)
 
+    @pytest.mark.parametrize("regime, eps", [
+        *((r, e) for r in Regime for e in (1e-300, 1e200)),
+        (Regime.NC_C, 1e-80), (Regime.C_NC, 1e-80)])
+    def test_out_of_range_eps_raises_naming_it(self, regime, eps):
+        # eps**2 underflows to 0 at 1e-300, eps**4 overflows the NC-C/C-NC
+        # formulas at 1e-80, and eps**2 overflows at 1e200
+        p = random_quadratic(7, 2, 2, regime)
+        cfg = auto_configure(p.constants, regime)
+        tc = theory_constants(p, cfg, run(p, cfg, eps=1e-3, max_iter=300))
+        with pytest.raises(ArithmeticError) as err:
+            compute_bound(tc, eps)
+        assert type(err.value) is ArithmeticError
+        assert str(err.value).startswith(f"the {regime.value} bound at eps = {eps!r} ")
+
+    @pytest.mark.parametrize("F1", [10.0 + 5e-5, math.nan, math.inf])
+    def test_bound_not_finite_or_below_one_raises(self, F1):
+        tc = TheoryConstants(regime=Regime.NC_SC, f_lower=0.0, f_upper=1.0,
+                             sigma_x=1.0, sigma_y=1.0, sighat_x=1.0, sighat_y=1.0,
+                             d1=0.01, F1=F1, F_lower=10.0)
+        bound = (F1 - 10.0) / (0.01 * 0.1**2)  # about 0.5, NaN or inf
+        with pytest.raises(ArithmeticError) as err:
+            compute_bound(tc, 0.1)
+        assert str(err.value) == (f"the nc_sc bound at eps = 0.1 is {bound!r}, "
+                                  "not a finite number >= 1")
+
     def test_nc_c_bound_formula(self):
         p = make_bilinear([[1.0]], X=Box([-1], [1]), Y=Box([-1], [1]))
         cfg = NcCConfig(eta_bar=0.5, rho_bar=1.0, tau=3.0)
@@ -668,6 +693,28 @@ class TestTheoryConstants:
         tc = theory_constants(p, cfg, run(p, cfg, eps=1e-6, max_iter=200))
         assert getattr(tc, f"f_{side}") == _certified_range(p, side)
         assert getattr(tc, "f_upper" if side == "lower" else "f_lower") is None
+
+    @pytest.mark.parametrize("regime, field, j", [
+        (Regime.SC_NC, "Fhat1", 1), (Regime.C_NC, "Fcal2", 2), (Regime.NC_C, "Ftilde3", 3)])
+    def test_initial_potential_is_the_traces(self, regime, field, j):
+        # under the trace's own config, the j-th potential is its column's
+        p = random_quadratic(5, 2, 2, regime)
+        cfg = auto_configure(p.constants, regime)
+        tr = run(p, cfg, eps=1e-6, max_iter=200)
+        value = getattr(theory_constants(p, cfg, tr), field)
+        assert type(value) is float
+        assert value == tr.potential[j - 1] and math.isfinite(value)
+
+    @pytest.mark.parametrize("regime, rows", [
+        (Regime.SC_NC, 2), (Regime.C_NC, 3), (Regime.NC_C, 3)])
+    def test_short_trace_refused_before_any_oracle_call(self, regime, rows):
+        p = random_quadratic(5, 2, 2, regime)
+        cfg = auto_configure(p.constants, regime)
+        tr = run(p, cfg, eps=1e-6, max_iter=rows - 1)
+        p, calls = counting(p)
+        with pytest.raises(ValueError, match=f"need at least {rows} iterations"):
+            theory_constants(p, cfg, tr)
+        assert calls == {"value": 0, "rows": 0, "chunk": 0, "grad": 0}
 
     def test_half_infinite_box_refused_before_any_oracle_call(self):
         p = make_bilinear([[1.0]], X=Box([0.0], [math.inf]), Y=Box([-1.0], [1.0]))
