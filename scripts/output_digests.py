@@ -11,8 +11,9 @@ of the checkout this script sits in, so every root sees the same input:
 - every workload runs ``rate_experiment`` on each of its ``agp`` specs: one
   line per spec for its table, slope and ``partial`` flag;
 - every workload also runs ``run`` on each of its ``agp`` specs: one line
-  per spec over ``repr`` of its ``lemma_monitor`` report and of its
-  ``theory_constants``, or the error text where one raises;
+  per spec over ``repr`` of its ``validate`` report, of its
+  ``lemma_monitor`` report and of its ``theory_constants``, or the error
+  text where one raises;
 - a ``suite`` workload also runs through ``run_suite`` serially: one line
   per column of each CSV trace (``runNNN.csv:monitor_slack``, over the
   column's header and values), so a diff names the column that moved, and
@@ -99,14 +100,16 @@ def _repr_or_error(fn, *args) -> str:
 
 
 def verify_digests(agp, text):
-    """``(item, digest)`` over the monitor report and the bound constants of
-    each ``agp`` spec's run."""
+    """``(item, digest)`` over the validation report of each ``agp`` spec's
+    config, and the monitor report and the bound constants of its run."""
     for spec in agp.parse_config(text):
         if spec.solver != "agp":
             continue
         trace = agp.run(spec.problem, spec.regime_cfg, spec.eps, spec.max_iter, spec.init)
         args = (spec.problem, spec.regime_cfg)
-        data = "\n".join((_repr_or_error(agp.lemma_monitor, trace, *args),
+        data = "\n".join((_repr_or_error(agp.validate, spec.regime_cfg,
+                                         spec.problem.constants),
+                          _repr_or_error(agp.lemma_monitor, trace, *args),
                           _repr_or_error(agp.theory_constants, *args, trace)))
         yield f"verify{spec.index:03d}", digest(data.encode())
 

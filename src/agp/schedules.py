@@ -16,9 +16,9 @@ with the growing parts
     beta~_k  = rho~ L12^2 + 16 L12^2/(rho~ c_k^2) + 2 alpha_k - 2 eta~
     gamma~_k = zeta~ L21^2 + 8 tau L21^2/(zeta~ q_k^2) - 2 nu~
 
-The solver reads the tuple of each k from ``_steps(cfg, data)``, which
-computes the constants of these formulas once per run; ``nc_c_beta_bar``
-and ``c_nc_gamma_bar`` evaluate them at one k, for ``validate``.
+``_schedule(cfg, data)`` writes c_k/q_k and beta~_k/gamma~_k once; the
+solver's ``_steps`` and ``validate`` read it.  A solver trace records the
+b_k, c_k of its run, and the monitors and bound constants read them there.
 
 ``validate`` reports every inequality the convergence analysis imposes on a
 configuration, including the first index k0 at which the decay condition
@@ -85,9 +85,6 @@ class NcCConfig(RegimeConfig):
         if not (self.rho_bar > 0):
             raise ValueError("rho_bar must be > 0")
 
-    def c(self, k: int) -> float:
-        return 1.0 / (2.0 * self.rho_bar * k**0.25)
-
 
 @dataclass(frozen=True)
 class ScNcConfig(RegimeConfig):
@@ -109,23 +106,29 @@ class CNcConfig(RegimeConfig):
         if not (self.zeta_bar > 0):
             raise ValueError("zeta_bar must be > 0")
 
-    def q(self, k: int) -> float:
-        return 1.0 / (2.0 * self.zeta_bar * k**0.25)
 
+def _schedule(cfg, data: SmoothnessData):
+    """The map ``k -> (c_k, beta~_k)`` of an NC-C config or ``k -> (q_k,
+    gamma~_k)`` of a C-NC one, with its constants computed once."""
+    if isinstance(cfg, NcCConfig):
+        rho, L12 = cfg.rho_bar, data.L_12
+        two_rho = 2.0 * rho
+        head, grow, alpha_num = rho * L12**2, 16 * L12**2, (4 * cfg.tau - 8) * L12**2
+        tail = 2 * cfg.eta_bar
 
-def nc_c_beta_bar(cfg: NcCConfig, data: SmoothnessData, k: int) -> float:
-    ck = cfg.c(k)
-    alpha = (4 * cfg.tau - 8) * data.L_12**2 / (cfg.rho_bar * ck**2)
-    return (cfg.rho_bar * data.L_12**2
-            + 16 * data.L_12**2 / (cfg.rho_bar * ck**2)
-            + 2 * alpha - 2 * cfg.eta_bar)
+        def schedule(k):
+            ck = 1.0 / (two_rho * k**0.25)
+            den = rho * ck**2
+            return ck, head + grow / den + 2 * (alpha_num / den) - tail
+        return schedule
+    zeta, L21 = cfg.zeta_bar, data.L_21
+    two_zeta = 2.0 * zeta
+    head, grow, tail = zeta * L21**2, 8 * cfg.tau * L21**2, 2 * cfg.nu_bar
 
-
-def c_nc_gamma_bar(cfg: CNcConfig, data: SmoothnessData, k: int) -> float:
-    qk = cfg.q(k)
-    return (cfg.zeta_bar * data.L_21**2
-            + 8 * cfg.tau * data.L_21**2 / (cfg.zeta_bar * qk**2)
-            - 2 * cfg.nu_bar)
+    def schedule(k):
+        qk = 1.0 / (two_zeta * k**0.25)
+        return qk, head + grow / (zeta * qk**2) - tail
+    return schedule
 
 
 def _steps(cfg: RegimeConfig, data: SmoothnessData):
@@ -133,10 +136,8 @@ def _steps(cfg: RegimeConfig, data: SmoothnessData):
     as plain floats.
 
     The solver builds it once per run and reads k = 1 before its loop and
-    each k of a growing schedule (NC-C, C-NC) in it.  The constants of the
-    growing formulas are computed here, once, in the operation order of
-    ``nc_c_beta_bar``/``c_nc_gamma_bar``, so each k has their bits.  A k
-    whose beta or gamma is not positive, NaN included, is infeasible.
+    each k of a growing schedule (NC-C, C-NC) in it, from ``_schedule``.  A
+    k whose beta or gamma is not positive, NaN included, is infeasible.
     """
     if isinstance(cfg, NcScConfig):
         def step(k):
@@ -151,16 +152,12 @@ def _steps(cfg: RegimeConfig, data: SmoothnessData):
             return 1.0 / cfg.zeta, cfg.nu, 0.0, 0.0, False
         return step
     if isinstance(cfg, NcCConfig):
-        rho, eta, L12 = cfg.rho_bar, cfg.eta_bar, data.L_12
-        two_rho, gamma = 2.0 * rho, 1.0 / rho
-        head, grow, alpha_num = rho * L12**2, 16 * L12**2, (4 * cfg.tau - 8) * L12**2
-        tail = 2 * eta
-        floor = SAFETY * data.L_x if L12 == 0.0 else None
+        schedule, eta, gamma = _schedule(cfg, data), cfg.eta_bar, 1.0 / cfg.rho_bar
+        floor = SAFETY * data.L_x if data.L_12 == 0.0 else None
 
         def step(k):
-            ck = 1.0 / (two_rho * k**0.25)  # cfg.c(k)
-            den = rho * ck**2
-            beta = eta + (head + grow / den + 2 * (alpha_num / den) - tail)
+            ck, beta_bar = schedule(k)
+            beta = eta + beta_bar
             floored = False
             if floor is not None and beta <= floor:
                 # decoupled instance: the schedule formula presumes coupling
@@ -173,14 +170,12 @@ def _steps(cfg: RegimeConfig, data: SmoothnessData):
             return beta, gamma, 0.0, ck, floored
         return step
     if isinstance(cfg, CNcConfig):
-        zeta, nu, L21 = cfg.zeta_bar, cfg.nu_bar, data.L_21
-        two_zeta, beta = 2.0 * zeta, 1.0 / zeta
-        head, grow, tail = zeta * L21**2, 8 * cfg.tau * L21**2, 2 * nu
-        floor = SAFETY * data.L_y if L21 == 0.0 else None
+        schedule, nu, beta = _schedule(cfg, data), cfg.nu_bar, 1.0 / cfg.zeta_bar
+        floor = SAFETY * data.L_y if data.L_21 == 0.0 else None
 
         def step(k):
-            qk = 1.0 / (two_zeta * k**0.25)  # cfg.q(k)
-            gamma = nu + (head + grow / (zeta * qk**2) - tail)
+            qk, gamma_bar = schedule(k)
+            gamma = nu + gamma_bar
             floored = False
             if floor is not None and gamma <= floor:
                 gamma, floored = floor, True
@@ -273,9 +268,10 @@ def _le(name, lhs, rhs):
 
 
 def _decay_k0(schedule, limit, k_max=100000) -> int | None:
-    """First k with 1/s(k+1) - 1/s(k) <= limit; None if never within k_max."""
+    """First k with 1/s_{k+1} - 1/s_k <= limit for the s_k = ``schedule(k)[0]``
+    of a ``_schedule``; None if never within k_max."""
     for k in range(1, k_max + 1):
-        if 1.0 / schedule(k + 1) - 1.0 / schedule(k) <= limit:
+        if 1.0 / schedule(k + 1)[0] - 1.0 / schedule(k)[0] <= limit:
             return k
     return None
 
@@ -295,14 +291,15 @@ def validate(cfg: RegimeConfig, data: SmoothnessData) -> ValidationReport:
         )
         return ValidationReport(Regime.NC_SC, checks)
     if isinstance(cfg, NcCConfig):
-        c1 = cfg.c(1)
+        schedule = _schedule(cfg, d)
+        c1, beta_bar1 = schedule(1)
         Lyp = d.L_y + c1
         checks = (
             _le("rho~ <= 2/(L_y' + c_1)", cfg.rho_bar, 2.0 / (Lyp + c1)),
             _le("c_1 <= L_y'", c1, Lyp),
-            _lt("L_x < beta~_1 (nondecreasing in k)", d.L_x, nc_c_beta_bar(cfg, d, 1)),
+            _lt("L_x < beta~_1 (nondecreasing in k)", d.L_x, beta_bar1),
         )
-        k0 = _decay_k0(cfg.c, cfg.rho_bar / 10.0)
+        k0 = _decay_k0(schedule, cfg.rho_bar / 10.0)
         return ValidationReport(Regime.NC_C, checks, k0=k0)
     if isinstance(cfg, ScNcConfig):
         checks = (
@@ -317,13 +314,14 @@ def validate(cfg: RegimeConfig, data: SmoothnessData) -> ValidationReport:
         )
         return ValidationReport(Regime.SC_NC, checks)
     if isinstance(cfg, CNcConfig):
-        q1 = cfg.q(1)
+        schedule = _schedule(cfg, d)
+        q1, gamma_bar1 = schedule(1)
         Lxp = d.L_x + q1
         checks = (
             _le("zeta~ <= 2/(L_x' + q_1)", cfg.zeta_bar, 2.0 / (Lxp + q1)),
             _le("q_1 <= L_x'", q1, Lxp),
-            _lt("L_y < gamma~_1 (nondecreasing in k)", d.L_y, c_nc_gamma_bar(cfg, d, 1)),
+            _lt("L_y < gamma~_1 (nondecreasing in k)", d.L_y, gamma_bar1),
         )
-        k0 = _decay_k0(cfg.q, cfg.zeta_bar / 10.0)
+        k0 = _decay_k0(schedule, cfg.zeta_bar / 10.0)
         return ValidationReport(Regime.C_NC, checks, k0=k0)
     raise TypeError(f"unknown regime config {cfg!r}")

@@ -103,14 +103,21 @@ class SolverTrace:
     reason: str
     T_eps: int | None
     eps: float
-    algo: str
-    regime: Regime | None
+    cfg: RegimeConfig | None  # the config of the run; None on GDA traces
     floored_any: bool = False
     # f(x_{k+1}, y_k) for k = 1..n-1; None on GDA traces
     f_mixed: np.ndarray | None = None
 
     def __len__(self):
         return len(self.k)
+
+    @property
+    def algo(self) -> str:
+        return "gda" if self.cfg is None else "agp"
+
+    @property
+    def regime(self) -> Regime | None:
+        return None if self.cfg is None else self.cfg.regime
 
     @property
     def iterations(self) -> int:
@@ -402,9 +409,7 @@ def _assemble_trace(problem, cfg, rows, folded, x, y, reason, T_eps, eps,
     trace = SolverTrace(
         k=np.arange(1, n + 1), potential=np.full(n, np.nan),
         monitor_slack=np.full(n, np.nan), x=x, y=y, reason=reason, T_eps=T_eps,
-        eps=eps, algo="agp" if cfg is not None else "gda",
-        regime=cfg.regime if cfg is not None else None, floored_any=floored_any,
-        f_mixed=f_mixed, **cols, **folded,
+        eps=eps, cfg=cfg, floored_any=floored_any, f_mixed=f_mixed, **cols, **folded,
     )
     if cfg is not None:
         trace.potential, trace.monitor_slack = trace_columns(cfg, problem.constants, trace)

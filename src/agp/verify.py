@@ -12,12 +12,12 @@ condition 1/c_{k+1} - 1/c_k <= rho~/10 (resp. q, zeta~) only assert from
 the first index k0 where that condition holds; the k^(1/4) schedules reach
 it at k0 = 9.
 
-The monitors and the Lyapunov potentials, the bound's initial one too, are
-array functions of the trace's columns: the squared norms of the iterates
-and of their steps, f(x_k, y_k), f(x_{k+1}, y_k), the gaps and the steps.
-They make no oracle calls.  The bound constants call the oracles only for
-their certified bound of f over a compact X x Y, from best-first bisection
-of the joint bounding box with a fixed budget of cells.
+The potentials and monitors are array functions of the trace's columns:
+squared norms of iterates and steps, f(x_k, y_k), f(x_{k+1}, y_k), gaps,
+steps and the run's schedule b_k, c_k.  The monitors and the bound constants
+read the trace's ``potential`` column and take only the config it ran with.
+They make no oracle calls but for the bound's certified bound of f over a
+compact X x Y, by best-first bisection of the joint bounding box.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from . import geometry
 from .objective import MinimaxProblem, Regime
 from .schedules import (CNcConfig, NcCConfig, NcScConfig, RegimeConfig,
-                        ScNcConfig, InfeasibleConfigError, _decay_k0, validate)
+                        ScNcConfig, InfeasibleConfigError, validate)
 
 if TYPE_CHECKING:
     from .solver import SolverTrace
@@ -120,28 +120,38 @@ def _entry(eid, ks, lhs, rhs, sense, tol=MONITOR_TOL):
 # constants entering the complexity bounds
 
 
+def _nc_sc_terms(cfg: NcScConfig, d):
+    """The dx2, dy2 rates of the NC-SC potential decrease (d1's numerator is
+    the smaller), and the dy2 coefficient of F_k beyond 2/(rho^2 mu)."""
+    eta, rho, mu, Ly, L12 = cfg.eta, cfg.rho, d.mu, d.L_y, d.L_12
+    return (eta / 2 - rho * L12**2 / 2 - 2 * L12**2 / (rho * mu**2),
+            (3 * mu - rho * Ly**2) / 2 + (mu - 4 * rho * Ly**2) / (2 * rho * mu),
+            mu + 7 / (2 * rho) - rho * Ly**2 / 2 - 2 * Ly**2 / mu)
+
+
+def _sc_nc_terms(cfg: ScNcConfig, d):
+    """The dy2, dx2 rates of the SC-NC potential increase (dhat1's numerator
+    is the smaller), and the dx2 coefficient of Fhat_k beyond 2/(zeta^2 theta)."""
+    zeta, nu, th, Lx, L21 = cfg.zeta, cfg.nu, d.theta, d.L_x, d.L_21
+    return (nu / 2 - zeta * L21**2 / 2 - 2 * L21**2 / (zeta * th**2),
+            (3 * th - zeta * Lx**2) / 2 + (th - 4 * zeta * Lx**2) / (2 * zeta * th),
+            th / 2 - 3 / zeta)
+
+
 def d1_nc_sc(cfg: NcScConfig, data) -> float:
     """Per-iteration gap-to-potential-decrease ratio of the NC-SC analysis."""
     if data.mu <= 0:
         return -math.inf
-    eta, rho = cfg.eta, cfg.rho
-    num = min(eta / 2 - rho * data.L_12**2 / 2 - 2 * data.L_12**2 / (rho * data.mu**2),
-              (3 * data.mu - rho * data.L_y**2) / 2
-              + (data.mu - 4 * rho * data.L_y**2) / (2 * rho * data.mu))
-    den = max(eta**2 + 2 * data.L_12**2, 2 / rho**2)
-    return num / den
+    den = max(cfg.eta**2 + 2 * data.L_12**2, 2 / cfg.rho**2)
+    return min(_nc_sc_terms(cfg, data)[:2]) / den
 
 
 def dhat1_sc_nc(cfg: ScNcConfig, data) -> float:
     """Per-iteration gap-to-potential-increase ratio of the SC-NC analysis."""
     if data.theta <= 0:
         return -math.inf
-    zeta, nu = cfg.zeta, cfg.nu
-    num = min(nu / 2 - zeta * data.L_21**2 / 2 - 2 * data.L_21**2 / (zeta * data.theta**2),
-              (3 * data.theta - zeta * data.L_x**2) / 2
-              + (data.theta - 4 * zeta * data.L_x**2) / (2 * zeta * data.theta))
-    den = max(1 / zeta**2 + 2 * data.L_12**2, 2 * nu**2)
-    return num / den
+    den = max(1 / cfg.zeta**2 + 2 * data.L_12**2, 2 * cfg.nu**2)
+    return min(_sc_nc_terms(cfg, data)[:2]) / den
 
 
 def dbar1_nc_c(cfg: NcCConfig, data) -> float:
@@ -172,10 +182,10 @@ def _missing_modulus(cfg, d) -> str | None:
 
 
 def potentials(cfg: RegimeConfig, d, trace: SolverTrace) -> np.ndarray:
-    """Lyapunov potential of every row of ``trace`` under ``cfg``.
+    """Lyapunov potential of every row of ``trace`` under ``cfg``, its own.
 
-    Reads its squared iterate and step norms, ``f[k-1] = f(x_k, y_k)`` and
-    ``f_mixed[k-1] = f(x_{k+1}, y_k)``; ``d`` is the smoothness data.  Entry
+    Reads its squared norms, ``f[k-1] = f(x_k, y_k)``, ``f_mixed[k-1] =
+    f(x_{k+1}, y_k)`` and its ``c`` (NC-C) or ``b`` (C-NC) schedule.  Entry
     j-1 is the j-th potential, from rows up to j+1 only: NC-SC and NC-C add
     iterate terms to ``f[j-1]``, SC-NC and C-NC to ``f_mixed[j-1]``.
     NaN while the referenced iterates or schedule values do not exist yet
@@ -188,28 +198,21 @@ def potentials(cfg: RegimeConfig, d, trace: SolverTrace) -> np.ndarray:
     if _missing_modulus(cfg, d):
         return pot
     if isinstance(cfg, NcScConfig):  # j = 2..n
-        rho, mu, Ly = cfg.rho, d.mu, d.L_y
-        coeff = mu + 7.0 / (2 * rho) - rho * Ly**2 / 2 - 2 * Ly**2 / mu
-        s = 2.0 / (rho**2 * mu)
-        pot[1:] = f[1:] + (s - coeff) * trace.dy2[1:]
+        s = 2.0 / (cfg.rho**2 * d.mu)
+        pot[1:] = f[1:] + (s - _nc_sc_terms(cfg, d)[2]) * trace.dy2[1:]
     elif isinstance(cfg, NcCConfig):  # j = 3..n
         rb = cfg.rho_bar
-        c = np.array([cfg.c(k) for k in range(1, n + 1)])
-        cj, cjm1, cjm2 = c[2:], c[1:-1], c[:-2]
-        dy2 = trace.dy2[2:]
-        yn2 = trace.yn2[2:]
+        cj, cjm1, cjm2 = trace.c[2:], trace.c[1:-1], trace.c[:-2]
+        dy2, yn2 = trace.dy2[2:], trace.yn2[2:]
         s = (4.0 / (rb**2 * cj)) * dy2 - (4.0 / rb) * (cjm2 / cjm1 - 1.0) * yn2
         pot[2:] = f[2:] + s - 7.0 / (2 * rb) * dy2 - 0.5 * cjm1 * yn2
     elif isinstance(cfg, ScNcConfig):  # j = 1..n-1
-        z, th = cfg.zeta, d.theta
         dx2 = trace.dx2[1:]
-        pot[:-1] = fmix - (2.0 / (z**2 * th)) * dx2 - (th / 2 - 3.0 / z) * dx2
+        pot[:-1] = fmix - (2.0 / (cfg.zeta**2 * d.theta)) * dx2 - _sc_nc_terms(cfg, d)[2] * dx2
     elif isinstance(cfg, CNcConfig):  # j = 2..n-1
         zb = cfg.zeta_bar
-        q = np.array([cfg.q(k) for k in range(1, n)])
-        qj, qjm1 = q[1:], q[:-1]
-        dx2 = trace.dx2[2:]
-        xn2 = trace.xn2[2:]
+        qj, qjm1 = trace.b[1:-1], trace.b[:-2]
+        dx2, xn2 = trace.dx2[2:], trace.xn2[2:]
         s = -(4.0 / (zb**2 * qj)) * dx2 - (4.0 / zb) * (1.0 - qjm1 / qj) * xn2
         pot[1:-1] = fmix[1:] + s + 17.0 / (5 * zb) * dx2 + 0.5 * qjm1 * xn2
     else:
@@ -221,8 +224,8 @@ def _inequalities(cfg, d, trace, pot):
     """All per-iteration inequalities for the config's regime.
 
     Yields (id, ks, lhs, rhs, sense) with 1-based iteration indices ks.
-    ``d`` is the smoothness data, ``pot[j-1]`` the j-th potential value of
-    ``trace`` under ``cfg``.
+    ``d`` is the smoothness data, ``pot[j-1]`` the j-th potential of
+    ``trace`` under ``cfg``, its own; c_k and q_k are its ``c`` and ``b``.
     """
     modulus = _missing_modulus(cfg, d)
     if modulus:
@@ -244,9 +247,8 @@ def _inequalities(cfg, d, trace, pot):
                - (mu - 1 / (2 * rho) - rho * Ly**2 / 2) * dy2[:-1])
         out.append(("joint_recursion", ks, lhs, rhs, "le"))
         lhs = pot[2:] - pot[1:-1]  # F_{k+1} - F_k
-        rhs = (-(eta / 2 - rho * L12**2 / 2 - 2 * L12**2 / (rho * mu**2)) * dx2[1:]
-               - ((3 * mu - rho * Ly**2) / 2
-                  + (mu - 4 * rho * Ly**2) / (2 * rho * mu)) * dy2[1:])
+        rate_x, rate_y, _ = _nc_sc_terms(cfg, d)
+        rhs = -rate_x * dx2[1:] - rate_y * dy2[1:]
         out.append(("potential_decrease", ks, lhs, rhs, "le"))
         d1 = d1_nc_sc(cfg, d)
         out.append(("gap_potential_periter", ks,
@@ -255,7 +257,7 @@ def _inequalities(cfg, d, trace, pot):
 
     if isinstance(cfg, NcCConfig):
         rb, eb, L12 = cfg.rho_bar, cfg.eta_bar, d.L_12
-        call = np.array([cfg.c(k) for k in range(1, n + 2)])  # call[k-1] = c_k
+        call = trace.c  # call[k-1] = c_k
         bbar = trace.beta - eb  # actual beta~_k, respects any flooring
         ks = np.arange(1, n)
         out.append(("x_descent", ks, fmix - f[:-1], -(eb + bbar[:-1] / 2) * dx2, "le"))
@@ -267,7 +269,7 @@ def _inequalities(cfg, d, trace, pot):
                + (1 / (2 * rb)) * dy2[i - 1]
                + (call[i - 1] / 2) * (yn2[i + 1] - yn2[i]))
         out.append(("joint_recursion", ks, lhs, rhs, "le"))
-        k0 = _decay_k0(cfg.c, rb / 10.0) or n + 1
+        k0 = validate(cfg, d).k0 or n + 1
         ks = np.arange(max(k0, 3), n)
         i = ks - 1
         lhs = pot[i + 1] - pot[i]
@@ -293,9 +295,8 @@ def _inequalities(cfg, d, trace, pot):
                + (th - 1 / (2 * zeta) - zeta * Lx**2 / 2) * dx2[:-1])
         out.append(("joint_recursion", ks, lhs, rhs, "ge"))
         lhs = pot[1 : n - 1] - pot[: n - 2]  # Fhat_{k+1} - Fhat_k
-        rhs = ((nu / 2 - zeta * L21**2 / 2 - 2 * L21**2 / (zeta * th**2)) * dy2[:-1]
-               + ((3 * th - zeta * Lx**2) / 2
-                  + (th - 4 * zeta * Lx**2) / (2 * zeta * th)) * dx2[:-1])
+        rate_y, rate_x, _ = _sc_nc_terms(cfg, d)
+        rhs = rate_y * dy2[:-1] + rate_x * dx2[:-1]
         out.append(("potential_increase", ks, lhs, rhs, "ge"))
         dh1 = dhat1_sc_nc(cfg, d)
         out.append(("gap_potential_periter", ks,
@@ -304,7 +305,7 @@ def _inequalities(cfg, d, trace, pot):
 
     if isinstance(cfg, CNcConfig):
         zb, nb, L21 = cfg.zeta_bar, cfg.nu_bar, d.L_21
-        qall = np.array([cfg.q(k) for k in range(1, n + 2)])
+        qall = trace.b  # qall[k-1] = q_k
         gbar = trace.gamma - nb
         ks = np.arange(1, n)
         out.append(("y_ascent", ks, f[1:] - fmix, (nb + gbar[:-1] / 2) * dy2, "ge"))
@@ -316,7 +317,7 @@ def _inequalities(cfg, d, trace, pot):
                - (1 / (2 * zb)) * dx2[i]
                - (qall[i - 1] / 2) * (xn2[i + 2] - xn2[i + 1]))
         out.append(("joint_recursion", ks, lhs, rhs, "ge"))
-        k0 = _decay_k0(cfg.q, zb / 10.0) or n + 1
+        k0 = validate(cfg, d).k0 or n + 1
         ks = np.arange(max(k0, 2), n - 1)
         i = ks - 1
         lhs = pot[i + 1] - pot[i]
@@ -334,25 +335,23 @@ def _inequalities(cfg, d, trace, pot):
     raise TypeError(f"unknown regime config {cfg!r}")
 
 
-def _require_f_mixed(trace):
+def _require_own_trace(trace, cfg):
+    """Refuse a trace that is not an alternating run under ``cfg`` itself:
+    its schedule and potential columns hold for the config it ran with only."""
+    if trace.algo != "agp":
+        raise InvalidTraceError(
+            "monitors assume the alternating update; this trace was produced by "
+            f"{trace.algo!r} and the descent/ascent derivations do not apply")
+    if trace.cfg != cfg:
+        raise InvalidTraceError(f"trace was produced under {trace.cfg!r}, config is {cfg!r}")
     if trace.f_mixed is None:
         raise InvalidTraceError("trace carries no f(x_{k+1}, y_k) column")
 
 
 def lemma_monitor(trace: SolverTrace, problem: MinimaxProblem, cfg: RegimeConfig) -> MonitorReport:
-    """Evaluate every analysis inequality along an alternating-update trace."""
-    if trace.algo != "agp":
-        raise InvalidTraceError(
-            "monitors assume the alternating update; this trace was produced by "
-            f"{trace.algo!r} and the descent/ascent derivations do not apply")
-    if trace.regime is not None and trace.regime is not cfg.regime:
-        raise InvalidTraceError(
-            f"trace was produced under {trace.regime}, config is {cfg.regime}")
-    _require_f_mixed(trace)
-    # recompute potentials under the supplied config rather than trusting the
-    # trace, so monitoring with different constants stays honest
-    d = problem.constants
-    items = _inequalities(cfg, d, trace, potentials(cfg, d, trace))
+    """Evaluate every analysis inequality along a trace, under its own config."""
+    _require_own_trace(trace, cfg)
+    items = _inequalities(cfg, problem.constants, trace, trace.potential)
     return MonitorReport(tuple(_entry(eid, ks, lhs, rhs, sense)
                                for eid, ks, lhs, rhs, sense in items))
 
@@ -376,9 +375,8 @@ def trace_columns(cfg, d, trace):
     """
     pot = potentials(cfg, d, trace)
     slack = np.full(len(trace.f), np.nan)
-    if cfg.regime is Regime.NC_SC and not d1_nc_sc(cfg, d) > 0:
-        return pot, slack
-    if cfg.regime is Regime.SC_NC and not dhat1_sc_nc(cfg, d) > 0:
+    ratio = {Regime.NC_SC: d1_nc_sc, Regime.SC_NC: dhat1_sc_nc}.get(cfg.regime)
+    if ratio is not None and not ratio(cfg, d) > 0:
         return pot, slack
     for eid, ks, lhs, rhs, sense in _inequalities(cfg, d, trace, pot):
         if eid == _HEADLINE[cfg.regime]:
@@ -560,13 +558,14 @@ def theory_constants(problem: MinimaxProblem, cfg: RegimeConfig,
                      trace: SolverTrace) -> TheoryConstants:
     """Assemble the bound constants for one configured run.
 
-    The initial potential is the trace's ``potentials`` entry under ``cfg``
-    (F1 is f(x_1, y_1): the convention y_0 = y_1 collapses its delta term),
-    and the one side of the range of f that the regime's bound reads comes
-    from ``_certified_range``.  A config that fails a ``validate`` condition,
-    or a trace too short for the initial potential, gets no bound.
+    ``cfg`` is the trace's own.  The initial potential is an entry of its
+    ``potential`` column (F1 is f(x_1, y_1): the convention y_0 = y_1
+    collapses its delta term), and the one side of the range of f that the
+    regime's bound reads comes from ``_certified_range``.  A config that
+    fails a ``validate`` condition, or a trace too short for the initial
+    potential, gets no bound.
     """
-    _require_f_mixed(trace)
+    _require_own_trace(trace, cfg)
     d = problem.constants
     modulus = _missing_modulus(cfg, d)
     if modulus:
@@ -591,17 +590,15 @@ def theory_constants(problem: MinimaxProblem, cfg: RegimeConfig,
                 sighat_x=sighat_x, sighat_y=sighat_y)
 
     if isinstance(cfg, NcScConfig):
-        coeff = d.mu + 7 / (2 * cfg.rho) - cfg.rho * d.L_y**2 / 2 - 2 * d.L_y**2 / d.mu
         return TheoryConstants(**base, d1=ratio,
                                F1=float(trace.f[0]),
-                               F_lower=f_range - coeff * sigma_y**2)
+                               F_lower=f_range - _nc_sc_terms(cfg, d)[2] * sigma_y**2)
     if isinstance(cfg, ScNcConfig):
-        Fhat1 = float(potentials(cfg, d, trace)[0])
-        upper = f_range - (d.theta / 2 - 3 / cfg.zeta) * sigma_x**2
-        return TheoryConstants(**base, dhat1=ratio, Fhat1=Fhat1,
+        upper = f_range - _sc_nc_terms(cfg, d)[2] * sigma_x**2
+        return TheoryConstants(**base, dhat1=ratio, Fhat1=float(trace.potential[0]),
                                Fhat_upper=upper)
     if isinstance(cfg, NcCConfig):
-        Ftilde3 = float(potentials(cfg, d, trace)[2])
+        Ftilde3 = float(trace.potential[2])
         db1 = dbar1_nc_c(cfg, d)
         t, rb, L12 = cfg.tau, cfg.rho_bar, d.L_12
         d3 = (Ftilde3 - f_range + 7 * sigma_y**2 / (2 * rb)
@@ -611,7 +608,7 @@ def theory_constants(problem: MinimaxProblem, cfg: RegimeConfig,
         return TheoryConstants(**base, tau=t, dbar1=db1, d3=d3, d4=d4,
                                rho_bar=rb, L_12=L12, Ftilde3=Ftilde3)
     if isinstance(cfg, CNcConfig):
-        Fcal2 = float(potentials(cfg, d, trace)[1])
+        Fcal2 = float(trace.potential[1])
         Dh1 = Dhat1_c_nc(cfg, d)
         t, zb, L21 = cfg.tau, cfg.zeta_bar, d.L_21
         dh3 = f_range - Fcal2 + (17 / (5 * zb)) * sigma_x**2 + (31 / (5 * zb)) * sighat_x**2

@@ -1,8 +1,9 @@
 """Reference implementations the tests check the package against.
 
 The solver computes its step parameters and its stationarity gap inline;
-these are second, one-call-at-a-time copies of both, and the schedule and
-the svm's ``grad_x`` also have their unhoisted forms here.  The saddle oracle
+these are second, one-call-at-a-time copies of both, and the schedule (its
+c_k, q_k, beta~_k and gamma~_k written out on their own) and the svm's
+``grad_x`` also have their unhoisted forms here.  The saddle oracle
 solves the quadratic testbed's first-order system directly, and
 ``read_trace_csv`` inverts ``agp.bench.write_trace_csv``.  A trace keeps no
 iterate history: ``record_iterates`` records the iterates a run visits, and
@@ -22,7 +23,7 @@ from agp.bench import CSV_COLUMNS
 from agp.objective import MinimaxProblem, SmoothnessData
 from agp.objective import _HINGE_WIDTH
 from agp.schedules import (SAFETY, CNcConfig, NcCConfig, NcScConfig, RegimeConfig,
-                           ScNcConfig, _steps, c_nc_gamma_bar, nc_c_beta_bar)
+                           ScNcConfig, _steps)
 
 
 @dataclass(frozen=True)
@@ -39,10 +40,37 @@ def params_at(cfg: RegimeConfig, data: SmoothnessData, k: int) -> StepParams:
     return StepParams(*_steps(cfg, data)(k))
 
 
+def c_k(cfg: NcCConfig, k: int) -> float:
+    """The NC-C regularization c_k = 1/(2 rho~ k^(1/4))."""
+    return 1.0 / (2.0 * cfg.rho_bar * k**0.25)
+
+
+def q_k(cfg: CNcConfig, k: int) -> float:
+    """The C-NC regularization q_k = 1/(2 zeta~ k^(1/4))."""
+    return 1.0 / (2.0 * cfg.zeta_bar * k**0.25)
+
+
+def beta_bar_k(cfg: NcCConfig, data: SmoothnessData, k: int) -> float:
+    """The growing part beta~_k of the NC-C beta_k, with alpha_k written out."""
+    ck = c_k(cfg, k)
+    alpha = (4 * cfg.tau - 8) * data.L_12**2 / (cfg.rho_bar * ck**2)
+    return (cfg.rho_bar * data.L_12**2
+            + 16 * data.L_12**2 / (cfg.rho_bar * ck**2)
+            + 2 * alpha - 2 * cfg.eta_bar)
+
+
+def gamma_bar_k(cfg: CNcConfig, data: SmoothnessData, k: int) -> float:
+    """The growing part gamma~_k of the C-NC gamma_k."""
+    qk = q_k(cfg, k)
+    return (cfg.zeta_bar * data.L_21**2
+            + 8 * cfg.tau * data.L_21**2 / (cfg.zeta_bar * qk**2)
+            - 2 * cfg.nu_bar)
+
+
 def steps_unhoisted(cfg: RegimeConfig, data: SmoothnessData, k: int) -> tuple:
     """``(beta, gamma, b, c, floored)`` of iteration k, every constant of the
-    growing schedules recomputed at k by ``nc_c_beta_bar``/``c_nc_gamma_bar``
-    and ``cfg.c``/``cfg.q``; ``None`` where the step is infeasible."""
+    growing schedules recomputed at k by ``beta_bar_k``/``gamma_bar_k`` and
+    ``c_k``/``q_k``; ``None`` where the step is infeasible."""
     if isinstance(cfg, NcScConfig):
         ok = cfg.eta > 0 and 0 < cfg.rho < math.inf
         return (cfg.eta, 1.0 / cfg.rho, 0.0, 0.0, False) if ok else None
@@ -50,17 +78,17 @@ def steps_unhoisted(cfg: RegimeConfig, data: SmoothnessData, k: int) -> tuple:
         ok = 0 < cfg.zeta < math.inf and cfg.nu > 0
         return (1.0 / cfg.zeta, cfg.nu, 0.0, 0.0, False) if ok else None
     if isinstance(cfg, NcCConfig):
-        beta = cfg.eta_bar + nc_c_beta_bar(cfg, data, k)
+        beta = cfg.eta_bar + beta_bar_k(cfg, data, k)
         floored = data.L_12 == 0.0 and beta <= SAFETY * data.L_x
         if floored:
             beta = SAFETY * data.L_x
-        return (beta, 1.0 / cfg.rho_bar, 0.0, cfg.c(k), floored) if beta > 0 else None
+        return (beta, 1.0 / cfg.rho_bar, 0.0, c_k(cfg, k), floored) if beta > 0 else None
     assert isinstance(cfg, CNcConfig)
-    gamma = cfg.nu_bar + c_nc_gamma_bar(cfg, data, k)
+    gamma = cfg.nu_bar + gamma_bar_k(cfg, data, k)
     floored = data.L_21 == 0.0 and gamma <= SAFETY * data.L_y
     if floored:
         gamma = SAFETY * data.L_y
-    return (1.0 / cfg.zeta_bar, gamma, cfg.q(k), 0.0, floored) if gamma > 0 else None
+    return (1.0 / cfg.zeta_bar, gamma, q_k(cfg, k), 0.0, floored) if gamma > 0 else None
 
 
 def hinge_d(t):

@@ -9,7 +9,7 @@ from agp.schedules import (CNcConfig, InfeasibleConfigError, NcCConfig,
                            NcScConfig, ScNcConfig, UnsupportedRegimeError, _steps,
                            auto_configure, validate)
 
-from reference import params_at, steps_unhoisted
+from reference import c_k, params_at, q_k, steps_unhoisted
 
 
 def data(L_x=1.0, L_y=1.0, L_12=1.0, L_21=1.0, mu=0.0, theta=0.0):
@@ -87,16 +87,16 @@ class TestScheduleShape:
     def test_c_k_halves_when_k_times_16(self):
         cfg = NcCConfig(eta_bar=0.5, rho_bar=0.8, tau=3.0)
         for k in (1, 2, 7, 40):
-            assert cfg.c(16 * k) == pytest.approx(cfg.c(k) / 2, abs=1e-12)
+            assert c_k(cfg, 16 * k) == pytest.approx(c_k(cfg, k) / 2, abs=1e-12)
 
     def test_q_k_halves_when_k_times_16(self):
         cfg = CNcConfig(nu_bar=0.5, zeta_bar=1.2, tau=3.0)
         for k in (1, 3, 11):
-            assert cfg.q(16 * k) == pytest.approx(cfg.q(k) / 2, abs=1e-12)
+            assert q_k(cfg, 16 * k) == pytest.approx(q_k(cfg, k) / 2, abs=1e-12)
 
     def test_sequences_strictly_decreasing(self):
         cfg = NcCConfig(eta_bar=0.5, rho_bar=1.0, tau=3.0)
-        cs = [cfg.c(k) for k in range(1, 100)]
+        cs = [c_k(cfg, k) for k in range(1, 100)]
         assert all(a > b for a, b in zip(cs, cs[1:]))
 
 

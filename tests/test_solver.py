@@ -17,7 +17,7 @@ from agp.solver import NumericFailureError, run, run_gda
 from agp.verify import potentials
 
 from conftest import zoo_instances
-from reference import (GapVector, StepParams, iterate_norms, params_at,
+from reference import (GapVector, StepParams, c_k, iterate_norms, params_at, q_k,
                        record_iterates, saddle_oracle_quadratic, stationarity_gap)
 
 
@@ -213,10 +213,15 @@ class TestRegularizedGap:
 
 
 def potential_column(cfg, p, xs, ys):
-    """The potentials of iterates xs/ys, from the values a trace records."""
+    """The potentials of iterates xs/ys, from the values and the schedule a
+    trace under ``cfg`` records."""
     f = np.array([p.value(x, y) for x, y in zip(xs, ys)])
     fmix = np.array([p.value(xs[i + 1], ys[i]) for i in range(len(xs) - 1)])
-    trace = types.SimpleNamespace(f=f, f_mixed=fmix, **iterate_norms(xs, ys))
+    ks = range(1, len(xs) + 1)
+    c = [c_k(cfg, k) if isinstance(cfg, NcCConfig) else 0.0 for k in ks]
+    b = [q_k(cfg, k) if isinstance(cfg, CNcConfig) else 0.0 for k in ks]
+    trace = types.SimpleNamespace(f=f, f_mixed=fmix, b=np.array(b), c=np.array(c),
+                                  **iterate_norms(xs, ys))
     return potentials(cfg, p.constants, trace)
 
 
@@ -303,7 +308,7 @@ def reference_potential(cfg, p, xs, ys, j):
         coeff = mu + 7.0 / (2 * rho) - rho * Ly**2 / 2 - 2 * Ly**2 / mu
         return p.value(xs[j - 1], ys[j - 1]) + (2.0 / (rho**2 * mu) - coeff) * (dy @ dy)
     if isinstance(cfg, NcCConfig) and 3 <= j <= n:
-        rb, c = cfg.rho_bar, cfg.c
+        rb, c = cfg.rho_bar, lambda k: c_k(cfg, k)
         dy, yj = ys[j - 1] - ys[j - 2], ys[j - 1]
         s = ((4.0 / (rb**2 * c(j))) * (dy @ dy)
              - (4.0 / rb) * (c(j - 2) / c(j - 1) - 1.0) * (yj @ yj))
@@ -315,7 +320,7 @@ def reference_potential(cfg, p, xs, ys, j):
         return (p.value(xs[j], ys[j - 1]) - (2.0 / (z**2 * th)) * (dx @ dx)
                 - (th / 2 - 3.0 / z) * (dx @ dx))
     if isinstance(cfg, CNcConfig) and 2 <= j < n:
-        zb, q = cfg.zeta_bar, cfg.q
+        zb, q = cfg.zeta_bar, lambda k: q_k(cfg, k)
         dx, xj1 = xs[j] - xs[j - 1], xs[j]
         s = (-(4.0 / (zb**2 * q(j))) * (dx @ dx)
              - (4.0 / zb) * (1.0 - q(j - 1) / q(j)) * (xj1 @ xj1))
@@ -325,6 +330,19 @@ def reference_potential(cfg, p, xs, ys, j):
 
 
 class TestRun:
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_trace_records_its_config_and_schedule(self, regime):
+        p = random_quadratic(3, 2, 2, regime)
+        cfg = auto_configure(p.constants, regime)
+        tr = run(p, cfg, eps=1e-14, max_iter=300)
+        assert tr.cfg is cfg and tr.regime is regime and tr.algo == "agp"
+        ks = range(1, len(tr) + 1)
+        c = [c_k(cfg, k) if regime is Regime.NC_C else 0.0 for k in ks]
+        b = [q_k(cfg, k) if regime is Regime.C_NC else 0.0 for k in ks]
+        assert tr.c.tolist() == c and tr.b.tolist() == b
+        gda = run_gda(p, 0.1, 0.1, eps=1e-14, max_iter=5)
+        assert gda.cfg is None and gda.regime is None and gda.algo == "gda"
+
     def test_converges_to_oracle_saddle(self):
         p = make_quadratic([[1.0]], [[1.0]], [[1.0]], a=[0.3], c_lin=[-0.2])
         cfg = auto_configure(p.constants, Regime.NC_SC)

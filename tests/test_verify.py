@@ -607,6 +607,56 @@ class TestLemmaMonitor:
             theory_constants(p, cfg, tr)
 
 
+class TestOwnConfigOnly:
+    """The monitors and the bound read the trace's schedule and potential
+    columns, so they take the config the trace ran with and no other."""
+
+    @staticmethod
+    def bilinear_nc_c():
+        # the nc_c bilinear start point of the rate_sweep workload
+        p = make_bilinear([[1.0]], X=Box([-1], [1]), Y=Box([-1], [1]))
+        cfg = NcCConfig(eta_bar=0.5, rho_bar=1.0, tau=3.0)
+        return p, cfg, run(p, cfg, eps=1e-3, max_iter=5000,
+                           init=(np.array([1.0]), np.array([1.0])))
+
+    @staticmethod
+    def quadratic_nc_sc():
+        p = random_quadratic(5, 2, 2, Regime.NC_SC)
+        cfg = auto_configure(p.constants, Regime.NC_SC)
+        return p, cfg, run(p, cfg, eps=1e-3, max_iter=5000)
+
+    @pytest.mark.parametrize("case, other", [
+        ("bilinear_nc_c", lambda cfg: CNcConfig(zeta_bar=1.0, nu_bar=0.5, tau=3.0)),
+        ("bilinear_nc_c", lambda cfg: dataclasses.replace(cfg, tau=4.0)),
+        ("quadratic_nc_sc", lambda cfg: dataclasses.replace(cfg, eta=3 * cfg.eta))],
+        ids=["other_regime", "nc_c_tau", "nc_sc_eta_tripled"])
+    def test_other_config_refused(self, case, other):
+        p, cfg, tr = getattr(self, case)()
+        compute_bound(theory_constants(p, cfg, tr), 1e-3)
+        assert lemma_monitor(tr, p, cfg).passed
+        for call in (lambda c: theory_constants(p, c, tr),
+                     lambda c: lemma_monitor(tr, p, c)):
+            with pytest.raises(InvalidTraceError, match="trace was produced under"):
+                call(other(cfg))
+            call(dataclasses.replace(cfg))  # an equal copy is the same config
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_no_potential_recomputed(self, regime, monkeypatch):
+        p = random_quadratic(5, 2, 2, regime)
+        cfg = auto_configure(p.constants, regime)
+        tr = run(p, cfg, eps=1e-6, max_iter=200)
+        calls, real = [], verify.potentials
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verify, "potentials", counted)
+        lemma_monitor(tr, p, cfg)
+        theory_constants(p, cfg, tr)
+        assert len(calls) == 0
+
+
 class TestMissingModulus:
     """NC-SC without mu > 0 and SC-NC without theta > 0: the loop runs, the
     potentials that divide by the modulus stay NaN, and the monitors and the
