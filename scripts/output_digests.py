@@ -31,6 +31,12 @@ lines for both::
     python scripts/output_digests.py /path/to/a > a.txt
     python scripts/output_digests.py /path/to/b > b.txt
     diff a.txt b.txt
+
+The script calls the library as the checkout it sits in defines it: here
+``lemma_monitor(trace)`` and ``theory_constants(trace)``.  When those
+signatures differ between the two roots, digest each root with its own
+checkout's script (``/path/to/a/scripts/output_digests.py /path/to/a``);
+a root on other signatures would record a ``TypeError`` line instead.
 """
 
 from __future__ import annotations
@@ -106,11 +112,10 @@ def verify_digests(agp, text):
         if spec.solver != "agp":
             continue
         trace = agp.run(spec.problem, spec.regime_cfg, spec.eps, spec.max_iter, spec.init)
-        args = (spec.problem, spec.regime_cfg)
         data = "\n".join((_repr_or_error(agp.validate, spec.regime_cfg,
                                          spec.problem.constants),
-                          _repr_or_error(agp.lemma_monitor, trace, *args),
-                          _repr_or_error(agp.theory_constants, *args, trace)))
+                          _repr_or_error(agp.lemma_monitor, trace),
+                          _repr_or_error(agp.theory_constants, trace)))
         yield f"verify{spec.index:03d}", digest(data.encode())
 
 

@@ -444,13 +444,13 @@ def _execute(spec: RunSpec, out: Path | None) -> SummaryRecord:
         # a monitor or bound that raises fails this run only; its trace is kept
         errors = []
         try:
-            rec.monitor_pass = lemma_monitor(trace, spec.problem, spec.regime_cfg).passed
+            rec.monitor_pass = lemma_monitor(trace).passed
         except InvalidTraceError:
             rec.monitor_pass = None
         except Exception as e:
             errors.append(f"lemma_monitor: {type(e).__name__}: {e}")
         try:
-            tc = theory_constants(spec.problem, spec.regime_cfg, trace)
+            tc = theory_constants(trace)
             rec.bound = compute_bound(tc, spec.eps)
             if trace.T_eps:
                 rec.bound_ratio = rec.bound / trace.T_eps
@@ -652,7 +652,7 @@ def _check_job(spec):
                 spec.init)
     reports = [grads, validate(spec.regime_cfg, spec.problem.constants)]
     try:
-        reports.append(lemma_monitor(trace, spec.problem, spec.regime_cfg))
+        reports.append(lemma_monitor(trace))
         verdicts = ["ok" if r.passed else "FAIL" for r in reports]
     except InvalidTraceError as e:
         # the regime's analysis does not apply to this problem (a missing

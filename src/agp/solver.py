@@ -77,7 +77,7 @@ class NumericFailureError(RuntimeError):
 
 @dataclass
 class SolverTrace:
-    """Per-iteration records of one solver run; immutable by convention."""
+    """Per-iteration records of one run, its problem and config; immutable by convention."""
 
     k: np.ndarray
     f: np.ndarray
@@ -103,6 +103,7 @@ class SolverTrace:
     reason: str
     T_eps: int | None
     eps: float
+    problem: MinimaxProblem  # the problem of the run
     cfg: RegimeConfig | None  # the config of the run; None on GDA traces
     floored_any: bool = False
     # f(x_{k+1}, y_k) for k = 1..n-1; None on GDA traces
@@ -156,8 +157,8 @@ def run(problem: MinimaxProblem, cfg: RegimeConfig, eps: float, max_iter: int,
     """Iterate until the raw stationarity gap drops to eps or max_iter hits.
 
     Deterministic in (problem, cfg, eps, max_iter, init).  The returned
-    trace carries the per-row values and iterate norms that the monitors
-    and the bound constants read afterwards, and the last iterate.
+    trace carries ``problem``, ``cfg``, the last iterate and the per-row
+    values and iterate norms that the monitors and the bound constants read.
     """
     return _iterate(problem, cfg, None, eps, max_iter, init)
 
@@ -407,10 +408,9 @@ def _assemble_trace(problem, cfg, rows, folded, x, y, reason, T_eps, eps,
         f_mixed = f_mixed[1:].copy()
         _require_finite(f_mixed, "f_mixed")
     trace = SolverTrace(
-        k=np.arange(1, n + 1), potential=np.full(n, np.nan),
-        monitor_slack=np.full(n, np.nan), x=x, y=y, reason=reason, T_eps=T_eps,
-        eps=eps, cfg=cfg, floored_any=floored_any, f_mixed=f_mixed, **cols, **folded,
-    )
+        k=np.arange(1, n + 1), potential=np.full(n, np.nan), monitor_slack=np.full(n, np.nan),
+        x=x, y=y, reason=reason, T_eps=T_eps, eps=eps, problem=problem, cfg=cfg,
+        floored_any=floored_any, f_mixed=f_mixed, **cols, **folded)
     if cfg is not None:
-        trace.potential, trace.monitor_slack = trace_columns(cfg, problem.constants, trace)
+        trace.potential, trace.monitor_slack = trace_columns(trace)
     return trace

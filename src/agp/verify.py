@@ -15,7 +15,7 @@ it at k0 = 9.
 The potentials and monitors are array functions of the trace's columns:
 squared norms of iterates and steps, f(x_k, y_k), f(x_{k+1}, y_k), gaps,
 steps and the run's schedule b_k, c_k.  The monitors and the bound constants
-read the trace's ``potential`` column and take only the config it ran with.
+take the trace alone: its ``potential`` column, ``cfg`` and ``problem``.
 They make no oracle calls but for the bound's certified bound of f over a
 compact X x Y, by best-first bisection of the joint bounding box.
 """
@@ -31,8 +31,8 @@ import numpy as np
 
 from . import geometry
 from .objective import MinimaxProblem, Regime
-from .schedules import (CNcConfig, NcCConfig, NcScConfig, RegimeConfig,
-                        ScNcConfig, InfeasibleConfigError, validate)
+from .schedules import (CNcConfig, NcCConfig, NcScConfig, ScNcConfig,
+                        InfeasibleConfigError, validate)
 
 if TYPE_CHECKING:
     from .solver import SolverTrace
@@ -181,8 +181,8 @@ def _missing_modulus(cfg, d) -> str | None:
     return None
 
 
-def potentials(cfg: RegimeConfig, d, trace: SolverTrace) -> np.ndarray:
-    """Lyapunov potential of every row of ``trace`` under ``cfg``, its own.
+def potentials(trace: SolverTrace) -> np.ndarray:
+    """Lyapunov potential of every row of ``trace`` under its own config.
 
     Reads its squared norms, ``f[k-1] = f(x_k, y_k)``, ``f_mixed[k-1] =
     f(x_{k+1}, y_k)`` and its ``c`` (NC-C) or ``b`` (C-NC) schedule.  Entry
@@ -192,6 +192,7 @@ def potentials(cfg: RegimeConfig, d, trace: SolverTrace) -> np.ndarray:
     (the first 1-2 rows, or the missing lookahead x_{j+1} on the last row),
     and everywhere for an NC-SC (SC-NC) config without mu > 0 (theta > 0).
     """
+    cfg, d = trace.cfg, trace.problem.constants
     f, fmix = trace.f, trace.f_mixed
     n = len(f)
     pot = np.full(n, np.nan)
@@ -220,13 +221,14 @@ def potentials(cfg: RegimeConfig, d, trace: SolverTrace) -> np.ndarray:
     return pot
 
 
-def _inequalities(cfg, d, trace, pot):
-    """All per-iteration inequalities for the config's regime.
+def _inequalities(trace, pot):
+    """All per-iteration inequalities of the regime of the trace's config.
 
     Yields (id, ks, lhs, rhs, sense) with 1-based iteration indices ks.
-    ``d`` is the smoothness data, ``pot[j-1]`` the j-th potential of
-    ``trace`` under ``cfg``, its own; c_k and q_k are its ``c`` and ``b``.
+    ``d`` is the smoothness data of the trace's problem, ``pot[j-1]`` the
+    j-th potential of ``trace``; c_k and q_k are its ``c`` and ``b``.
     """
+    cfg, d = trace.cfg, trace.problem.constants
     modulus = _missing_modulus(cfg, d)
     if modulus:
         raise InvalidTraceError(f"the {cfg.regime.value} inequalities need {modulus} > 0")
@@ -335,23 +337,21 @@ def _inequalities(cfg, d, trace, pot):
     raise TypeError(f"unknown regime config {cfg!r}")
 
 
-def _require_own_trace(trace, cfg):
-    """Refuse a trace that is not an alternating run under ``cfg`` itself:
-    its schedule and potential columns hold for the config it ran with only."""
+def _require_alternating(trace):
+    """Refuse a trace that is not an alternating run with its mixed values."""
     if trace.algo != "agp":
         raise InvalidTraceError(
             "monitors assume the alternating update; this trace was produced by "
             f"{trace.algo!r} and the descent/ascent derivations do not apply")
-    if trace.cfg != cfg:
-        raise InvalidTraceError(f"trace was produced under {trace.cfg!r}, config is {cfg!r}")
     if trace.f_mixed is None:
         raise InvalidTraceError("trace carries no f(x_{k+1}, y_k) column")
 
 
-def lemma_monitor(trace: SolverTrace, problem: MinimaxProblem, cfg: RegimeConfig) -> MonitorReport:
-    """Evaluate every analysis inequality along a trace, under its own config."""
-    _require_own_trace(trace, cfg)
-    items = _inequalities(cfg, problem.constants, trace, trace.potential)
+def lemma_monitor(trace: SolverTrace) -> MonitorReport:
+    """Evaluate every analysis inequality along a trace, under the config
+    and the problem constants of its own run."""
+    _require_alternating(trace)
+    items = _inequalities(trace, trace.potential)
     return MonitorReport(tuple(_entry(eid, ks, lhs, rhs, sense)
                                for eid, ks, lhs, rhs, sense in items))
 
@@ -364,22 +364,22 @@ _HEADLINE = {
 }
 
 
-def trace_columns(cfg, d, trace):
+def trace_columns(trace):
     """The potential and monitor-slack columns of an alternating trace,
-    from its other columns.
+    from its other columns, its config and its problem's constants.
 
     The slack is the signed per-iteration margin of the regime's headline
     inequality: positive means satisfied with room, NaN outside the
     admissible index range (everywhere when the NC-SC/SC-NC ratio d1 is not
     positive).
     """
-    pot = potentials(cfg, d, trace)
+    pot = potentials(trace)
     slack = np.full(len(trace.f), np.nan)
-    ratio = {Regime.NC_SC: d1_nc_sc, Regime.SC_NC: dhat1_sc_nc}.get(cfg.regime)
-    if ratio is not None and not ratio(cfg, d) > 0:
+    ratio = {Regime.NC_SC: d1_nc_sc, Regime.SC_NC: dhat1_sc_nc}.get(trace.regime)
+    if ratio is not None and not ratio(trace.cfg, trace.problem.constants) > 0:
         return pot, slack
-    for eid, ks, lhs, rhs, sense in _inequalities(cfg, d, trace, pot):
-        if eid == _HEADLINE[cfg.regime]:
+    for eid, ks, lhs, rhs, sense in _inequalities(trace, pot):
+        if eid == _HEADLINE[trace.regime]:
             slack[ks - 1] = rhs - lhs if sense == "le" else lhs - rhs
     return pot, slack
 
@@ -554,23 +554,22 @@ def _finite_sizes(problem):
     return vals
 
 
-def theory_constants(problem: MinimaxProblem, cfg: RegimeConfig,
-                     trace: SolverTrace) -> TheoryConstants:
-    """Assemble the bound constants for one configured run.
+def theory_constants(trace: SolverTrace) -> TheoryConstants:
+    """Assemble the bound constants of the run that produced ``trace``.
 
-    ``cfg`` is the trace's own.  The initial potential is an entry of its
-    ``potential`` column (F1 is f(x_1, y_1): the convention y_0 = y_1
-    collapses its delta term), and the one side of the range of f that the
-    regime's bound reads comes from ``_certified_range``.  A config that
-    fails a ``validate`` condition, or a trace too short for the initial
-    potential, gets no bound.
+    They read its ``cfg``, its ``problem``'s constants and feasible sets,
+    and its ``potential`` column, of which the initial potential is an entry
+    (F1 is f(x_1, y_1): the convention y_0 = y_1 collapses its delta term).
+    The one side of the range of f that the regime's bound reads comes from
+    ``_certified_range``.  A config that fails a ``validate`` condition, or
+    a trace too short for the initial potential, gets no bound.
     """
-    _require_own_trace(trace, cfg)
-    d = problem.constants
+    _require_alternating(trace)
+    cfg, d = trace.cfg, trace.problem.constants
     modulus = _missing_modulus(cfg, d)
     if modulus:
         raise InfeasibleConfigError(f"the {cfg.regime.value} bound needs {modulus} > 0")
-    sigma_x, sigma_y, sighat_x, sighat_y = _finite_sizes(problem)
+    sigma_x, sigma_y, sighat_x, sighat_y = _finite_sizes(trace.problem)
     # a run with no bound is refused before it pays for the certified range
     ratio = (d1_nc_sc(cfg, d) if isinstance(cfg, NcScConfig)
              else dhat1_sc_nc(cfg, d) if isinstance(cfg, ScNcConfig) else None)
@@ -583,7 +582,7 @@ def theory_constants(problem: MinimaxProblem, cfg: RegimeConfig,
     if len(trace) < rows:
         raise ValueError(f"need at least {rows} iterations to evaluate the initial potential")
     lower = isinstance(cfg, (NcScConfig, NcCConfig))
-    f_range = _certified_range(problem, "lower" if lower else "upper")
+    f_range = _certified_range(trace.problem, "lower" if lower else "upper")
     base = dict(regime=cfg.regime, f_lower=f_range if lower else None,
                 f_upper=None if lower else f_range,
                 sigma_x=sigma_x, sigma_y=sigma_y,

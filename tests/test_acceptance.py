@@ -32,7 +32,7 @@ def report(num, detail):
 
 def _monitor_run(problem, cfg, iters):
     trace = run(problem, cfg, eps=TINY, max_iter=iters)
-    return trace, lemma_monitor(trace, problem, cfg)
+    return trace, lemma_monitor(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +188,7 @@ def test_criterion_05_nc_c_and_c_nc_monitors():
         trace = run(problem, cfg, eps=TINY, max_iter=10**4,
                     init=(problem.X.project(np.ones(problem.dim_x)),
                           problem.Y.project(np.ones(problem.dim_y))))
-        rep = lemma_monitor(trace, problem, cfg)
+        rep = lemma_monitor(trace)
         e = rep.entry("potential_decrease")
         assert e.passed and (e.n_checked == 0 or e.k_start == 9), f"{problem.name}: {e}"
         br = rep.entry("gap_bridge")
@@ -203,7 +203,7 @@ def test_criterion_05_nc_c_and_c_nc_monitors():
         trace = run(problem, cfg, eps=TINY, max_iter=10**4,
                     init=(problem.X.project(np.ones(problem.dim_x)),
                           problem.Y.project(np.ones(problem.dim_y))))
-        rep = lemma_monitor(trace, problem, cfg)
+        rep = lemma_monitor(trace)
         e = rep.entry("potential_increase")
         assert e.passed and (e.n_checked == 0 or e.k_start == 9), f"{problem.name}: {e}"
         br = rep.entry("gap_bridge")
@@ -308,7 +308,7 @@ def test_criterion_08_theory_bounds_dominate():
             continue  # constants are conservative bounds, not exact
         key = (id(problem), id(cfg), id(trace))
         if key not in tc_cache:
-            tc_cache[key] = theory_constants(problem, cfg, trace)
+            tc_cache[key] = theory_constants(trace)
         bound = compute_bound(tc_cache[key], eps)
         assert bound >= t_obs, (tag, problem.name, eps, bound, t_obs)
         ratios.append(bound / t_obs)
@@ -337,7 +337,7 @@ def test_criterion_09_gda_contrast():
     trace = run(boxed, cfg, eps=1e-3, max_iter=10**6,
                 init=(np.array([1.0]), np.array([1.0])))
     assert trace.reason == "gap_le_eps"
-    tc = theory_constants(boxed, cfg, trace)
+    tc = theory_constants(trace)
     bound = compute_bound(tc, 1e-3)
     assert trace.T_eps <= bound
     elapsed = time.time() - t0

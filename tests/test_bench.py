@@ -253,7 +253,7 @@ class TestRunSuite:
                                                         parallelism=1):
         import agp.bench as bench
 
-        def monitor(trace, problem, cfg):
+        def monitor(trace):
             raise RuntimeError("monitor broke")
 
         def bound(tc, eps):

@@ -221,8 +221,8 @@ def potential_column(cfg, p, xs, ys):
     c = [c_k(cfg, k) if isinstance(cfg, NcCConfig) else 0.0 for k in ks]
     b = [q_k(cfg, k) if isinstance(cfg, CNcConfig) else 0.0 for k in ks]
     trace = types.SimpleNamespace(f=f, f_mixed=fmix, b=np.array(b), c=np.array(c),
-                                  **iterate_norms(xs, ys))
-    return potentials(cfg, p.constants, trace)
+                                  cfg=cfg, problem=p, **iterate_norms(xs, ys))
+    return potentials(trace)
 
 
 def constant_problem(value):
@@ -336,12 +336,14 @@ class TestRun:
         cfg = auto_configure(p.constants, regime)
         tr = run(p, cfg, eps=1e-14, max_iter=300)
         assert tr.cfg is cfg and tr.regime is regime and tr.algo == "agp"
+        assert tr.problem is p
         ks = range(1, len(tr) + 1)
         c = [c_k(cfg, k) if regime is Regime.NC_C else 0.0 for k in ks]
         b = [q_k(cfg, k) if regime is Regime.C_NC else 0.0 for k in ks]
         assert tr.c.tolist() == c and tr.b.tolist() == b
         gda = run_gda(p, 0.1, 0.1, eps=1e-14, max_iter=5)
         assert gda.cfg is None and gda.regime is None and gda.algo == "gda"
+        assert gda.problem is p
 
     def test_converges_to_oracle_saddle(self):
         p = make_quadratic([[1.0]], [[1.0]], [[1.0]], a=[0.3], c_lin=[-0.2])
@@ -871,7 +873,7 @@ def assert_columns_match_iterates(p, cfg_or_steps, tr, xs, ys):
         fmix = p.value_rows(xs[1:], ys[:-1])
         assert np.array_equal(tr.f_mixed, fmix)
         pot, slack = verify.trace_columns(
-            cfg_or_steps, p.constants, dataclasses.replace(tr, f=f, f_mixed=fmix, **norms))
+            dataclasses.replace(tr, f=f, f_mixed=fmix, **norms))
         assert np.array_equal(tr.potential, pot, equal_nan=True)
         assert np.array_equal(tr.monitor_slack, slack, equal_nan=True)
     # no array is a view of a larger buffer

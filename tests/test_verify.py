@@ -8,8 +8,8 @@ from agp.geometry import Ball, Box, Product, Simplex, WholeSpace
 from agp.objective import (MinimaxProblem, Regime, SmoothnessData, make_bilinear,
                            make_nc_sc_sine, make_quadratic, make_robust_svm_toy,
                            make_sc_nc_sine, random_quadratic)
-from agp.schedules import (CNcConfig, InfeasibleConfigError, NcCConfig,
-                           NcScConfig, ScNcConfig, auto_configure)
+from agp.schedules import (InfeasibleConfigError, NcCConfig, NcScConfig,
+                           ScNcConfig, auto_configure)
 from agp.solver import run, run_gda
 from agp import verify
 from agp.verify import (InvalidTraceError, TheoryConstants, _bounding_box,
@@ -424,7 +424,7 @@ class TestComputeBound:
         cfg = auto_configure(p.constants, Regime.NC_SC)
         tr = run(p, cfg, eps=1e-6, max_iter=100000,
                  init=(np.array([1.0]), np.array([1.0])))
-        tc = theory_constants(p, cfg, tr)
+        tc = theory_constants(tr)
         # independent recomputation of every sub-constant
         eta, rho, mu, Ly, L12 = cfg.eta, cfg.rho, 1.0, 1.0, 1.0
         num = min(eta / 2 - rho * L12**2 / 2 - 2 * L12**2 / (rho * mu**2),
@@ -456,7 +456,7 @@ class TestComputeBound:
         # formulas at 1e-80, and eps**2 overflows at 1e200
         p = random_quadratic(7, 2, 2, regime)
         cfg = auto_configure(p.constants, regime)
-        tc = theory_constants(p, cfg, run(p, cfg, eps=1e-3, max_iter=300))
+        tc = theory_constants(run(p, cfg, eps=1e-3, max_iter=300))
         with pytest.raises(ArithmeticError) as err:
             compute_bound(tc, eps)
         assert type(err.value) is ArithmeticError
@@ -478,7 +478,7 @@ class TestComputeBound:
         cfg = NcCConfig(eta_bar=0.5, rho_bar=1.0, tau=3.0)
         tr = run(p, cfg, eps=1e-3, max_iter=100000,
                  init=(np.array([1.0]), np.array([1.0])))
-        tc = theory_constants(p, cfg, tr)
+        tc = theory_constants(tr)
         eps = 1e-3
         first = (64 * 1.0 * 1.0 * 1.0 * tc.d3 * tc.d4 / eps**2 + 2) ** 2
         second = 1.0 / (1.0 * eps**4) + 1
@@ -493,7 +493,7 @@ class TestComputeBound:
         cfg = auto_configure(p.constants, Regime.NC_SC)
         tr = run(p, cfg, eps=1e-6, max_iter=100000)
         assert tr.reason == "gap_le_eps"
-        tc = theory_constants(p, cfg, tr)
+        tc = theory_constants(tr)
         assert compute_bound(tc, 1e-6) >= tr.T_eps
 
 
@@ -526,7 +526,7 @@ class TestLemmaMonitor:
         p = random_quadratic(0, 2, 2, Regime.NC_SC)
         cfg = auto_configure(p.constants, Regime.NC_SC)
         tr = run(p, cfg, eps=1e-14, max_iter=500)
-        rep = lemma_monitor(tr, p, cfg)
+        rep = lemma_monitor(tr)
         assert rep.passed
         ids = {e.id for e in rep.entries}
         assert ids == {"x_descent", "joint_recursion", "potential_decrease",
@@ -534,10 +534,9 @@ class TestLemmaMonitor:
 
     def test_gda_trace_unsupported(self):
         p = random_quadratic(0, 2, 2, Regime.NC_SC)
-        cfg = auto_configure(p.constants, Regime.NC_SC)
         tr = run_gda(p, 0.1, 0.1, eps=1e-14, max_iter=50)
         with pytest.raises(InvalidTraceError):
-            lemma_monitor(tr, p, cfg)
+            lemma_monitor(tr)
 
     def test_length_one_trace_vacuous_pass(self):
         p = make_quadratic([[1.0]], [[1.0]], [[1.0]])
@@ -545,24 +544,17 @@ class TestLemmaMonitor:
         tr = run(p, cfg, eps=1.0, max_iter=100,
                  init=(np.array([0.0]), np.array([0.0])))
         assert len(tr) == 1
-        rep = lemma_monitor(tr, p, cfg)
+        rep = lemma_monitor(tr)
         assert rep.passed
         assert all(e.n_checked == 0 for e in rep.entries
                    if e.id != "gap_bridge")
-
-    def test_regime_mismatch_rejected(self):
-        p = random_quadratic(0, 2, 2, Regime.NC_SC)
-        cfg = auto_configure(p.constants, Regime.NC_SC)
-        tr = run(p, cfg, eps=1e-14, max_iter=50)
-        with pytest.raises(InvalidTraceError):
-            lemma_monitor(tr, p, NcCConfig(eta_bar=0.5, rho_bar=1.0, tau=3.0))
 
     def test_bridge_checked_every_iteration(self):
         p = make_bilinear([[1.0]], X=Box([-1], [1]), Y=Box([-1], [1]))
         cfg = NcCConfig(eta_bar=0.5, rho_bar=1.0, tau=3.0)
         tr = run(p, cfg, eps=1e-6, max_iter=300,
                  init=(np.array([1.0]), np.array([1.0])))
-        rep = lemma_monitor(tr, p, cfg)
+        rep = lemma_monitor(tr)
         e = rep.entry("gap_bridge")
         assert e.k_start == 1 and e.k_end == len(tr) and e.passed
 
@@ -571,7 +563,7 @@ class TestLemmaMonitor:
         cfg = NcCConfig(eta_bar=0.5, rho_bar=1.0, tau=3.0)
         tr = run(p, cfg, eps=1e-9, max_iter=400,
                  init=(np.array([1.0]), np.array([1.0])))
-        rep = lemma_monitor(tr, p, cfg)
+        rep = lemma_monitor(tr)
         e = rep.entry("potential_decrease")
         assert e.k_start == 9
         assert e.passed
@@ -580,7 +572,7 @@ class TestLemmaMonitor:
         p = random_quadratic(31, 2, 2, Regime.C_NC)
         cfg = auto_configure(p.constants, Regime.C_NC)
         tr = run(p, cfg, eps=1e-9, max_iter=3000)
-        rep = lemma_monitor(tr, p, cfg)
+        rep = lemma_monitor(tr)
         assert rep.passed
         e = rep.entry("potential_increase")
         assert e.k_start == 9
@@ -589,7 +581,7 @@ class TestLemmaMonitor:
         p = random_quadratic(2, 2, 2, Regime.NC_SC)
         cfg = auto_configure(p.constants, Regime.NC_SC)
         tr = run(p, cfg, eps=1e-13, max_iter=400)
-        e = lemma_monitor(tr, p, cfg).entry("gap_potential_periter")
+        e = lemma_monitor(tr).entry("gap_potential_periter")
         # the slack is defined exactly on the rows the headline entry checks
         rows = np.flatnonzero(~np.isnan(tr.monitor_slack)) + 1
         assert rows.size == e.n_checked > 0
@@ -602,43 +594,24 @@ class TestLemmaMonitor:
         cfg = auto_configure(p.constants, Regime.C_NC)
         tr = dataclasses.replace(run(p, cfg, eps=1e-14, max_iter=50), f_mixed=None)
         with pytest.raises(InvalidTraceError):
-            lemma_monitor(tr, p, cfg)
+            lemma_monitor(tr)
         with pytest.raises(InvalidTraceError):
-            theory_constants(p, cfg, tr)
+            theory_constants(tr)
 
 
 class TestOwnConfigOnly:
-    """The monitors and the bound read the trace's schedule and potential
-    columns, so they take the config the trace ran with and no other."""
+    """The monitors and the bound take the trace alone: they read its
+    schedule and potential columns, its config and its problem's constants."""
 
-    @staticmethod
-    def bilinear_nc_c():
-        # the nc_c bilinear start point of the rate_sweep workload
-        p = make_bilinear([[1.0]], X=Box([-1], [1]), Y=Box([-1], [1]))
-        cfg = NcCConfig(eta_bar=0.5, rho_bar=1.0, tau=3.0)
-        return p, cfg, run(p, cfg, eps=1e-3, max_iter=5000,
-                           init=(np.array([1.0]), np.array([1.0])))
-
-    @staticmethod
-    def quadratic_nc_sc():
-        p = random_quadratic(5, 2, 2, Regime.NC_SC)
-        cfg = auto_configure(p.constants, Regime.NC_SC)
-        return p, cfg, run(p, cfg, eps=1e-3, max_iter=5000)
-
-    @pytest.mark.parametrize("case, other", [
-        ("bilinear_nc_c", lambda cfg: CNcConfig(zeta_bar=1.0, nu_bar=0.5, tau=3.0)),
-        ("bilinear_nc_c", lambda cfg: dataclasses.replace(cfg, tau=4.0)),
-        ("quadratic_nc_sc", lambda cfg: dataclasses.replace(cfg, eta=3 * cfg.eta))],
-        ids=["other_regime", "nc_c_tau", "nc_sc_eta_tripled"])
-    def test_other_config_refused(self, case, other):
-        p, cfg, tr = getattr(self, case)()
-        compute_bound(theory_constants(p, cfg, tr), 1e-3)
-        assert lemma_monitor(tr, p, cfg).passed
-        for call in (lambda c: theory_constants(p, c, tr),
-                     lambda c: lemma_monitor(tr, p, c)):
-            with pytest.raises(InvalidTraceError, match="trace was produced under"):
-                call(other(cfg))
-            call(dataclasses.replace(cfg))  # an equal copy is the same config
+    def test_own_problem_constants(self):
+        # the bound of this trace was 8.751627112235624e+22 when it could still
+        # be scored under random_quadratic(6, 2, 2, nc_c)'s constants
+        p = random_quadratic(5, 2, 2, Regime.NC_C)
+        cfg = auto_configure(p.constants, Regime.NC_C)
+        tr = run(p, cfg, eps=1e-3, max_iter=5000)
+        assert tr.problem is p and tr.cfg is cfg
+        assert compute_bound(theory_constants(tr), 1e-3) == 7.193026969219546e+21
+        assert lemma_monitor(tr).passed
 
     @pytest.mark.parametrize("regime", list(Regime))
     def test_no_potential_recomputed(self, regime, monkeypatch):
@@ -652,8 +625,8 @@ class TestOwnConfigOnly:
             return real(*args)
 
         monkeypatch.setattr(verify, "potentials", counted)
-        lemma_monitor(tr, p, cfg)
-        theory_constants(p, cfg, tr)
+        lemma_monitor(tr)
+        theory_constants(tr)
         assert len(calls) == 0
 
 
@@ -671,9 +644,9 @@ class TestMissingModulus:
         assert len(tr) == 20
         assert np.all(np.isnan(tr.potential)) and np.all(np.isnan(tr.monitor_slack))
         with pytest.raises(InvalidTraceError):
-            lemma_monitor(tr, p, cfg)
+            lemma_monitor(tr)
         with pytest.raises(InfeasibleConfigError):
-            theory_constants(p, cfg, tr)
+            theory_constants(tr)
 
 
 class TestOracleCallBudget:
@@ -685,9 +658,9 @@ class TestOracleCallBudget:
         n = len(tr)
         assert (calls["value"], calls["rows"]) == (0, n + (n - 1))
         calls.update(value=0, rows=0, chunk=0, grad=0)
-        lemma_monitor(tr, p, cfg)
+        lemma_monitor(tr)
         assert calls == {"value": 0, "rows": 0, "chunk": 0, "grad": 0}
-        theory_constants(p, cfg, tr)
+        theory_constants(tr)
         # one value and two gradient calls per scored cell; no box cell is dropped
         cells = verify._CELL_BUDGET
         assert calls == {"value": cells, "rows": 0, "chunk": 0, "grad": 2 * cells}
@@ -700,9 +673,9 @@ class TestOracleCallBudget:
         n = len(tr)
         assert calls["value"] == n + (n - 1)
         calls.update(value=0, grad=0)
-        lemma_monitor(tr, p, cfg)
+        lemma_monitor(tr)
         assert calls == {"value": 0, "rows": 0, "chunk": 0, "grad": 0}
-        theory_constants(p, cfg, tr)
+        theory_constants(tr)
         cells = verify._CELL_BUDGET
         assert calls == {"value": cells, "rows": 0, "chunk": 0, "grad": 2 * cells}
 
@@ -723,13 +696,13 @@ class TestTheoryConstants:
         tr = run(p, cfg, eps=1e-6, max_iter=1000,
                  init=(np.array([1.0]), np.array([1.0])))
         with pytest.raises(ValueError):
-            theory_constants(p, cfg, tr)
+            theory_constants(tr)
 
     def test_sizes_recorded(self):
         p = random_quadratic(3, 2, 2, Regime.NC_SC)
         cfg = auto_configure(p.constants, Regime.NC_SC)
         tr = run(p, cfg, eps=1e-6, max_iter=5000)
-        tc = theory_constants(p, cfg, tr)
+        tc = theory_constants(tr)
         assert tc.sigma_y == pytest.approx(p.Y.diameter())
         assert tc.sighat_y == pytest.approx(p.Y.max_norm())
         assert math.isfinite(tc.F1)
@@ -740,7 +713,7 @@ class TestTheoryConstants:
     def test_only_the_side_the_bound_reads(self, regime, side):
         p = random_quadratic(5, 2, 2, regime)
         cfg = auto_configure(p.constants, regime)
-        tc = theory_constants(p, cfg, run(p, cfg, eps=1e-6, max_iter=200))
+        tc = theory_constants(run(p, cfg, eps=1e-6, max_iter=200))
         assert getattr(tc, f"f_{side}") == _certified_range(p, side)
         assert getattr(tc, "f_upper" if side == "lower" else "f_lower") is None
 
@@ -751,7 +724,7 @@ class TestTheoryConstants:
         p = random_quadratic(5, 2, 2, regime)
         cfg = auto_configure(p.constants, regime)
         tr = run(p, cfg, eps=1e-6, max_iter=200)
-        value = getattr(theory_constants(p, cfg, tr), field)
+        value = getattr(theory_constants(tr), field)
         assert type(value) is float
         assert value == tr.potential[j - 1] and math.isfinite(value)
 
@@ -760,17 +733,19 @@ class TestTheoryConstants:
     def test_short_trace_refused_before_any_oracle_call(self, regime, rows):
         p = random_quadratic(5, 2, 2, regime)
         cfg = auto_configure(p.constants, regime)
-        tr = run(p, cfg, eps=1e-6, max_iter=rows - 1)
         p, calls = counting(p)
+        tr = run(p, cfg, eps=1e-6, max_iter=rows - 1)
+        calls.update(value=0, rows=0, chunk=0, grad=0)
         with pytest.raises(ValueError, match=f"need at least {rows} iterations"):
-            theory_constants(p, cfg, tr)
+            theory_constants(tr)
         assert calls == {"value": 0, "rows": 0, "chunk": 0, "grad": 0}
 
     def test_half_infinite_box_refused_before_any_oracle_call(self):
         p = make_bilinear([[1.0]], X=Box([0.0], [math.inf]), Y=Box([-1.0], [1.0]))
         cfg = NcCConfig(eta_bar=0.5, rho_bar=1.0, tau=3.0)
-        tr = run(p, cfg, eps=1e-3, max_iter=50, init=(np.array([1.0]), np.array([1.0])))
         p, calls = counting(p)
+        tr = run(p, cfg, eps=1e-3, max_iter=50, init=(np.array([1.0]), np.array([1.0])))
+        calls.update(value=0, rows=0, chunk=0, grad=0)
         with pytest.raises(ValueError, match="compact feasible sets"):
-            theory_constants(p, cfg, tr)
+            theory_constants(tr)
         assert calls == {"value": 0, "rows": 0, "chunk": 0, "grad": 0}
