@@ -22,7 +22,9 @@ CLI subcommands: solve, rate, check, compare.  Exit codes: 0 all runs
 converged and monitors passed, 2 some run hit max_iter, 3 a monitor or a
 ``check`` condition failed, 4 config error, 5 some run raised an error, on
 every subcommand (5 takes precedence over 3, and 3 over 2); the other
-runs go on.
+runs go on.  A CSV trace that cannot be written is a run error (5) named
+``csv: ...``, and ``summary.json`` or ``rate.json`` that cannot be written
+ends the command with one stderr line and exit 5.
 
 Every subcommand maps its specs on ``--parallelism N`` forked worker
 processes; each worker writes the CSV traces of its runs, and the parent
@@ -440,9 +442,9 @@ def _execute(spec: RunSpec, out: Path | None) -> SummaryRecord:
     rec.final_gap = trace.final_gap
     rec.iterations = trace.iterations
     rec.floored_any = trace.floored_any
+    # a monitor, bound or CSV write that raises fails this run only
+    errors = []
     if spec.solver == "agp":
-        # a monitor or bound that raises fails this run only; its trace is kept
-        errors = []
         try:
             rec.monitor_pass = lemma_monitor(trace).passed
         except InvalidTraceError:
@@ -459,10 +461,13 @@ def _execute(spec: RunSpec, out: Path | None) -> SummaryRecord:
             rec.bound_error = f"{type(e).__name__}: {e}"
         except Exception as e:
             errors.append(f"bound: {type(e).__name__}: {e}")
-        rec.error = "; ".join(errors) or None
     rec.wall_time_s = time.perf_counter() - t0
     if out:
-        write_trace_csv(trace, out / f"run{spec.index:03d}.csv")
+        try:
+            write_trace_csv(trace, out / f"run{spec.index:03d}.csv")
+        except OSError as e:
+            errors.append(f"csv: {type(e).__name__}: {e}")
+    rec.error = "; ".join(errors) or None
     return rec
 
 
@@ -507,8 +512,10 @@ def run_suite(specs: list[RunSpec], parallelism: int = 1, out_dir=None,
     the parent writes ``summary.json``, so the CSVs, and ``summary.json``
     apart from ``wall_time_s``, are byte-identical across settings.  With
     fewer than two runs or workers, or on a platform without the ``fork``
-    start method, the runs go serially in this process.  An exception that
-    escapes a run (say an ``OSError`` from a CSV write) propagates.
+    start method, the runs go serially in this process.  A CSV that cannot
+    be written fails its run only: an ``OSError`` from the write is named
+    in the record's ``error``.  Any other exception that escapes a run
+    propagates, as does an ``OSError`` from ``out_dir`` or ``summary.json``.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
@@ -709,6 +716,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 4
+    except OSError as e:  # say summary.json or rate.json cannot be written
+        print(f"agp {args.command}: {type(e).__name__}: {e}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

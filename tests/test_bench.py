@@ -339,11 +339,11 @@ class TestRunSuite:
     def test_worker_error_propagates(self, tmp_path, monkeypatch):
         import agp.bench as bench
 
-        def unwritable(trace, path):
-            raise OSError(f"cannot write {Path(path).name}")
+        def broken(trace, path):
+            raise RuntimeError(f"cannot format {Path(path).name}")
 
-        monkeypatch.setattr(bench, "write_trace_csv", unwritable)
-        with pytest.raises(OSError, match="cannot write run00"):
+        monkeypatch.setattr(bench, "write_trace_csv", broken)
+        with pytest.raises(RuntimeError, match="cannot format run00"):
             run_suite(parse_config(SUITE), parallelism=2, out_dir=tmp_path)
 
     @pytest.mark.parametrize("n_specs, csvs", [(3, 3), (1, 1), (0, 0)],
@@ -773,3 +773,64 @@ class TestCli:
                               env={**os.environ, "PYTHONPATH": path},
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+def _solve(cfg, out, parallelism):
+    return main(["solve", str(cfg), "--out-dir", str(out), "--parallelism", str(parallelism)])
+
+
+def _runs(out):
+    """The records of ``out/summary.json``, without their wall times."""
+    runs = json.loads((out / "summary.json").read_text())["runs"]
+    for r in runs:
+        del r["wall_time_s"]
+    return runs
+
+
+class TestUnwritableOutput:
+    """A CSV that cannot be written fails its own run only; a summary.json
+    or rate.json that cannot be written ends the command with exit 5."""
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_unwritable_csv_fails_its_run_only(self, tmp_path, parallelism):
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(SUITE)
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        assert _solve(cfg, clean, parallelism) == 2  # the GDA run hits max_iter
+        (out / "run001.csv").mkdir(parents=True)
+        assert _solve(cfg, out, parallelism) == 5
+        want, got = _runs(clean), _runs(out)
+        assert [r["run_id"] for r in got] == [0, 1, 2]
+        error = got[1].pop("error")
+        assert error.startswith("csv: IsADirectoryError: ") and "run001.csv" in error
+        assert want[1].pop("error") is None
+        assert got == want
+        for name in ("run000.csv", "run002.csv"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes()
+
+    def test_csv_error_follows_the_monitor_error(self, tmp_path, monkeypatch):
+        import agp.bench as bench
+
+        def monitor(trace):
+            raise RuntimeError("monitor broke")
+
+        monkeypatch.setattr(bench, "lemma_monitor", monitor)
+        (tmp_path / "run000.csv").mkdir()
+        rec = run_suite(parse_config(SUITE)[:1], out_dir=tmp_path)[0]
+        assert rec.error.startswith("lemma_monitor: RuntimeError: monitor broke; "
+                                    "csv: IsADirectoryError: ")
+
+    @pytest.mark.parametrize("command, name", [("solve", "summary.json"),
+                                               ("rate", "rate.json")])
+    def test_unwritable_summary_exit_5(self, tmp_path, capsys, command, name):
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(SUITE)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main([command, str(cfg), "--out-dir", str(out)]) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"agp {command}: IsADirectoryError: ") and name in err[0]
+        if command == "solve":
+            assert sorted(p.name for p in out.glob("*.csv")) == [
+                "run000.csv", "run001.csv", "run002.csv"]
